@@ -1,25 +1,44 @@
-"""Bounded-variable primal simplex on a dense tableau.
+"""Bounded-variable simplex on a dense explicit basis inverse.
 
-This is the LP core under the branch-and-bound solver. Variables carry
-individual (possibly infinite) bounds handled directly in the basis logic:
-nonbasic variables rest at a finite bound (free ones at zero), the ratio test
-caps steps by both the blocking basic variable and the entering variable's own
-opposite bound, and a step capped by the latter is a basis-preserving bound
-flip. Infeasibility is resolved by a phase-1 artificial objective restricted
-to rows whose slack cannot absorb the initial residual.
+This is the LP core under the branch-and-bound solver. Row i gets a slack
+s_i with A x + s = b, the row sense folded into the slack's bounds, and every
+variable carries individual (possibly infinite) bounds handled directly in the
+basis logic: nonbasic variables rest at a finite bound (free ones at zero).
+A basis is the basic column of each row plus B^-1, updated by one rank-1
+product per pivot. Two algorithms share it:
 
-Anti-cycling: pricing starts as Dantzig (most negative reduced cost) and
-switches to the least-index rule after ``bland_threshold`` consecutive
-degenerate pivots, which guarantees termination. Any claimed optimum is
-re-verified on an exactly refactorized tableau before it is returned, so
-accumulated round-off can delay but never corrupt the answer; iteration
-exhaustion surfaces as an explicit numerical-failure status.
+* The primal simplex, for cold solves: the root LP of a branch-and-bound tree
+  and the fallback below. It starts from the slack basis; a row whose slack
+  cannot absorb the starting residual gets an artificial column, and a
+  phase-1 objective drives those to zero. The ratio test caps steps by both
+  the blocking basic variable and the entering variable's own opposite bound,
+  and a step capped by the latter is a basis-preserving bound flip. Pricing
+  starts as Dantzig (most negative reduced cost) and switches to the
+  least-index rule after ``bland_threshold`` consecutive degenerate pivots,
+  which guarantees termination.
+* The dual simplex, for warm solves from a given ``Basis``. A branch-and-bound
+  child differs from its parent in one bound, so the parent's optimal basis
+  stays dual feasible (a boxed nonbasic variable whose reduced cost has the
+  wrong sign is flipped to its other bound) and a few dual pivots restore
+  primal feasibility. The leaving row is chosen by dual steepest edge with
+  exact weights, the entering column by a two-pass Harris ratio test. A
+  singular start basis, lost dual feasibility, a numerical failure or the
+  iteration cap falls back to a cold primal solve, and ``iterations`` counts
+  the pivots of both attempts.
+
+Every claimed optimum is verified once on a fresh factorization: B^-1, x_B and
+the duals are recomputed from scratch and every reduced cost is repriced, and
+iteration resumes if the check fails, so accumulated round-off can delay but
+never corrupt the answer. Infeasibility is claimed on fresh values only: a
+positive phase-1 artificial sum, or a violated row whose bound cannot be
+reached over the box of the nonbasic variables. Iteration exhaustion of the
+cold path surfaces as an explicit numerical-failure status.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,7 +50,8 @@ INF = math.inf
 _TOL_DJ = 1e-9       # reduced-cost threshold for an improving column
 _TOL_PIV = 1e-9      # minimum magnitude of a usable pivot element
 _TOL_DEG = 1e-10     # step sizes below this count as degenerate
-_AT_BOUND = 1e-9     # "sitting at a bound" slack when classifying nonbasics
+_TOL_HARRIS = 5e-10  # dual infeasibility the Harris ratio test may accept
+_MAX_COND = 1e12     # warm bases conditioned worse than this are refused
 
 
 class LpStatus(Enum):
@@ -41,12 +61,31 @@ class LpStatus(Enum):
     NUMERICAL = "numerical_failure"
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the columns [A | I] (structurals, then slacks).
+
+    ``basic[i]`` is the column basic in row position i, ``at_upper[j]`` says
+    that nonbasic column j rests at its upper bound, and ``inverse``, when
+    present, is B^-1 of exactly this basis for the same A.
+    """
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+    inverse: np.ndarray | None = None
+
+    def lean(self) -> Basis:
+        """The same basis without its O(m^2) inverse."""
+        return replace(self, inverse=None)
+
+
 @dataclass
 class LpResult:
     status: LpStatus
     objective: float
     x: np.ndarray | None
     iterations: int
+    basis: Basis | None = None  # the optimal basis, with its fresh inverse
 
 
 def solve_bounded_lp(
@@ -61,195 +100,453 @@ def solve_bounded_lp(
     bland_threshold: int = 50,
     max_iters: int | None = None,
     feas_tol: float = 1e-8,
+    basis: Basis | None = None,
 ) -> LpResult:
-    """Minimize (or maximize) c'x subject to row senses and variable bounds."""
-    n = c.shape[0]
-    m = a.shape[0]
+    """Minimize (or maximize) c'x subject to row senses and variable bounds.
+
+    With ``basis`` (typically the optimal basis of an LP that differs only in
+    bounds) the dual simplex starts from it; otherwise, or when that fails,
+    the primal simplex starts cold. ``max_iters`` caps the pivots of each
+    attempt, and the result's ``iterations`` counts those of both.
+    """
     sign = -1.0 if maximize else 1.0
-
-    # slack per row: A x + s = b with sense folded into the slack's bounds
-    slack_lo = np.empty(m)
-    slack_hi = np.empty(m)
-    for i, sense in enumerate(senses):
-        if sense is RowSense.LE:
-            slack_lo[i], slack_hi[i] = 0.0, INF
-        elif sense is RowSense.GE:
-            slack_lo[i], slack_hi[i] = -INF, 0.0
-        else:
-            slack_lo[i], slack_hi[i] = 0.0, 0.0
-
-    n_tot = n + 2 * m  # structurals, slacks, artificials
-    full = np.zeros((m, n_tot))
-    if m:
-        full[:, :n] = a
-        full[:, n : n + m] = np.eye(m)
-    vlo = np.concatenate([lo, slack_lo, np.zeros(m)])
-    vhi = np.concatenate([hi, slack_hi, np.zeros(m)])
-
-    val = np.zeros(n_tot)
-    for j in range(n):
-        if np.isfinite(vlo[j]):
-            val[j] = vlo[j]
-        elif np.isfinite(vhi[j]):
-            val[j] = vhi[j]
-
-    # choose the starting basis: the row's slack when it can absorb the
-    # residual, otherwise an artificial column carrying the overshoot
-    resid = b - full[:, :n] @ val[:n] if m else np.zeros(0)
-    basis = np.empty(m, dtype=np.int64)
-    in_basis = np.zeros(n_tot, dtype=bool)
-    need_phase1 = False
-    for i in range(m):
-        clipped = min(max(resid[i], slack_lo[i]), slack_hi[i])
-        overshoot = resid[i] - clipped
-        if abs(overshoot) <= feas_tol:
-            basis[i] = n + i
-            val[n + i] = resid[i]
-        else:
-            val[n + i] = clipped
-            art = n + m + i
-            full[i, art] = 1.0 if overshoot >= 0 else -1.0
-            vhi[art] = INF
-            val[art] = abs(overshoot)
-            basis[i] = art
-            need_phase1 = True
-    in_basis[basis] = True
-
-    # initial tableau: the basis matrix is diagonal +-1
-    diag = np.array([full[i, basis[i]] for i in range(m)]) if m else np.zeros(0)
-    tab = full * diag[:, None] if m else full.copy()
-
-    cost1 = np.zeros(n_tot)
-    cost1[n + m :] = 1.0
-    cost2 = np.zeros(n_tot)
-    cost2[:n] = sign * c
-
+    m, n = a.shape
     if max_iters is None:
-        max_iters = 5000 + 200 * (m + n_tot)
+        max_iters = 5000 + 200 * (3 * m + n)
+    args = (c, a, senses, b, lo, hi, sign, feas_tol, bland_threshold, max_iters)
+    spent = 0
+    if basis is not None:
+        lp = _Lp(*args)
+        status = lp.warm(basis)
+        if status is not None:
+            return lp.result(status)
+        spent = lp.iters
+    lp = _Lp(*args)
+    res = lp.result(lp.cold())
+    res.iterations += spent
+    return res
 
-    phase = 1 if need_phase1 else 2
-    cost = cost1 if phase == 1 else cost2
-    art_scale = feas_tol * (1.0 + (float(np.max(np.abs(b))) if m else 0.0))
-    iters = 0
-    degen_streak = 0
-    rebuilds = 0
 
-    def rebuild() -> bool:
-        """Refactorize the tableau and basic values exactly; False on failure."""
-        nonlocal tab
-        if not m:
-            return True
-        bmat = full[:, basis]
-        rest = val.copy()
-        rest[basis] = 0.0
-        try:
-            tab = np.linalg.solve(bmat, full)
-            val[basis] = np.linalg.solve(bmat, b - full @ rest)
-        except np.linalg.LinAlgError:
-            return False
+def _resting_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where a nonbasic variable rests by default: its lower bound, else its
+    upper bound, else zero."""
+    return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+
+
+class _Lp:
+    """Working state of one solve attempt: the columns [A | I | artificials],
+    their bounds and costs, the current point, the basis and B^-1."""
+
+    def __init__(self, c, a, senses, b, lo, hi, sign, feas_tol, bland_threshold,
+                 max_iters):
+        m, n = a.shape
+        self.n, self.m = n, m
+        slack_lo = np.zeros(m)
+        slack_hi = np.zeros(m)
+        for i, sense in enumerate(senses):
+            if sense is RowSense.LE:
+                slack_hi[i] = INF
+            elif sense is RowSense.GE:
+                slack_lo[i] = -INF
+        self.full = np.hstack([a, np.eye(m)])
+        self.lo = np.concatenate([lo, slack_lo]).astype(float)
+        self.hi = np.concatenate([hi, slack_hi]).astype(float)
+        self.cost = np.concatenate([sign * c, np.zeros(m)])
+        self.b = np.asarray(b, dtype=float)
+        self.x = np.zeros(n + m)
+        self.basis = n + np.arange(m, dtype=np.int64)
+        self.is_basic = np.zeros(n + m, dtype=bool)
+        self.is_basic[self.basis] = True
+        self.binv = np.eye(m)
+        # columns from n on are signed unit vectors: slack i is +e_i, and an
+        # artificial column is +-e_i for the row it was added to
+        self.unit_row = np.arange(m)
+        self.unit_sign = np.ones(m)
+        self.sign = sign
+        self.tol = feas_tol
+        self.bland_threshold = bland_threshold
+        self.max_iters = max_iters
+        self.iters = 0
+
+    # -- basis bookkeeping ---------------------------------------------------
+
+    def refactor(self, max_cond: float = INF) -> bool:
+        """Recompute B^-1 and x_B from scratch; False if B is (near) singular."""
+        if self.m:
+            try:
+                binv, b_norm = self.inverse()
+            except np.linalg.LinAlgError:
+                return False
+            # 1-norm condition number; NaN or inf entries fail it too
+            if not b_norm * np.abs(binv).sum(axis=0).max() <= max_cond:
+                return False
+            self.binv = binv
+        self.set_basic_values()
         return True
 
-    while True:
-        if iters > max_iters:
-            return LpResult(LpStatus.NUMERICAL, math.nan, None, iters)
-        iters += 1
+    def inverse(self) -> tuple[np.ndarray, float]:
+        """B^-1 and the 1-norm of B, inverting only the block of the
+        structural basic columns.
 
-        # pricing
-        d = cost - (cost[basis] @ tab if m else 0.0)
-        movable = (~in_basis) & (vlo < vhi)
-        movable[n + m :] = False  # artificials never re-enter
-        at_lo = movable & np.isfinite(vlo) & (val <= vlo + _AT_BOUND)
-        at_hi = movable & np.isfinite(vhi) & (val >= vhi - _AT_BOUND)
-        free = movable & ~np.isfinite(vlo) & ~np.isfinite(vhi)
-        can_incr = (at_lo | free) & (d < -_TOL_DJ)
-        can_decr = ((at_hi & ~at_lo) | free) & (d > _TOL_DJ)
+        With unit columns (s_p e_t) basic in rows T and structural columns S
+        basic elsewhere (rows R), B z = r gives z_S = M^-1 r_R with
+        M = A[R, S], then z_p = s_p (r_t - A[t, S] z_S).
+        """
+        n, m = self.n, self.m
+        basis = self.basis
+        unit = basis >= n
+        upos = np.flatnonzero(unit)
+        spos = np.flatnonzero(~unit)
+        t = self.unit_row[basis[upos] - n]
+        s = self.unit_sign[basis[upos] - n]
+        in_t = np.zeros(m, dtype=bool)
+        in_t[t] = True
+        if np.count_nonzero(in_t) != t.size:
+            raise np.linalg.LinAlgError("two unit columns share a row")
+        binv = np.zeros((m, m))
+        binv[upos, t] = s
+        b_norm = 1.0
+        if spos.size:
+            rrows = np.flatnonzero(~in_t)
+            a_s = self.full[:, basis[spos]]
+            minv = np.linalg.inv(a_s[rrows])
+            binv[np.ix_(spos, rrows)] = minv
+            binv[np.ix_(upos, rrows)] = -s[:, None] * (a_s[t] @ minv)
+            b_norm = max(b_norm, float(np.abs(a_s).sum(axis=0).max()))
+        return binv, b_norm
 
-        if not (can_incr.any() or can_decr.any()):
-            # claimed optimal: verify on an exact refactorization first
-            if rebuilds < 2 and m:
-                rebuilds += 1
-                if not rebuild():
-                    return LpResult(LpStatus.NUMERICAL, math.nan, None, iters)
-                continue
-            if phase == 1:
-                art_sum = float(np.sum(val[n + m :]))
-                if art_sum > art_scale + 1e-12:
-                    return LpResult(LpStatus.INFEASIBLE, math.nan, None, iters)
-                vlo[n + m :] = 0.0
-                vhi[n + m :] = 0.0
-                np.clip(val[n + m :], 0.0, None, out=val[n + m :])
-                phase = 2
-                cost = cost2
-                rebuilds = 0
-                degen_streak = 0
-                continue
-            obj = float(sign * (cost2[:n] @ val[:n]))
-            return LpResult(LpStatus.OPTIMAL, obj, val[:n].copy(), iters)
+    def set_basic_values(self) -> None:
+        x = self.x
+        x[self.basis] = 0.0
+        x[self.basis] = self.binv @ (self.b - self.full @ x)
 
-        bland = degen_streak >= bland_threshold
-        if bland:
-            cands = np.flatnonzero(can_incr | can_decr)
-            j = int(cands[0])
-        else:
-            score = np.where(can_incr, -d, 0.0)
-            score = np.maximum(score, np.where(can_decr, d, 0.0))
-            j = int(np.argmax(score))
-        sigma = 1.0 if can_incr[j] and (not can_decr[j] or d[j] < 0) else -1.0
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        d = cost - (cost[self.basis] @ self.binv) @ self.full
+        d[self.basis] = 0.0
+        return d
 
-        # ratio test
-        flip = vhi[j] - vlo[j]  # inf when either side is open
-        if m:
-            w = tab[:, j]
-            delta = -sigma * w
-            tvec = np.full(m, INF)
-            up = delta > _TOL_PIV
-            dn = delta < -_TOL_PIV
-            bvals = val[basis]
-            with np.errstate(invalid="ignore"):
-                tvec[up] = (vhi[basis[up]] - bvals[up]) / delta[up]
-                tvec[dn] = (vlo[basis[dn]] - bvals[dn]) / delta[dn]
-            np.maximum(tvec, 0.0, out=tvec)
-            t_block = float(np.min(tvec)) if m else INF
-        else:
-            tvec = np.zeros(0)
-            t_block = INF
+    def movable(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nonbasic columns that may increase / decrease from where they rest
+        (artificials never re-enter)."""
+        nb = ~self.is_basic
+        nb[self.n + self.m:] = False
+        return nb & (self.x < self.hi), nb & (self.x > self.lo)
 
-        t_star = min(flip, t_block)
-        if not np.isfinite(t_star):
-            status = LpStatus.UNBOUNDED if phase == 2 else LpStatus.NUMERICAL
-            return LpResult(status, -sign * INF if phase == 2 else math.nan, None, iters)
-
-        degen_streak = degen_streak + 1 if t_star <= _TOL_DEG else 0
-
-        if flip <= t_block:
-            # bound flip: the entering variable crosses to its other bound
-            val[j] = vhi[j] if sigma > 0 else vlo[j]
-            if m:
-                val[basis] -= sigma * t_star * w
-            continue
-
-        near = tvec <= t_star * (1.0 + 1e-9) + 1e-12
-        rows = np.flatnonzero(near)
-        if bland:
-            r = int(rows[np.argmin(basis[rows])])
-        else:
-            r = int(rows[np.argmax(np.abs(w[rows]))])
-
-        leaving = basis[r]
-        val[j] += sigma * t_star
-        val[basis] -= sigma * t_star * w
-        # park the leaving variable exactly on the bound it hit
-        val[leaving] = vhi[leaving] if -sigma * w[r] > 0 else vlo[leaving]
-
-        piv = tab[r, j]
-        if abs(piv) < _TOL_PIV:
-            return LpResult(LpStatus.NUMERICAL, math.nan, None, iters)
-        tab[r] /= piv
-        col = tab[:, j].copy()
+    def pivot(self, r: int, q: int, w: np.ndarray) -> None:
+        """Column q replaces the basic column of row position r; w = B^-1 a_q."""
+        binv = self.binv
+        binv[r] /= w[r]
+        col = w.copy()
         col[r] = 0.0
-        tab -= np.outer(col, tab[r])
-        tab[:, j] = 0.0
-        tab[r, j] = 1.0
-        in_basis[leaving] = False
-        in_basis[j] = True
-        basis[r] = j
+        binv -= np.outer(col, binv[r])
+        self.is_basic[self.basis[r]] = False
+        self.is_basic[q] = True
+        self.basis[r] = q
+
+    def make_dual_feasible(self, d: np.ndarray) -> bool:
+        """Flip every boxed nonbasic column whose reduced cost has the wrong
+        sign to its other bound; False if an unboxed one has."""
+        up, down = self.movable()
+        wrong = (up & (d < -_TOL_DJ)) | (down & (d > _TOL_DJ))
+        if not wrong.any():
+            return True
+        j = np.flatnonzero(wrong)
+        lo, hi = self.lo[j], self.hi[j]
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return False
+        self.x[j] = np.where(self.x[j] == lo, hi, lo)
+        self.set_basic_values()
+        return True
+
+    def result(self, status: LpStatus) -> LpResult:
+        if status is LpStatus.OPTIMAL:
+            n = self.n
+            x = self.x[:n].copy()
+            at_upper = ~self.is_basic & (self.x == self.hi) & (self.lo < self.hi)
+            basis = Basis(self.basis.copy(), at_upper, self.binv)
+            obj = float(self.sign * (self.cost[:n] @ x))
+            return LpResult(status, obj, x, self.iters, basis)
+        if status is LpStatus.UNBOUNDED:
+            return LpResult(status, -self.sign * INF, None, self.iters)
+        return LpResult(status, math.nan, None, self.iters)
+
+    # -- cold start: primal simplex ------------------------------------------
+
+    def cold(self) -> LpStatus:
+        n, m = self.n, self.m
+        lo, hi, x = self.lo, self.hi, self.x
+        x[:n] = _resting_point(lo[:n], hi[:n])
+        # each row's slack takes the residual when it can absorb it, else an
+        # artificial column carries the overshoot
+        resid = self.b - self.full[:, :n] @ x[:n]
+        clipped = np.clip(resid, lo[n:], hi[n:])
+        over = resid - clipped
+        need = np.abs(over) > self.tol
+        x[n:] = np.where(need, clipped, resid)
+        rows = np.flatnonzero(need)
+        if rows.size:
+            status = self.phase1(rows, np.where(over[rows] >= 0, 1.0, -1.0),
+                                 np.abs(over[rows]))
+            if status is not None:
+                return status
+        status = self.primal(self.cost, phase1=False)
+        if status is not None:
+            return status
+        # the fresh x_B may have drifted off a bound: the basis is dual
+        # feasible, so the dual simplex repairs that
+        return self.dual(self.reduced_costs(self.cost), fresh=True) or LpStatus.NUMERICAL
+
+    def phase1(self, rows, signs, overshoot):
+        """Drive the artificials of ``rows`` to zero; None once they are,
+        after which the artificial columns are gone again."""
+        n, m, k = self.n, self.m, rows.size
+        art = np.zeros((m, k))
+        art[rows, np.arange(k)] = signs
+        self.full = np.hstack([self.full, art])
+        self.unit_row = np.concatenate([self.unit_row, rows])
+        self.unit_sign = np.concatenate([self.unit_sign, signs])
+        self.lo = np.concatenate([self.lo, np.zeros(k)])
+        self.hi = np.concatenate([self.hi, np.full(k, INF)])
+        self.x = np.concatenate([self.x, overshoot])
+        self.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])
+        self.is_basic[n + rows] = False
+        self.basis[rows] = n + m + np.arange(k)
+        self.binv[rows, rows] = signs
+        cost1 = np.zeros(n + m + k)
+        cost1[n + m:] = 1.0
+
+        status = self.primal(cost1, phase1=True)
+        if status is not None:
+            return status
+        art_scale = self.tol * (1.0 + (float(np.max(np.abs(self.b))) if m else 0.0))
+        if float(np.sum(self.x[n + m:])) > art_scale + 1e-12:
+            return LpStatus.INFEASIBLE
+        # an artificial still basic (at zero) hands its position to its row's
+        # slack, whose column is the same unit vector up to sign
+        for r in np.flatnonzero(self.basis >= n + m):
+            a = int(self.basis[r]) - n - m
+            slack = n + int(rows[a])
+            if self.is_basic[slack]:
+                return LpStatus.NUMERICAL
+            self.binv[r] *= signs[a]
+            self.is_basic[slack] = True
+            self.basis[r] = slack
+        self.full = self.full[:, : n + m]
+        self.unit_row = self.unit_row[:m]
+        self.unit_sign = self.unit_sign[:m]
+        self.lo = self.lo[: n + m]
+        self.hi = self.hi[: n + m]
+        self.x = self.x[: n + m]
+        self.is_basic = self.is_basic[: n + m]
+        self.set_basic_values()
+        return None
+
+    def primal(self, cost, *, phase1: bool):
+        """Primal simplex from a primal feasible basis. Returns None once no
+        column improves on a fresh factorization, else the failure status."""
+        m = self.m
+        lo, hi = self.lo, self.hi
+        fresh = False
+        degen_streak = 0
+        while True:
+            d = self.reduced_costs(cost)
+            up, down = self.movable()
+            can_incr = up & (d < -_TOL_DJ)
+            can_decr = down & (d > _TOL_DJ)
+            if not (can_incr.any() or can_decr.any()):
+                if fresh:
+                    return None
+                if not self.refactor():
+                    return LpStatus.NUMERICAL
+                fresh = True
+                continue
+            if self.iters >= self.max_iters:
+                return LpStatus.NUMERICAL
+            self.iters += 1
+            fresh = False
+
+            bland = degen_streak >= self.bland_threshold
+            if bland:
+                j = int(np.flatnonzero(can_incr | can_decr)[0])
+            else:
+                score = np.where(can_incr, -d, np.where(can_decr, d, 0.0))
+                j = int(np.argmax(score))
+            sigma = 1.0 if can_incr[j] else -1.0
+
+            # ratio test
+            x, basis = self.x, self.basis
+            flip = hi[j] - lo[j]  # inf when either side is open
+            w = self.binv @ self.full[:, j]
+            if m:
+                delta = -sigma * w
+                tvec = np.full(m, INF)
+                up_b = delta > _TOL_PIV
+                dn_b = delta < -_TOL_PIV
+                bvals = x[basis]
+                with np.errstate(invalid="ignore"):
+                    tvec[up_b] = (hi[basis[up_b]] - bvals[up_b]) / delta[up_b]
+                    tvec[dn_b] = (lo[basis[dn_b]] - bvals[dn_b]) / delta[dn_b]
+                np.maximum(tvec, 0.0, out=tvec)
+                t_block = float(np.min(tvec))
+            else:
+                t_block = INF
+
+            t_star = min(flip, t_block)
+            if not np.isfinite(t_star):
+                return LpStatus.NUMERICAL if phase1 else LpStatus.UNBOUNDED
+
+            degen_streak = degen_streak + 1 if t_star <= _TOL_DEG else 0
+
+            if flip <= t_block:
+                # bound flip: the entering variable crosses to its other bound
+                x[j] = hi[j] if sigma > 0 else lo[j]
+                x[basis] -= sigma * t_star * w
+                continue
+
+            near = tvec <= t_star * (1.0 + 1e-9) + 1e-12
+            rows = np.flatnonzero(near)
+            if bland:
+                r = int(rows[np.argmin(basis[rows])])
+            else:
+                r = int(rows[np.argmax(np.abs(w[rows]))])
+            if abs(w[r]) < _TOL_PIV:
+                return LpStatus.NUMERICAL
+
+            leaving = basis[r]
+            x[j] += sigma * t_star
+            x[basis] -= sigma * t_star * w
+            # park the leaving variable exactly on the bound it hit
+            x[leaving] = hi[leaving] if -sigma * w[r] > 0 else lo[leaving]
+            self.pivot(r, j, w)
+
+    # -- warm start: dual simplex --------------------------------------------
+
+    def warm(self, start: Basis):
+        """Dual simplex from ``start``; None when it cannot be used."""
+        n, m = self.n, self.m
+        basic = np.asarray(start.basic, dtype=np.int64)
+        at_upper = np.asarray(start.at_upper, dtype=bool)
+        if basic.shape != (m,) or at_upper.shape != (n + m,):
+            return None
+        if m and (basic.min() < 0 or basic.max() >= n + m
+                  or np.unique(basic).size != m):
+            return None  # a repeated column makes B singular
+        self.basis = basic.copy()
+        self.is_basic[:] = False
+        self.is_basic[basic] = True
+        lo, hi = self.lo, self.hi
+        self.x = np.where(at_upper & np.isfinite(hi), hi, _resting_point(lo, hi))
+        if start.inverse is not None and start.inverse.shape == (m, m):
+            self.binv = start.inverse.copy()
+            self.set_basic_values()
+            d = self.reduced_costs(self.cost)
+            if not self.make_dual_feasible(d):
+                return None
+        else:
+            d = self.refresh()
+            if d is None:
+                return None
+        return self.dual(d, fresh=True)
+
+    def refresh(self) -> np.ndarray | None:
+        """Refactorize and reprice: the dual feasible reduced costs of the
+        current basis, or None when it is singular or not dual feasible."""
+        if not self.refactor(_MAX_COND):
+            return None
+        d = self.reduced_costs(self.cost)
+        return d if self.make_dual_feasible(d) else None
+
+    def dual(self, d: np.ndarray, *, fresh: bool):
+        """Dual simplex from a dual feasible basis with reduced costs ``d``.
+
+        Returns OPTIMAL or INFEASIBLE, each confirmed on a fresh
+        factorization, or None when the basis cannot be carried on.
+        """
+        lo, hi = self.lo, self.hi
+        degen_streak = 0
+        while True:
+            x, basis = self.x, self.basis
+            xb = x[basis]
+            below = lo[basis] - xb
+            viol = np.maximum(below, xb - hi[basis])
+            bad = np.flatnonzero(viol > self.tol)
+            if not bad.size:
+                if fresh:
+                    return LpStatus.OPTIMAL
+                d = self.refresh()  # verify the claimed optimum
+                if d is None:
+                    return None
+                fresh = True
+                continue
+
+            bland = degen_streak >= self.bland_threshold
+            if bland:
+                r = int(bad[np.argmin(basis[bad])])
+            else:
+                rows = self.binv[bad]
+                weight = np.einsum("ij,ij->i", rows, rows)
+                r = int(bad[np.argmax(viol[bad] ** 2 / weight)])
+            to_lower = below[r] > 0
+            alpha = self.binv[r] @ self.full
+            # the entering column must move x_Br toward the violated bound
+            a_s = -alpha if to_lower else alpha
+            up, down = self.movable()
+            via_up = up & (a_s > _TOL_PIV)
+            via_dn = down & (a_s < -_TOL_PIV)
+            cand = np.flatnonzero(via_up | via_dn)
+            if not cand.size:
+                if not fresh:
+                    d = self.refresh()  # re-check the claim on fresh values
+                    if d is None:
+                        return None
+                    fresh = True
+                    continue
+                return LpStatus.INFEASIBLE if self.row_is_infeasible(r, alpha, to_lower) else None
+
+            dj = np.where(via_up[cand], np.maximum(d[cand], 0.0), np.maximum(-d[cand], 0.0))
+            aj = np.abs(alpha[cand])
+            ratio = dj / aj
+            if bland:
+                q = int(cand[np.flatnonzero(ratio <= ratio.min() + _TOL_DEG)[0]])
+            else:
+                ok = ratio <= np.min((dj + _TOL_HARRIS) / aj)
+                q = int(cand[ok][np.argmax(aj[ok])])
+
+            w = self.binv @ self.full[:, q]
+            if abs(w[r]) < _TOL_PIV or abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
+                # row and column disagree on the pivot: B^-1 has drifted
+                d = None if fresh else self.refresh()
+                if d is None:
+                    return None
+                fresh = True
+                continue
+            if self.iters >= self.max_iters:
+                return None
+            self.iters += 1
+            fresh = False
+
+            theta_d = d[q] / alpha[q]
+            degen_streak = degen_streak + 1 if abs(theta_d) <= _TOL_DEG else 0
+            d -= theta_d * alpha
+            leaving = basis[r]
+            target = lo[leaving] if to_lower else hi[leaving]
+            theta_p = (x[leaving] - target) / w[r]
+            x[basis] -= theta_p * w
+            x[q] += theta_p
+            x[leaving] = target
+            self.pivot(r, q, w)
+            d[self.basis] = 0.0
+
+    def row_is_infeasible(self, r: int, alpha: np.ndarray, to_lower: bool) -> bool:
+        """Whether moving every nonbasic variable within its bounds still
+        leaves x_Br short of its violated bound (x_B = B^-1 b - alpha_N x_N)."""
+        nb = ~self.is_basic
+        g = -alpha[nb] if to_lower else alpha[nb]
+        xn, lo, hi = self.x[nb], self.lo[nb], self.hi[nb]
+        with np.errstate(invalid="ignore"):
+            reach = np.where(g > 0, g * (hi - xn), np.where(g < 0, g * (lo - xn), 0.0))
+        # round-off entries may not open an infinite range
+        reach[(np.abs(g) <= _TOL_PIV) & np.isinf(reach)] = 0.0
+        j = self.basis[r]
+        gap = self.lo[j] - self.x[j] if to_lower else self.x[j] - self.hi[j]
+        return float(np.sum(reach)) < gap - self.tol

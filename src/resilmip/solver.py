@@ -8,6 +8,14 @@ value and then lowest variable id. Workers share one incumbent cell guarded
 by a lock; an incumbent is replaced only by a strictly better one, so the
 reported objective improves monotonically no matter how many workers run.
 
+Node LPs: the root LP is solved cold by the primal simplex. Every child
+carries its parent's optimal basis and is re-solved from it by the dual
+simplex, since it differs from its parent in one binary bound; the child a
+worker keeps also takes the parent's basis inverse, while a node pushed to
+the pool keeps only the O(n + m) basis. The simplex falls back to a cold
+primal solve when a warm start fails, and verifies every optimum once on a
+fresh factorization (see ``simplex``).
+
 The reported dual bound is the minimum over all open and in-flight node
 bounds, the bounds of nodes pruned by cutoff, and the incumbent itself; it is
 therefore a valid bound at every report point, not only at the end.
@@ -26,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .mipmodel import Assignment, MipModel, check_feasible
-from .simplex import LpResult, LpStatus, solve_bounded_lp
+from .simplex import Basis, LpResult, LpStatus, solve_bounded_lp
 
 log = logging.getLogger("resilmip.solver")
 
@@ -50,7 +58,6 @@ class SolveConfig:
     time_limit: float | None = None
     mip_gap: float = 1e-6
     int_tol: float = 1e-6
-    deterministic: bool = True
     log_interval: float | None = None
     bland_threshold: int = 50
 
@@ -94,6 +101,7 @@ class _Node:
     depth: int
     lo: np.ndarray
     hi: np.ndarray
+    basis: Basis | None = None  # the parent's optimal basis
 
 
 class _Shared:
@@ -116,6 +124,8 @@ class _Shared:
         self.last_log = 0.0
 
     def push(self, node: _Node) -> None:
+        if node.basis is not None:
+            node.basis = node.basis.lean()  # O(n + m) per pooled node, not O(m^2)
         heapq.heappush(self.heap, (node.bound, self.seq, node))
         self.seq += 1
 
@@ -175,12 +185,10 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             return INF
         return st.best_obj - cfg.mip_gap * max(1.0, abs(st.best_obj))
 
-    def node_lp(node: _Node, lo=None, hi=None) -> LpResult:
+    def node_lp(lo: np.ndarray, hi: np.ndarray, basis: Basis | None) -> LpResult:
         return solve_bounded_lp(
-            c_int, d.a, d.senses, d.rhs,
-            node.lo if lo is None else lo,
-            node.hi if hi is None else hi,
-            bland_threshold=cfg.bland_threshold,
+            c_int, d.a, d.senses, d.rhs, lo, hi,
+            bland_threshold=cfg.bland_threshold, basis=basis,
         )
 
     def pick_branch_var(x: np.ndarray) -> int | None:
@@ -242,7 +250,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
                     st.ready.notify_all()
                     continue
 
-            res = node_lp(node)
+            res = node_lp(node.lo, node.hi, node.basis)
 
             with st.ready:
                 st.nodes += 1
@@ -278,7 +286,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             branch_vid = pick_branch_var(x) if bin_ids.size else None
 
             if branch_vid is None:
-                xi, obj = _integral_solution(x, bound, node, bin_ids, node_lp, c_int, cfg)
+                xi, obj = _integral_solution(x, bound, node, res.basis, bin_ids, node_lp, c_int)
                 with st.ready:
                     if xi is not None:
                         offer_incumbent(xi, obj)
@@ -295,6 +303,9 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             up = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
             up.lo[branch_vid] = 1.0
             first, second = (up, down) if v >= 0.5 else (down, up)
+            # both children re-solve from this basis; the plunge child also
+            # keeps its inverse (push drops it)
+            first.basis = second.basis = res.basis
             local = first  # plunge
             with st.ready:
                 st.push(second)
@@ -353,7 +364,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     )
 
 
-def _integral_solution(x, bound, node, bin_ids, node_lp, c_int, cfg):
+def _integral_solution(x, bound, node, basis, bin_ids, node_lp, c_int):
     """Turn an integral-within-tolerance LP point into an exact incumbent.
 
     LP vertices normally park binaries exactly on 0/1; when one is merely
@@ -372,7 +383,7 @@ def _integral_solution(x, bound, node, bin_ids, node_lp, c_int, cfg):
     hi2 = node.hi.copy()
     lo2[bin_ids] = rounded
     hi2[bin_ids] = rounded
-    res = node_lp(node, lo2, hi2)
+    res = node_lp(lo2, hi2, basis)
     if res.status is LpStatus.OPTIMAL:
         xi = res.x.copy()
         xi[bin_ids] = rounded

@@ -4,21 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilmip.mipmodel import RowSense
-from resilmip.simplex import LpStatus, solve_bounded_lp
+from resilmip.simplex import Basis, LpStatus, solve_bounded_lp
 
 LE, GE, EQ = RowSense.LE, RowSense.GE, RowSense.EQ
 
 
-def _solve(c, a, senses, b, lo, hi, maximize=False):
+def _solve(c, a, senses, b, lo, hi, maximize=False, **kw):
     return solve_bounded_lp(
         np.asarray(c, float), np.asarray(a, float), list(senses),
         np.asarray(b, float), np.asarray(lo, float), np.asarray(hi, float),
-        maximize=maximize,
+        maximize=maximize, **kw,
     )
 
 
@@ -104,10 +104,8 @@ def _scipy_reference(c, a, senses, b, lo, hi, maximize):
                    options={"presolve": False}), sign
 
 
-@given(seed=st.integers(0, 100_000))
-@settings(max_examples=120)
-def test_matches_scipy_on_random_instances(seed):
-    """Status and optimum agree with HiGHS on random bounded LPs."""
+def _random_instance(seed):
+    """A random bounded LP: (c, a, senses, b, lo, hi, maximize)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     m = int(rng.integers(1, 7))
@@ -120,8 +118,10 @@ def test_matches_scipy_on_random_instances(seed):
     mid = (lo + hi) / 2
     b = a @ mid + rng.normal(0, 1, m)
     maximize = bool(rng.random() < 0.5)
+    return c, a, senses, b, lo, hi, maximize
 
-    mine = _solve(c, a, senses, b, lo, hi, maximize)
+
+def _assert_matches_scipy(mine, c, a, senses, b, lo, hi, maximize):
     ref, sign = _scipy_reference(c, a, senses, b, lo, hi, maximize)
 
     if ref.status == 2:
@@ -142,6 +142,110 @@ def test_matches_scipy_on_random_instances(seed):
             else:
                 assert abs(resid[i] - b[i]) <= 1e-6
         assert abs(float(c @ mine.x) - mine.objective) <= 1e-7 * scale
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=120)
+def test_matches_scipy_on_random_instances(seed):
+    """Status and optimum agree with HiGHS on random bounded LPs."""
+    inst = _random_instance(seed)
+    _assert_matches_scipy(_solve(*inst), *inst)
+
+
+@given(seed=st.integers(0, 100_000), var=st.integers(0, 4),
+       frac=st.sampled_from([0.25, 0.5, 1.0]), lean=st.booleans())
+@settings(max_examples=150)
+def test_warm_resolve_matches_cold_and_scipy(seed, var, frac, lean):
+    """Re-solving from the optimal basis after a bound change that cuts off
+    the optimum agrees with a cold solve and with HiGHS, with or without the
+    basis inverse at hand."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    first = _solve(c, a, senses, b, lo, hi, maximize)
+    assume(first.status is LpStatus.OPTIMAL)
+    start = first.basis.lean() if lean else first.basis
+
+    # unchanged bounds: the basis is already optimal
+    again = _solve(c, a, senses, b, lo, hi, maximize, basis=start)
+    assert again.status is LpStatus.OPTIMAL
+    assert again.iterations == 0
+    assert again.objective == pytest.approx(first.objective, abs=1e-9)
+
+    # move one bound past the optimal value; frac 1 fixes the variable at
+    # the far end of its range, which often leaves no feasible point
+    j = var % len(c)
+    lo2, hi2 = lo.copy(), hi.copy()
+    xj = first.x[j]
+    if hi[j] - xj >= xj - lo[j]:
+        lo2[j] = xj + frac * (hi[j] - xj)
+        if frac == 1.0:
+            lo2[j] = hi[j]
+    else:
+        hi2[j] = xj - frac * (xj - lo[j])
+        if frac == 1.0:
+            hi2[j] = lo[j]
+    assume(lo2[j] - lo[j] > 1e-6 or hi[j] - hi2[j] > 1e-6)
+
+    warm = _solve(c, a, senses, b, lo2, hi2, maximize, basis=start)
+    cold = _solve(c, a, senses, b, lo2, hi2, maximize)
+    assert warm.status is cold.status
+    if cold.status is LpStatus.OPTIMAL:
+        scale = max(1.0, abs(cold.objective))
+        assert abs(warm.objective - cold.objective) <= 1e-7 * scale
+    _assert_matches_scipy(warm, c, a, senses, b, lo2, hi2, maximize)
+
+
+class TestWarmStart:
+    def test_dual_simplex_proves_infeasibility(self):
+        # max x st x + y <= 1, y >= 0.5: x = 0.5; then x >= 0.8 is infeasible
+        args = ([1, 0], [[1, 1]], [LE], [1])
+        first = _solve(*args, [0, 0.5], [1, 1], maximize=True)
+        assert first.objective == pytest.approx(0.5)
+        r = _solve(*args, [0.8, 0.5], [1, 1], maximize=True, basis=first.basis)
+        assert r.status is LpStatus.INFEASIBLE
+        assert r.iterations == 0  # no dual pivot can lift the row's slack
+
+    def test_singular_basis_falls_back_to_cold(self):
+        # columns 0 and 1 are the same vector: a basis holding both is singular
+        args = ([1, 2, -1], [[1, 1, 2], [3, 3, 1]], [LE, LE], [4, 6],
+                [0, 0, 0], [2, 2, 2])
+        cold = _solve(*args)
+        start = Basis(np.array([0, 1]), np.zeros(5, dtype=bool))
+        r = _solve(*args, basis=start)
+        assert r.status is cold.status is LpStatus.OPTIMAL
+        assert r.objective == pytest.approx(cold.objective)
+        assert cold.iterations > 0
+        assert r.iterations == cold.iterations  # the warm attempt never pivoted
+
+    def test_dual_infeasible_basis_falls_back_to_cold(self):
+        # the optimal basis of max x + y has both slacks nonbasic; for
+        # min x + y their reduced costs change sign, and a slack has no
+        # upper bound to flip to
+        args = ([1, 1], [[1, 2], [3, -1]], [LE, LE], [14, 0], [0, 0], [10, 10])
+        first = _solve(*args, maximize=True)
+        assert set(first.basis.basic) == {0, 1}
+        cold = _solve(*args)
+        r = _solve(*args, basis=first.basis)
+        assert r.status is cold.status is LpStatus.OPTIMAL
+        assert r.objective == pytest.approx(cold.objective)
+        assert r.iterations == cold.iterations
+
+    def test_iteration_cap_falls_back_and_counts_both_attempts(self):
+        # min c'x over A x = 0, x in [0, 1]^5 with c > 0: the cold start at
+        # x = 0 is optimal at once, while the dual simplex from the optimum
+        # of max c'x needs two pivots; capped at one, it falls back
+        c = [1.8, 2.9, 0.9, 2.9, 1.3]
+        a = [[0.7, -0.8, 0.9, 0.5, 0.4], [0.0, 0.8, -1.1, -0.2, -0.7]]
+        args = (c, a, [EQ, EQ], [0, 0], [0] * 5, [1] * 5)
+        top = _solve(*args, maximize=True)
+        assert top.objective > 0
+        cold = _solve(*args)
+        assert cold.iterations == 0 and cold.objective == 0.0
+        warm = _solve(*args, basis=top.basis)
+        assert warm.iterations == 2 and warm.objective == pytest.approx(0.0, abs=1e-9)
+        capped = _solve(*args, basis=top.basis, max_iters=1)
+        assert capped.status is LpStatus.OPTIMAL
+        assert capped.objective == 0.0
+        assert capped.iterations == 1  # one warm pivot plus no cold ones
 
 
 @given(seed=st.integers(0, 50_000))
