@@ -439,13 +439,11 @@ class _Lp:
         if start.inverse is not None and start.inverse.shape == (m, m):
             self.binv = start.inverse.copy()
             self.set_basic_values()
-            d = self.reduced_costs(self.cost)
-            if not self.make_dual_feasible(d):
-                return None
-        else:
-            d = self.refresh()
-            if d is None:
-                return None
+        elif not self.refactor(_MAX_COND):
+            return None
+        d = self.reduced_costs(self.cost)
+        if not self.make_dual_feasible(d):
+            return None
         return self.dual(d, fresh=True)
 
     def refresh(self) -> np.ndarray | None:
