@@ -1,5 +1,6 @@
-"""Interval analysis over a network: per-node value bounds, activation phases,
-and big-M magnitudes, plus an exact MIP-backed bound tightener.
+"""Interval analysis over a network: per-node value bounds and activation
+phases, plus an exact MIP-backed bound tightener. The encoder sizes every
+gadget from these bounds.
 
 Bounds are sound: every exact forward trace of an in-domain input lies inside
 them. Pre-activation bounds of a dense node sum the per-predecessor extremes
@@ -8,7 +9,6 @@ min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO
@@ -16,11 +16,6 @@ from typing import IO
 import numpy as np
 
 from .network import DENSE_KINDS, LayerKind, Network
-
-# Inflation applied to big-M magnitudes so gadget rows never bind at the
-# exact interval edge: M = max(|im_lo|, |im_hi|) * (1 + REL) + ABS.
-BIG_M_REL = 1e-7
-BIG_M_ABS = 1e-9
 
 # Slack when adopting MIP-tightened bounds, guarding against LP round-off
 # pushing a bound past the true extreme.
@@ -44,7 +39,6 @@ class LayerBounds:
     im_lo: np.ndarray | None = None
     im_hi: np.ndarray | None = None
     phase: np.ndarray | None = None  # Phase codes, relu_dense layers only
-    big_m: np.ndarray | None = None  # dense layers only
 
     def copy(self) -> "LayerBounds":
         dup = lambda a: None if a is None else a.copy()
@@ -54,7 +48,6 @@ class LayerBounds:
             im_lo=dup(self.im_lo),
             im_hi=dup(self.im_hi),
             phase=dup(self.phase),
-            big_m=dup(self.big_m),
         )
 
 
@@ -81,11 +74,6 @@ class IntervalBounds:
         )
 
 
-def big_m_for(im_lo: np.ndarray, im_hi: np.ndarray) -> np.ndarray:
-    mag = np.maximum(np.abs(im_lo), np.abs(im_hi))
-    return mag * (1.0 + BIG_M_REL) + BIG_M_ABS
-
-
 def _affine_bounds(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pos = np.clip(w[1:], 0.0, None)
     neg = np.clip(w[1:], None, 0.0)
@@ -104,8 +92,7 @@ def relu_phases(im_lo: np.ndarray, im_hi: np.ndarray) -> np.ndarray:
 def _layer_bounds(spec, lo: np.ndarray, hi: np.ndarray) -> LayerBounds:
     if spec.kind in DENSE_KINDS:
         im_lo, im_hi = _affine_bounds(spec.weights, lo, hi)
-        out = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi,
-                          big_m=big_m_for(im_lo, im_hi))
+        out = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
         if spec.kind is LayerKind.RELU_DENSE:
             out.phase = relu_phases(im_lo, im_hi)
             out.lo = np.maximum(0.0, im_lo)
@@ -141,8 +128,7 @@ def propagate_intervals(net: Network) -> IntervalBounds:
 
 
 def _refresh_outputs(spec, lb: LayerBounds) -> None:
-    """Recompute a dense layer's output bounds/phase/big_m from its im bounds."""
-    lb.big_m = big_m_for(lb.im_lo, lb.im_hi)
+    """Recompute a dense layer's output bounds and phases from its im bounds."""
     if spec.kind is LayerKind.RELU_DENSE:
         lb.phase = relu_phases(lb.im_lo, lb.im_hi)
         lb.lo = np.maximum(0.0, lb.im_lo)
@@ -225,13 +211,13 @@ def tighten_lookback(
 
 
 def write_bounds_dump(net: Network, bounds: IntervalBounds, out: IO[str]) -> None:
-    """Write one line per node: layer, node, kind, im/x bounds, phase, big_m."""
-    out.write("# layer\tnode\tkind\tim_lo\tim_hi\tlo\thi\tphase\tbig_m\n")
+    """Write one line per node: layer, node, kind, im/x bounds, phase."""
+    out.write("# layer\tnode\tkind\tim_lo\tim_hi\tlo\thi\tphase\n")
     fmt = lambda v: "-" if v is None else f"{v:.6g}"
     for i in range(net.input_dim):
         out.write(
             f"0\t{i + 1}\tinput\t-\t-\t{fmt(bounds.input_lo[i])}\t"
-            f"{fmt(bounds.input_hi[i])}\t-\t-\n"
+            f"{fmt(bounds.input_hi[i])}\t-\n"
         )
     phase_names = {
         int(Phase.ALWAYS_INACTIVE): "always_inactive",
@@ -244,10 +230,9 @@ def write_bounds_dump(net: Network, bounds: IntervalBounds, out: IO[str]) -> Non
             im_lo = fmt(lb.im_lo[i]) if lb.im_lo is not None else "-"
             im_hi = fmt(lb.im_hi[i]) if lb.im_hi is not None else "-"
             phase = phase_names[int(lb.phase[i])] if lb.phase is not None else "-"
-            big_m = fmt(lb.big_m[i]) if lb.big_m is not None else "-"
             out.write(
                 f"{pos}\t{i + 1}\t{spec.kind.value}\t{im_lo}\t{im_hi}\t"
-                f"{fmt(lb.lo[i])}\t{fmt(lb.hi[i])}\t{phase}\t{big_m}\n"
+                f"{fmt(lb.lo[i])}\t{fmt(lb.hi[i])}\t{phase}\n"
             )
 
 

@@ -4,6 +4,10 @@ Every encoding is a relaxation: the feasible set of the emitted rows contains
 every exact forward trace whose input satisfies the instantiated input rows,
 so objective optima are sound bounds on the true quantities.
 
+Every big-M constant is sized from interval bounds, separately for each side
+of a gadget or each gated row, and inflated by _GATE_REL and _GATE_ABS so no
+row binds exactly at an interval edge.
+
 Conventions: a ReLU indicator takes value 1 exactly when the pre-activation
 is >= 0 (at 0 either value satisfies the gadget); a max-pool pair indicator
 takes 1 when the left operand attains the maximum; arc-tangent nodes are
@@ -172,26 +176,32 @@ def encode_affine(model: MipModel, im_id: int, pred_ids: list[int],
 
 
 def encode_relu(model: MipModel, x_id: int, im_id: int, phase: int,
-                big_m: float, tag: str) -> ReluGadget:
+                im_bounds: tuple[float, float], tag: str) -> ReluGadget:
     """x = max(0, im), by phase: a fixed phase needs one equality and no
-    binary; an undecided node gets the six-row big-M gadget with indicator
-    b = 1 iff im >= 0."""
+    binary. An undecided node (im_lo < 0 < im_hi) gets three rows over the
+    inflated bounds l < im_lo and u > im_hi and an indicator b = 1 iff
+    im >= 0: x >= im, x <= im - l(1 - b), x <= u b. With x's declared lower
+    bound 0 they pin x = 0 >= im at b = 0 and x = im >= 0 at b = 1; relaxed
+    to b in [0, 1] they give the triangle hull x <= u (im - l) / (u - l)
+    (Tjeng, Xiao & Tedrake, ICLR 2019)."""
     if phase == Phase.ALWAYS_ACTIVE:
         model.add_constraint(f"{tag}.on", [(x_id, 1.0), (im_id, -1.0)], RowSense.EQ, 0.0)
         return ReluGadget(b_id=None)
     if phase == Phase.ALWAYS_INACTIVE:
         model.add_constraint(f"{tag}.off", [(x_id, 1.0)], RowSense.EQ, 0.0)
         return ReluGadget(b_id=None)
-    if not math.isfinite(big_m) or big_m <= 0.0:
-        raise EncodingError(f"{tag}: unusable big-M {big_m!r}")
+    im_lo, im_hi = float(im_bounds[0]), float(im_bounds[1])
+    if not (math.isfinite(im_lo) and math.isfinite(im_hi) and im_lo < 0.0 < im_hi):
+        raise EncodingError(f"{tag}: undecided node needs finite bounds lo < 0 < hi, "
+                            f"got [{im_lo!r}, {im_hi!r}]")
+    if model.variables[x_id].lo < 0.0:
+        raise EncodingError(f"{tag}: output variable must be declared nonnegative")
+    lo = im_lo * (1.0 + _GATE_REL) - _GATE_ABS
+    hi = im_hi * (1.0 + _GATE_REL) + _GATE_ABS
     b = model.add_binary(f"{tag}.b")
-    m = float(big_m)
-    model.add_constraint(f"{tag}.pos", [(x_id, 1.0)], RowSense.GE, 0.0)
     model.add_constraint(f"{tag}.ge", [(x_id, 1.0), (im_id, -1.0)], RowSense.GE, 0.0)
-    model.add_constraint(f"{tag}.blo", [(im_id, 1.0), (b, -m)], RowSense.LE, 0.0)
-    model.add_constraint(f"{tag}.bhi", [(im_id, 1.0), (b, -m)], RowSense.GE, -m)
-    model.add_constraint(f"{tag}.ub", [(x_id, 1.0), (im_id, -1.0), (b, m)], RowSense.LE, m)
-    model.add_constraint(f"{tag}.cap", [(x_id, 1.0), (b, -m)], RowSense.LE, 0.0)
+    model.add_constraint(f"{tag}.ub", [(x_id, 1.0), (im_id, -1.0), (b, -lo)], RowSense.LE, -lo)
+    model.add_constraint(f"{tag}.cap", [(x_id, 1.0), (b, -hi)], RowSense.LE, 0.0)
     return ReluGadget(b_id=b)
 
 
@@ -437,7 +447,7 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
                 copy.relu[pos] = {}
                 for i in range(n):
                     g = encode_relu(model, x_ids[i], im_ids[i], int(lb.phase[i]),
-                                    float(lb.big_m[i]), f"R{prefix}{pos}_{i}")
+                                    (lb.im_lo[i], lb.im_hi[i]), f"R{prefix}{pos}_{i}")
                     copy.relu[pos][i] = g
                     if g.b_id is not None:
                         copy.binary_layer[g.b_id] = pos

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from resilmip import zoo
 from resilmip.dataflow import Phase, propagate_intervals
 from resilmip.encoder import (
+    _GATE_ABS,
+    _GATE_REL,
     ATAN_APPROX_ERR,
     EncodingError,
     QueryKind,
@@ -28,18 +30,20 @@ from resilmip.encoder import (
 )
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
 from resilmip.network import forward
-from resilmip.solver import SolveConfig, SolveStatus, solve
+from resilmip.simplex import LpStatus
+from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
 
 _SECANT_CURVE = 2 * 0.273 / 8.0  # |q''| h^2 / 8 with the h factored out
 
 
 def _relu_bench(im_value: float, big_m: float, force_b: int):
-    """Feasibility of the six-row rectifier gadget with the indicator pinned."""
+    """Feasibility of the rectifier gadget over [-M, M] with the indicator
+    pinned."""
     m = MipModel("bench")
     x = m.add_variable("x", 0.0, big_m)
     im = m.add_variable("im", -big_m, big_m)
     m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, im_value)
-    g = encode_relu(m, x, im, Phase.UNDECIDED, big_m, "R")
+    g = encode_relu(m, x, im, Phase.UNDECIDED, (-big_m, big_m), "R")
     m.add_constraint("pin", [(g.b_id, 1.0)], RowSense.EQ, float(force_b))
     return solve(m.freeze(), SolveConfig()), x
 
@@ -70,22 +74,57 @@ class TestReluGadget:
         m = MipModel("fixed")
         x = m.add_variable("x", 0.0, 5.0)
         im = m.add_variable("im", 1.0, 5.0)
-        g = encode_relu(m, x, im, Phase.ALWAYS_ACTIVE, 5.0, "Ra")
+        g = encode_relu(m, x, im, Phase.ALWAYS_ACTIVE, (1.0, 5.0), "Ra")
         assert g.b_id is None
         x2 = m.add_variable("x2", 0.0, 0.0)
         im2 = m.add_variable("im2", -5.0, -1.0)
-        g2 = encode_relu(m, x2, im2, Phase.ALWAYS_INACTIVE, 5.0, "Ri")
+        g2 = encode_relu(m, x2, im2, Phase.ALWAYS_INACTIVE, (-5.0, -1.0), "Ri")
         assert g2.b_id is None
         assert not m.dense_arrays().binary_ids
 
-    def test_unusable_big_m_rejected(self):
+    def test_unusable_bounds_rejected(self):
         m = MipModel("bad")
         x = m.add_variable("x", 0.0, 1.0)
         im = m.add_variable("im", -1.0, 1.0)
+        bad = [(0.0, 1.0), (-1.0, 0.0), (1.0, -1.0), (-math.inf, 1.0),
+               (-1.0, math.inf), (math.nan, 1.0)]
+        for im_bounds in bad:
+            with pytest.raises(EncodingError):
+                encode_relu(m, x, im, Phase.UNDECIDED, im_bounds, "R")
+        assert not m.constraints and len(m.variables) == 2
+
+    def test_negative_output_bound_rejected(self):
+        # the rows leave x >= 0 to x's declared bound
+        m = MipModel("neg")
+        x = m.add_variable("x", -1.0, 1.0)
+        im = m.add_variable("im", -1.0, 1.0)
         with pytest.raises(EncodingError):
-            encode_relu(m, x, im, Phase.UNDECIDED, 0.0, "R")
-        with pytest.raises(EncodingError):
-            encode_relu(m, x, im, Phase.UNDECIDED, math.inf, "R")
+            encode_relu(m, x, im, Phase.UNDECIDED, (-1.0, 1.0), "R")
+
+    def test_undecided_node_adds_three_rows_and_one_binary(self):
+        m = MipModel("size")
+        x = m.add_variable("x", 0.0, 2.0)
+        im = m.add_variable("im", -1.0, 2.0)
+        g = encode_relu(m, x, im, Phase.UNDECIDED, (-1.0, 2.0), "R")
+        assert len(m.constraints) == 3
+        assert m.dense_arrays().binary_ids == [g.b_id]
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 3.0), (-4.0, 0.5)])
+    def test_relaxation_is_the_triangle_hull(self, lo, hi):
+        # with b relaxed to [0, 1], max x at im = t is u (t - l) / (u - l)
+        # over the gadget's inflated bounds, not the looser symmetric big-M
+        l = lo * (1.0 + _GATE_REL) - _GATE_ABS
+        u = hi * (1.0 + _GATE_REL) + _GATE_ABS
+        for t in np.linspace(lo, hi, 11):
+            m = MipModel("hull")
+            x = m.add_variable("x", 0.0, 2.0 * hi)
+            im = m.add_variable("im", lo, hi)
+            m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, float(t))
+            encode_relu(m, x, im, Phase.UNDECIDED, (lo, hi), "R")
+            m.set_objective([(x, 1.0)], ObjSense.MAXIMIZE)
+            r = solve_lp(m.freeze())
+            assert r.status is LpStatus.OPTIMAL
+            assert r.objective == pytest.approx(u * (t - l) / (u - l), abs=1e-9), t
 
     @given(
         lo=st.floats(-10.0, -0.01),
@@ -99,7 +138,7 @@ class TestReluGadget:
         m = MipModel("h")
         x = m.add_variable("x", 0.0, big_m)
         im = m.add_variable("im", lo, hi)
-        g = encode_relu(m, x, im, Phase.UNDECIDED, big_m, "R")
+        g = encode_relu(m, x, im, Phase.UNDECIDED, (lo, hi), "R")
         asg = {im: v, x: max(0.0, v), g.b_id: 1.0 if v >= 0 else 0.0}
         assert check_feasible(m, asg, 1e-9)
 
