@@ -9,7 +9,8 @@ Exit codes: 0 success (for verify: ROBUST), 10 verify found a violation,
 20 the verdict or bound could not be settled within the solver's limits,
 1 runtime failure, 2 usage error. All numbers print with 6 significant
 digits; --json-out writes the same result as a machine-readable sidecar.
-The RESILMIP_WORKERS environment variable sets the default thread count.
+The RESILMIP_WORKERS environment variable sets the default --workers, the
+number of processes that run independent sub-solves side by side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import zoo
-from .dataflow import propagate_intervals, tighten_lookback, write_bounds_dump
+from .dataflow import lookback_config, propagate_intervals, tighten_lookback, write_bounds_dump
 from .encoder import EncodingError, QueryKind, QuerySpec, encode_query
 from .mipmodel import ModelError, export_mps
 from .network import (
@@ -134,7 +135,8 @@ def _emit_json(args, payload: dict) -> None:
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="solver threads (default from RESILMIP_WORKERS)")
+                   help="processes for independent sub-solves: lookback's "
+                   "window MIPs and xi's classes (default from RESILMIP_WORKERS)")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--mip-gap", type=float, default=1e-6)
@@ -175,6 +177,7 @@ def cmd_bounds(args) -> int:
     bounds = propagate_intervals(net)
     if args.lookback is not None:
         bounds = tighten_lookback(net, bounds, depth=args.lookback,
+                                  config=lookback_config(_solve_config(args)),
                                   workers=args.workers)
     buf = io.StringIO()
     write_bounds_dump(net, bounds, buf)
@@ -310,6 +313,7 @@ def cmd_export(args) -> int:
     bounds = propagate_intervals(net)
     if args.lookback is not None:
         bounds = tighten_lookback(net, bounds, depth=args.lookback,
+                                  config=lookback_config(_solve_config(args)),
                                   workers=args.workers)
     kind = {"phi": QueryKind.MAX_PERTURBATION,
             "robustness": QueryKind.LOCAL_ROBUSTNESS,

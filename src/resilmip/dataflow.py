@@ -20,6 +20,8 @@ from .network import DENSE_KINDS, LayerKind, Network
 # Slack when adopting MIP-tightened bounds, guarding against LP round-off
 # pushing a bound past the true extreme.
 ADOPT_SLACK = 1e-7
+# Node budget of each window MIP of lookback tightening.
+LOOKBACK_NODE_LIMIT = 10_000
 
 
 class Phase(IntEnum):
@@ -141,6 +143,33 @@ def _refresh_outputs(spec, lb: LayerBounds) -> None:
         lb.hi = lb.im_hi.copy()
 
 
+def lookback_config(config=None):
+    """The solve config of lookback's window MIPs under a caller's config:
+    its time limit and MIP gap, and a node limit of LOOKBACK_NODE_LIMIT."""
+    from .solver import SolveConfig
+
+    cfg = config if config is not None else SolveConfig()
+    return SolveConfig(node_limit=LOOKBACK_NODE_LIMIT, time_limit=cfg.time_limit,
+                       mip_gap=cfg.mip_gap)
+
+
+def _probe(job) -> float | None:
+    """The proven extreme of one pre-activation over its window MIP, or None
+    when the solve stops short of optimality."""
+    from . import encoder  # local import: encoder depends on these types
+    from .solver import SolveStatus, solve
+
+    net, bounds, pos, node, depth, maximize, config = job
+    model, _ = encoder.encode_bound_probe(net, bounds, pos, node, depth,
+                                          maximize=maximize)
+    res = solve(model, config)
+    if res.status is not SolveStatus.OPTIMAL:
+        return None
+    # the dual bound, not the incumbent: within the MIP gap the incumbent
+    # may fall short of the true extreme
+    return res.dual_bound
+
+
 def tighten_lookback(
     net: Network,
     bounds: IntervalBounds,
@@ -152,61 +181,49 @@ def tighten_lookback(
 
     For each dense node at layer position l >= 2, maximizes and minimizes its
     pre-activation over an exact encoding of the `depth` preceding layers,
-    boxing everything older at the current bounds. A tightened value is
-    adopted only when the window solve is Optimal; budget exhaustion keeps the
-    old bound. Results are always pointwise contained in the inputs.
+    boxing everything older at the current bounds. A solve's proven bound is
+    adopted only when it is Optimal; budget exhaustion keeps the old bound.
+    Results are always pointwise contained in the inputs. `config` configures
+    each window solve (default `lookback_config()`); `workers` processes run
+    the window solves of a layer side by side, with the same results as one.
     """
-    from . import encoder  # local import: encoder depends on these types
-    from .solver import SolveConfig, SolveStatus, solve
+    from .solver import worker_pool
 
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cfg = config if config is not None else SolveConfig(node_limit=10_000)
+    cfg = config if config is not None else lookback_config()
 
     work = bounds.copy()
-    for pos, spec in enumerate(net.layers, start=1):
-        lb = work.layers[pos - 1]
-        if spec.kind not in DENSE_KINDS:
-            if spec.kind is LayerKind.MAX_POOL:
-                # no pre-activation to probe; refresh from tightened predecessors
-                fresh = _layer_bounds(spec, work.x_lo(pos - 1), work.x_hi(pos - 1))
-                lb.lo = np.maximum(lb.lo, fresh.lo)
-                lb.hi = np.minimum(lb.hi, fresh.hi)
-                np.minimum(lb.lo, lb.hi, out=lb.lo)  # guard numeric crossings
-            continue
-        if pos == 1:
-            continue  # window over the input box reproduces the plain bounds
+    with worker_pool(workers) as pmap:
+        for pos, spec in enumerate(net.layers, start=1):
+            lb = work.layers[pos - 1]
+            if spec.kind not in DENSE_KINDS:
+                if spec.kind is LayerKind.MAX_POOL:
+                    # no pre-activation to probe; refresh from tightened predecessors
+                    fresh = _layer_bounds(spec, work.x_lo(pos - 1), work.x_hi(pos - 1))
+                    lb.lo = np.maximum(lb.lo, fresh.lo)
+                    lb.hi = np.minimum(lb.hi, fresh.hi)
+                    np.minimum(lb.lo, lb.hi, out=lb.lo)  # guard numeric crossings
+                continue
+            if pos == 1:
+                continue  # window over the input box reproduces the plain bounds
 
-        def probe(node: int) -> tuple[int, float, float]:
-            new_lo, new_hi = lb.im_lo[node], lb.im_hi[node]
-            for sense_max in (False, True):
-                model, im_var = encoder.encode_bound_probe(
-                    net, work, pos, node, depth, maximize=sense_max
-                )
-                res = solve(model, cfg)
-                if res.status is SolveStatus.OPTIMAL:
-                    slack = ADOPT_SLACK * max(1.0, abs(res.objective))
-                    if sense_max:
-                        new_hi = min(new_hi, res.objective + slack)
-                    else:
-                        new_lo = max(new_lo, res.objective - slack)
-            return node, new_lo, min(new_hi, max(new_lo, new_hi))
-
-        n_nodes = lb.im_lo.shape[0]
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(probe, range(n_nodes)))
-        else:
-            results = [probe(i) for i in range(n_nodes)]
-        for node, new_lo, new_hi in results:
-            if new_lo > new_hi:  # numeric crossing: keep the sound midpoint
-                mid = 0.5 * (new_lo + new_hi)
-                new_lo = new_hi = mid
-            lb.im_lo[node] = new_lo
-            lb.im_hi[node] = new_hi
-        _refresh_outputs(spec, lb)
+            n_nodes = lb.im_lo.shape[0]
+            jobs = [(net, work, pos, node, depth, sense_max, cfg)
+                    for node in range(n_nodes) for sense_max in (False, True)]
+            extremes = pmap(_probe, jobs)
+            for node in range(n_nodes):
+                new_lo, new_hi = lb.im_lo[node], lb.im_hi[node]
+                lo_ext, hi_ext = extremes[2 * node], extremes[2 * node + 1]
+                if lo_ext is not None:
+                    new_lo = max(new_lo, lo_ext - ADOPT_SLACK * max(1.0, abs(lo_ext)))
+                if hi_ext is not None:
+                    new_hi = min(new_hi, hi_ext + ADOPT_SLACK * max(1.0, abs(hi_ext)))
+                if new_lo > new_hi:  # numeric crossing: keep the sound midpoint
+                    new_lo = new_hi = 0.5 * (new_lo + new_hi)
+                lb.im_lo[node] = new_lo
+                lb.im_hi[node] = new_hi
+            _refresh_outputs(spec, lb)
     return work
 
 

@@ -22,6 +22,7 @@ against the exact forward pass before being reported as real.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,11 +30,11 @@ from enum import Enum
 import numpy as np
 
 from . import encoder
-from .dataflow import IntervalBounds, propagate_intervals, tighten_lookback
+from .dataflow import IntervalBounds, lookback_config, propagate_intervals, tighten_lookback
 from .encoder import EncodedQuery, QueryKind, QuerySpec
 from .mipmodel import MipModel, ObjSense, RowSense
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
-from .solver import SolveConfig, SolveResult, SolveStatus, solve
+from .solver import SolveConfig, SolveResult, SolveStatus, solve, worker_pool
 
 _WITNESS_TOL = 1e-7
 
@@ -116,7 +117,8 @@ def _prepare_bounds(net: Network, bounds: IntervalBounds | None,
         bounds = propagate_intervals(net)
     if lookback is not None and lookback >= 2:
         workers = config.workers if config is not None else 1
-        bounds = tighten_lookback(net, bounds, depth=lookback, workers=workers)
+        bounds = tighten_lookback(net, bounds, depth=lookback,
+                                  config=lookback_config(config), workers=workers)
     return bounds
 
 
@@ -229,15 +231,16 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
     """Network resilience: the worst finite phi over all classes. Classes that
     cannot be strongly classified (phi = inf) do not constrain the minimum."""
     bounds = _prepare_bounds(net, bounds, lookback, config)
-    per_class: dict[int, PhiResult] = {}
+    classes = range(1, net.num_classes + 1)
+    phi_of = functools.partial(compute_phi, net, alpha=alpha, k=k, config=config,
+                               bounds=bounds, segments=segments)
+    with worker_pool(config.workers if config is not None else 1) as pmap:
+        per_class = dict(zip(classes, pmap(phi_of, classes)))
     xi = math.inf
     weakest: int | None = None
     excluded: list[int] = []
     status = SolveStatus.OPTIMAL
-    for m in range(1, net.num_classes + 1):
-        r = compute_phi(net, m, alpha, k, config=config, bounds=bounds,
-                        segments=segments)
-        per_class[m] = r
+    for m, r in per_class.items():
         if math.isinf(r.phi):
             excluded.append(m)
             continue

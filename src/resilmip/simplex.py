@@ -88,32 +88,58 @@ class LpResult:
     basis: Basis | None = None  # the optimal basis, with its fresh inverse
 
 
+@dataclass(frozen=True)
+class LpForm:
+    """The parts of an LP that a branch-and-bound solve never changes, in the
+    simplex's layout: the columns [A | I], the slacks' bounds (each row's
+    sense folded in), the minimize-orientation costs and the right-hand side.
+    Build it once with ``lp_form`` and re-solve under any variable bounds;
+    its arrays are read-only, since every solve shares them."""
+
+    full: np.ndarray
+    slack_lo: np.ndarray
+    slack_hi: np.ndarray
+    cost: np.ndarray
+    b: np.ndarray
+    sign: float  # -1 when the LP maximizes
+
+
+def lp_form(c: np.ndarray, a: np.ndarray, senses: list[RowSense], b: np.ndarray,
+            *, maximize: bool = False) -> LpForm:
+    """Minimize (or maximize) c'x subject to the rows a x (sense) b."""
+    m = a.shape[0]
+    slack_lo = np.array([-INF if s is RowSense.GE else 0.0 for s in senses])
+    slack_hi = np.array([INF if s is RowSense.LE else 0.0 for s in senses])
+    sign = -1.0 if maximize else 1.0
+    arrays = (np.hstack([a, np.eye(m)]), slack_lo, slack_hi,
+              np.concatenate([sign * np.asarray(c, dtype=float), np.zeros(m)]),
+              np.array(b, dtype=float))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return LpForm(*arrays, sign)
+
+
 def solve_bounded_lp(
-    c: np.ndarray,
-    a: np.ndarray,
-    senses: list[RowSense],
-    b: np.ndarray,
+    form: LpForm,
     lo: np.ndarray,
     hi: np.ndarray,
     *,
-    maximize: bool = False,
     bland_threshold: int = 50,
     max_iters: int | None = None,
     feas_tol: float = 1e-8,
     basis: Basis | None = None,
 ) -> LpResult:
-    """Minimize (or maximize) c'x subject to row senses and variable bounds.
+    """Solve the LP ``form`` under the variable bounds lo <= x <= hi.
 
     With ``basis`` (typically the optimal basis of an LP that differs only in
     bounds) the dual simplex starts from it; otherwise, or when that fails,
     the primal simplex starts cold. ``max_iters`` caps the pivots of each
     attempt, and the result's ``iterations`` counts those of both.
     """
-    sign = -1.0 if maximize else 1.0
-    m, n = a.shape
+    m = form.full.shape[0]
     if max_iters is None:
-        max_iters = 5000 + 200 * (3 * m + n)
-    args = (c, a, senses, b, lo, hi, sign, feas_tol, bland_threshold, max_iters)
+        max_iters = 5000 + 200 * (3 * m + lo.shape[0])
+    args = (form, lo, hi, feas_tol, bland_threshold, max_iters)
     spent = 0
     if basis is not None:
         lp = _Lp(*args)
@@ -137,22 +163,15 @@ class _Lp:
     """Working state of one solve attempt: the columns [A | I | artificials],
     their bounds and costs, the current point, the basis and B^-1."""
 
-    def __init__(self, c, a, senses, b, lo, hi, sign, feas_tol, bland_threshold,
-                 max_iters):
-        m, n = a.shape
+    def __init__(self, form: LpForm, lo, hi, feas_tol, bland_threshold, max_iters):
+        m, n_full = form.full.shape
+        n = n_full - m
         self.n, self.m = n, m
-        slack_lo = np.zeros(m)
-        slack_hi = np.zeros(m)
-        for i, sense in enumerate(senses):
-            if sense is RowSense.LE:
-                slack_hi[i] = INF
-            elif sense is RowSense.GE:
-                slack_lo[i] = -INF
-        self.full = np.hstack([a, np.eye(m)])
-        self.lo = np.concatenate([lo, slack_lo]).astype(float)
-        self.hi = np.concatenate([hi, slack_hi]).astype(float)
-        self.cost = np.concatenate([sign * c, np.zeros(m)])
-        self.b = np.asarray(b, dtype=float)
+        self.full = form.full  # shared: phase 1 extends a copy
+        self.lo = np.concatenate([lo, form.slack_lo])
+        self.hi = np.concatenate([hi, form.slack_hi])
+        self.cost = form.cost
+        self.b = form.b
         self.x = np.zeros(n + m)
         self.basis = n + np.arange(m, dtype=np.int64)
         self.is_basic = np.zeros(n + m, dtype=bool)
@@ -162,7 +181,7 @@ class _Lp:
         # artificial column is +-e_i for the row it was added to
         self.unit_row = np.arange(m)
         self.unit_sign = np.ones(m)
-        self.sign = sign
+        self.sign = form.sign
         self.tol = feas_tol
         self.bland_threshold = bland_threshold
         self.max_iters = max_iters

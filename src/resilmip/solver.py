@@ -1,32 +1,39 @@
 """Branch-and-bound MIP solver over the bounded-variable simplex core.
 
-Search: best-bound node selection from a shared pool with depth-first
-plunging — after branching, a worker keeps the child on the rounded side of
-the branching value and pushes the sibling. Branching picks the fractional
-binary with the highest branch priority, breaking ties by most-fractional
-value and then lowest variable id. Workers share one incumbent cell guarded
-by a lock; an incumbent is replaced only by a strictly better one, so the
-reported objective improves monotonically no matter how many workers run.
+Search: a serial best-bound loop with depth-first plunging. The open nodes
+wait in a heap ordered by (inherited bound, creation order); after branching
+the search keeps the child on the rounded side of the branching value and
+pushes the sibling. Branching picks the fractional binary with the highest
+branch priority, breaking ties by most-fractional value and then lowest
+variable id. An incumbent is replaced only by a strictly better one. The
+search is deterministic: the same model and limits give the same nodes.
 
-Node LPs: the root LP is solved cold by the primal simplex. Every child
-carries its parent's optimal basis and is re-solved from it by the dual
-simplex, since it differs from its parent in one binary bound; the child a
-worker keeps also takes the parent's basis inverse, while a node pushed to
-the pool keeps only the O(n + m) basis. The simplex falls back to a cold
-primal solve when a warm start fails, and verifies every optimum once on a
-fresh factorization (see ``simplex``).
+Node LPs: the LP's fixed data is put in the simplex's layout once per solve
+(``simplex.lp_form``). The root LP is solved cold by the primal simplex.
+Every child carries its parent's optimal basis and is re-solved from it by
+the dual simplex, since it differs from its parent in one binary bound; the
+child the search keeps also takes the parent's basis inverse, while a node
+pushed to the heap keeps only the O(n + m) basis. The simplex falls back to
+a cold primal solve when a warm start fails, and verifies every optimum once
+on a fresh factorization (see ``simplex``).
 
-The reported dual bound is the minimum over all open and in-flight node
-bounds, the bounds of nodes pruned by cutoff, and the incumbent itself; it is
-therefore a valid bound at every report point, not only at the end.
+The reported dual bound is the minimum over the open node bounds, the bound
+of the node being solved, the bounds of nodes pruned by cutoff, and the
+incumbent itself; it is therefore a valid bound at every report point, not
+only at the end.
+
+Parallelism lives above single solves: ``worker_pool`` runs independent
+sub-solves (lookback's window MIPs, xi's per-class phi queries) in worker
+processes, since threads would serialize on the interpreter lock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import itertools
 import logging
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .mipmodel import Assignment, MipModel, check_feasible
-from .simplex import Basis, LpResult, LpStatus, solve_bounded_lp
+from .simplex import Basis, LpResult, LpStatus, lp_form, solve_bounded_lp
 
 log = logging.getLogger("resilmip.solver")
 
@@ -51,7 +58,9 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolveConfig:
-    """Knobs for one solve call."""
+    """Knobs for one solve call. ``solve`` itself is serial; ``workers`` is
+    the process count of the drivers that run independent solves side by
+    side (``worker_pool``)."""
 
     workers: int = 1
     node_limit: int | None = None
@@ -60,6 +69,30 @@ class SolveConfig:
     int_tol: float = 1e-6
     log_interval: float | None = None
     bland_threshold: int = 50
+
+
+@contextlib.contextmanager
+def worker_pool(workers: int):
+    """Yield ``pmap(fn, jobs)``: the list of ``fn(job)`` over ``jobs``, in job
+    order, for independent sub-solves.
+
+    At ``workers <= 1`` the jobs run in this process, one after another.
+    Otherwise they run in ``workers`` forked processes, which every ``pmap``
+    inside the ``with`` block shares; ``fn`` must then be a module-level
+    function, and each job and result must pickle. Forked workers start with
+    numpy and resilmip already imported, which a spawned worker would import
+    again; the solver starts no threads that a fork could copy mid-operation.
+    """
+    if workers <= 1:
+        yield lambda fn, jobs: [fn(job) for job in jobs]
+        return
+    # imported here: concurrent.futures.process alone takes about 35 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield lambda fn, jobs: list(pool.map(fn, jobs))
 
 
 @dataclass
@@ -89,10 +122,8 @@ class SolveResult:
 def solve_lp(model: MipModel, *, bland_threshold: int = 50) -> LpResult:
     """Solve the LP relaxation (binaries kept only as [0, 1] bounds)."""
     d = model.dense_arrays()
-    return solve_bounded_lp(
-        d.c, d.a, d.senses, d.rhs, d.lo, d.hi,
-        maximize=d.maximize, bland_threshold=bland_threshold,
-    )
+    form = lp_form(d.c, d.a, d.senses, d.rhs, maximize=d.maximize)
+    return solve_bounded_lp(form, d.lo, d.hi, bland_threshold=bland_threshold)
 
 
 @dataclass
@@ -104,41 +135,6 @@ class _Node:
     basis: Basis | None = None  # the parent's optimal basis
 
 
-class _Shared:
-    """Search state shared by all workers; every field is lock-guarded."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.ready = threading.Condition(self.lock)
-        self.heap: list[tuple[float, int, _Node]] = []
-        self.seq = 0
-        self.in_flight: dict[int, float] = {}
-        self.best_obj = INF
-        self.best_x: np.ndarray | None = None
-        self.nodes = 0
-        self.prune_floor = INF
-        self.stop = False
-        self.unbounded = False
-        self.clean = True
-        self.history: list[tuple[int, float, float, float]] = []
-        self.last_log = 0.0
-
-    def push(self, node: _Node) -> None:
-        if node.basis is not None:
-            node.basis = node.basis.lean()  # O(n + m) per pooled node, not O(m^2)
-        heapq.heappush(self.heap, (node.bound, self.seq, node))
-        self.seq += 1
-
-    def dual(self) -> float:
-        best = self.best_obj
-        cand = [self.prune_floor, best]
-        if self.heap:
-            cand.append(self.heap[0][0])
-        if self.in_flight:
-            cand.append(min(self.in_flight.values()))
-        return min(cand)
-
-
 def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     """Branch-and-bound solve of a frozen (or finished) model."""
     cfg = config or SolveConfig()
@@ -146,50 +142,42 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     d = model.dense_arrays()
     sign = -1.0 if d.maximize else 1.0
     c_int = sign * d.c
+    form = lp_form(c_int, d.a, d.senses, d.rhs)
     bin_ids = np.array(d.binary_ids, dtype=np.int64)
-
-    st = _Shared()
     ext = lambda v: sign * v  # internal minimize value -> model orientation
+
+    heap: list[tuple[float, int, _Node]] = []
+    seq = itertools.count()
+    best_obj = INF
+    best_x: np.ndarray | None = None
+    nodes = 0
+    prune_floor = INF
+    current = INF  # bound of the node being processed
+    clean = True
+    history: list[tuple[int, float, float, float]] = []
+    last_log = 0.0
+
+    def push(node: _Node) -> None:
+        if node.basis is not None:
+            node.basis = node.basis.lean()  # O(n + m) per pooled node, not O(m^2)
+        heapq.heappush(heap, (node.bound, next(seq), node))
+
+    def dual() -> float:
+        return min(prune_floor, best_obj, current, heap[0][0] if heap else INF)
 
     def record(now: float | None = None) -> None:
         now = time.monotonic() if now is None else now
-        inc = ext(st.best_obj) if st.best_x is not None else math.nan
-        st.history.append((st.nodes, inc, ext(st.dual()), now - t0))
-
-    def maybe_log(now: float) -> None:
-        if cfg.log_interval is None or now - st.last_log < cfg.log_interval:
-            return
-        st.last_log = now
-        inc = ext(st.best_obj) if st.best_x is not None else math.nan
-        dual = ext(st.dual())
-        gap = abs(st.best_obj - st.dual()) if st.best_x is not None else INF
-        log.info(
-            "nodes=%d incumbent=%.6g bound=%.6g gap=%.6g time=%.2f",
-            st.nodes, inc, dual, gap, now - t0,
-        )
-
-    # optional warm start becomes the initial incumbent
-    if model.warm_start is not None and check_feasible(model, model.warm_start, cfg.int_tol):
-        x = np.array([model.warm_start[i] for i in range(model.num_variables)])
-        if bin_ids.size:
-            x[bin_ids] = np.round(x[bin_ids])
-        st.best_obj = float(c_int @ x)
-        st.best_x = x
-        record(t0)
-
-    root = _Node(bound=-INF, depth=0, lo=d.lo.copy(), hi=d.hi.copy())
-    st.push(root)
+        inc = ext(best_obj) if best_x is not None else math.nan
+        history.append((nodes, inc, ext(dual()), now - t0))
 
     def cutoff() -> float:
-        if st.best_x is None:
+        if best_x is None:
             return INF
-        return st.best_obj - cfg.mip_gap * max(1.0, abs(st.best_obj))
+        return best_obj - cfg.mip_gap * max(1.0, abs(best_obj))
 
     def node_lp(lo: np.ndarray, hi: np.ndarray, basis: Basis | None) -> LpResult:
-        return solve_bounded_lp(
-            c_int, d.a, d.senses, d.rhs, lo, hi,
-            bland_threshold=cfg.bland_threshold, basis=basis,
-        )
+        return solve_bounded_lp(form, lo, hi, bland_threshold=cfg.bland_threshold,
+                                basis=basis)
 
     def pick_branch_var(x: np.ndarray) -> int | None:
         best_key = None
@@ -206,140 +194,103 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
                 best_vid = int(vid)
         return best_vid
 
-    def offer_incumbent(x: np.ndarray, obj: float) -> None:
-        # caller holds the lock; replace only on strict improvement
-        if obj < st.best_obj - 1e-12:
-            st.best_obj = obj
-            st.best_x = x
+    # optional warm start becomes the initial incumbent
+    if model.warm_start is not None and check_feasible(model, model.warm_start, cfg.int_tol):
+        x = np.array([model.warm_start[i] for i in range(model.num_variables)])
+        if bin_ids.size:
+            x[bin_ids] = np.round(x[bin_ids])
+        best_obj = float(c_int @ x)
+        best_x = x
+        record(t0)
+
+    push(_Node(bound=-INF, depth=0, lo=d.lo.copy(), hi=d.hi.copy()))
+    node: _Node | None = None  # the plunge child, when there is one
+    unbounded = limit_hit = False
+    while node is not None or heap:
+        if node is None:
+            node = heapq.heappop(heap)[2]
+        current = node.bound
+        now = time.monotonic()
+        if ((cfg.node_limit is not None and nodes >= cfg.node_limit)
+                or (cfg.time_limit is not None and now - t0 >= cfg.time_limit)):
+            push(node)  # keep it visible to the dual bound
+            limit_hit = True
+            break
+        if node.bound >= cutoff():
+            prune_floor = min(prune_floor, node.bound)
+            node = None
+            continue
+
+        res = node_lp(node.lo, node.hi, node.basis)
+        nodes += 1
+        now = time.monotonic()
+        if cfg.log_interval is not None and now - last_log >= cfg.log_interval:
+            last_log = now
+            gap = abs(best_obj - dual()) if best_x is not None else INF
+            log.info("nodes=%d incumbent=%.6g bound=%.6g gap=%.6g time=%.2f",
+                     nodes, ext(best_obj) if best_x is not None else math.nan,
+                     ext(dual()), gap, now - t0)
+        if nodes % 512 == 0:
             record()
 
-    def worker(tid: int) -> None:
-        local: _Node | None = None
-        while True:
-            node = local
-            local = None
-            if node is None:
-                with st.ready:
-                    while not st.heap and st.in_flight and not st.stop:
-                        st.ready.wait(0.02)
-                    if st.stop or (not st.heap and not st.in_flight):
-                        st.ready.notify_all()
-                        return
-                    if not st.heap:
-                        continue
-                    _, _, node = heapq.heappop(st.heap)
-                    st.in_flight[tid] = node.bound
-            else:
-                with st.ready:
-                    st.in_flight[tid] = node.bound
+        if res.status is LpStatus.UNBOUNDED:
+            unbounded = True
+            break
+        if res.status is LpStatus.NUMERICAL:
+            clean = False
+            prune_floor = min(prune_floor, node.bound)
+        if res.status is not LpStatus.OPTIMAL:
+            node = None
+            continue
+        bound = res.objective
+        if bound >= cutoff():
+            prune_floor = min(prune_floor, bound)
+            node = None
+            continue
 
-            with st.ready:
-                now = time.monotonic()
-                over_nodes = cfg.node_limit is not None and st.nodes >= cfg.node_limit
-                over_time = cfg.time_limit is not None and now - t0 >= cfg.time_limit
-                if st.stop or over_nodes or over_time:
-                    if over_nodes or over_time:
-                        st.stop = True
-                    st.push(node)  # keep it visible to the dual bound
-                    st.in_flight.pop(tid, None)
-                    st.ready.notify_all()
-                    return
-                if node.bound >= cutoff():
-                    st.prune_floor = min(st.prune_floor, node.bound)
-                    st.in_flight.pop(tid, None)
-                    st.ready.notify_all()
-                    continue
-
-            res = node_lp(node.lo, node.hi, node.basis)
-
-            with st.ready:
-                st.nodes += 1
-                maybe_log(time.monotonic())
-                if st.nodes % 512 == 0:
+        x = res.x
+        branch_vid = pick_branch_var(x) if bin_ids.size else None
+        if branch_vid is None:
+            xi, obj = _integral_solution(x, bound, node, res.basis, bin_ids, node_lp, c_int)
+            if xi is not None:
+                if obj < best_obj - 1e-12:  # replace only on strict improvement
+                    best_obj, best_x = obj, xi
                     record()
+                node = None
+                continue
+            # exact resolve failed: force the worst binary by branching
+            devs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
+            branch_vid = int(bin_ids[int(np.argmax(devs))])
 
-                if res.status is LpStatus.INFEASIBLE:
-                    st.in_flight.pop(tid, None)
-                    st.ready.notify_all()
-                    continue
-                if res.status is LpStatus.UNBOUNDED:
-                    st.unbounded = True
-                    st.stop = True
-                    st.in_flight.pop(tid, None)
-                    st.ready.notify_all()
-                    return
-                if res.status is LpStatus.NUMERICAL:
-                    st.clean = False
-                    st.prune_floor = min(st.prune_floor, node.bound)
-                    st.in_flight.pop(tid, None)
-                    st.ready.notify_all()
-                    continue
+        v = x[branch_vid]
+        down = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
+        down.hi[branch_vid] = 0.0
+        up = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
+        up.lo[branch_vid] = 1.0
+        first, second = (up, down) if v >= 0.5 else (down, up)
+        # both children re-solve from this basis; the plunge child also keeps
+        # its inverse (push drops it)
+        first.basis = second.basis = res.basis
+        push(second)
+        node = first  # plunge
 
-                bound = res.objective
-                if bound >= cutoff():
-                    st.prune_floor = min(st.prune_floor, bound)
-                    st.in_flight.pop(tid, None)
-                    st.ready.notify_all()
-                    continue
-
-            x = res.x
-            branch_vid = pick_branch_var(x) if bin_ids.size else None
-
-            if branch_vid is None:
-                xi, obj = _integral_solution(x, bound, node, res.basis, bin_ids, node_lp, c_int)
-                with st.ready:
-                    if xi is not None:
-                        offer_incumbent(xi, obj)
-                        st.in_flight.pop(tid, None)
-                        st.ready.notify_all()
-                        continue
-                # exact resolve failed: force the worst binary by branching
-                devs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
-                branch_vid = int(bin_ids[int(np.argmax(devs))])
-
-            v = x[branch_vid]
-            down = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
-            down.hi[branch_vid] = 0.0
-            up = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
-            up.lo[branch_vid] = 1.0
-            first, second = (up, down) if v >= 0.5 else (down, up)
-            # both children re-solve from this basis; the plunge child also
-            # keeps its inverse (push drops it)
-            first.basis = second.basis = res.basis
-            local = first  # plunge
-            with st.ready:
-                st.push(second)
-                st.in_flight[tid] = first.bound
-                st.ready.notify_all()
-
-    n_workers = max(1, cfg.workers)
-    if n_workers == 1:
-        worker(0)
-    else:
-        threads = [threading.Thread(target=worker, args=(w,), daemon=True) for w in range(n_workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
+    current = INF
     wall = time.monotonic() - t0
     record()
 
-    if st.unbounded:
+    if unbounded:
         return SolveResult(
             SolveStatus.UNBOUNDED, ext(-INF), ext(-INF), None,
-            st.nodes, wall, INF, INF, st.history,
+            nodes, wall, INF, INF, history,
         )
 
-    dual_int = st.dual()
-    have_inc = st.best_x is not None
-    exhausted = not st.heap and not st.in_flight
-
-    if st.stop and not exhausted:
+    dual_int = dual()
+    have_inc = best_x is not None
+    if limit_hit:
         status = SolveStatus.LIMIT
     elif not have_inc:
-        status = SolveStatus.INFEASIBLE if st.clean else SolveStatus.LIMIT
-    elif st.clean:
+        status = SolveStatus.INFEASIBLE if clean else SolveStatus.LIMIT
+    elif clean:
         status = SolveStatus.OPTIMAL
     else:
         status = SolveStatus.FEASIBLE_BOUND
@@ -347,20 +298,20 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     if status is SolveStatus.INFEASIBLE:
         return SolveResult(
             SolveStatus.INFEASIBLE, ext(INF), ext(INF), None,
-            st.nodes, wall, 0.0, 0.0, st.history,
+            nodes, wall, 0.0, 0.0, history,
         )
 
-    obj_int = st.best_obj if have_inc else INF
+    obj_int = best_obj if have_inc else INF
     assignment: Assignment | None = None
     if have_inc:
-        assignment = {i: float(v) for i, v in enumerate(st.best_x)}
+        assignment = {i: float(v) for i, v in enumerate(best_x)}
     abs_gap = abs(obj_int - dual_int) if have_inc and math.isfinite(dual_int) else INF
     rel_gap = abs_gap / max(1.0, abs(obj_int)) if math.isfinite(abs_gap) else INF
     if status is SolveStatus.OPTIMAL:
         dual_int = min(dual_int, obj_int)
     return SolveResult(
         status, ext(obj_int), ext(dual_int), assignment,
-        st.nodes, wall, abs_gap, rel_gap, st.history,
+        nodes, wall, abs_gap, rel_gap, history,
     )
 
 

@@ -361,7 +361,7 @@ def test_criterion_11_parallel_invariance():
         base = None
         for w in (1, 2, 4):
             t0 = time.perf_counter()
-            r = compute_phi(net, 1, alpha=alpha, k=k, bounds=bounds,
+            r = compute_phi(net, 1, alpha=alpha, k=k, bounds=bounds, lookback=2,
                             config=SolveConfig(workers=w))
             times[w] += time.perf_counter() - t0
             if base is None:

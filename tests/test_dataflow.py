@@ -15,6 +15,7 @@ from resilmip.dataflow import (
     write_bounds_dump,
 )
 from resilmip.network import forward
+from resilmip.solver import SolveConfig
 
 
 class TestPhases:
@@ -114,12 +115,22 @@ class TestLookback:
         net = zoo.relu_mixed_phases()
         plain = propagate_intervals(net)
         serial = tighten_lookback(net, plain, depth=2, workers=1)
-        threaded = tighten_lookback(net, plain, depth=2, workers=4)
-        for a, b in zip(serial.layers, threaded.layers):
+        in_processes = tighten_lookback(net, plain, depth=2, workers=4)
+        for a, b in zip(serial.layers, in_processes.layers):
             if a.im_lo is None:
                 continue
             assert np.allclose(a.im_lo, b.im_lo, atol=1e-9)
             assert np.allclose(a.im_hi, b.im_hi, atol=1e-9)
+
+    def test_coarse_gap_adopts_the_proven_bound(self, rng):
+        """At mip_gap 0.1 a probe's incumbent can fall short of the true
+        extreme; the adopted bound must still contain every forward pass."""
+        net = zoo.random_relu_net(np.random.default_rng(0), input_dim=3,
+                                  hidden=(6,), classes=3)
+        cfg = SolveConfig(node_limit=10_000, mip_gap=0.1)
+        tight = tighten_lookback(net, propagate_intervals(net), depth=2, config=cfg)
+        for point in domain_samples(net, 2000, rng):
+            _assert_trace_in_bounds(net, tight, point)
 
     def test_depth_zero_rejected(self):
         net = zoo.lookback_chain()

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from resilmip import zoo
-from resilmip.dataflow import propagate_intervals
+from resilmip import solver, zoo
+from resilmip.dataflow import LOOKBACK_NODE_LIMIT, propagate_intervals
 from resilmip.network import (
     LayerKind,
     LayerSpec,
@@ -113,6 +113,23 @@ class TestComputePhi:
         base = compute_phi(net, 1, alpha=math.e)
         tight = compute_phi(net, 1, alpha=math.e, lookback=2)
         assert tight.phi == pytest.approx(base.phi, abs=1e-6)
+
+    def test_lookback_probes_get_the_callers_limits(self, monkeypatch):
+        # resilience binds solve by name, so this spy sees only the window
+        # solves of lookback, which look it up on the solver module
+        seen = []
+        real = solver.solve
+
+        def spy(model, config=None):
+            seen.append(config)
+            return real(model, config)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        cfg = SolveConfig(time_limit=30.0, mip_gap=1e-3)
+        compute_phi(zoo.relu_mixed_phases(), 1, alpha=math.e, config=cfg, lookback=2)
+        assert seen
+        assert all((c.time_limit, c.mip_gap, c.node_limit)
+                   == (30.0, 1e-3, LOOKBACK_NODE_LIMIT) for c in seen)
 
     def test_node_limit_yields_an_honest_partial_result(self):
         net = zoo.relu_mixed_phases()

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilmip.mipmodel import RowSense
-from resilmip.simplex import Basis, LpStatus, solve_bounded_lp
+from resilmip.simplex import Basis, LpStatus, lp_form, solve_bounded_lp
 
 LE, GE, EQ = RowSense.LE, RowSense.GE, RowSense.EQ
 
 
 def _solve(c, a, senses, b, lo, hi, maximize=False, **kw):
-    return solve_bounded_lp(
-        np.asarray(c, float), np.asarray(a, float), list(senses),
-        np.asarray(b, float), np.asarray(lo, float), np.asarray(hi, float),
-        maximize=maximize, **kw,
-    )
+    form = lp_form(np.asarray(c, float), np.asarray(a, float), list(senses),
+                   np.asarray(b, float), maximize=maximize)
+    return solve_bounded_lp(form, np.asarray(lo, float), np.asarray(hi, float), **kw)
 
 
 class TestKnownInstances:

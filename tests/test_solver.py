@@ -1,5 +1,5 @@
 """Branch-and-bound: correctness against brute force, limits, warm starts,
-thread invariance."""
+worker-count invariance."""
 
 import math
 
@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resilmip import zoo
+from resilmip.dataflow import propagate_intervals, tighten_lookback
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
 from resilmip.oracle import enumerate_mip
+from resilmip.resilience import compute_xi
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
 
 
@@ -169,13 +172,24 @@ class TestWarmStart:
 
 class TestParallel:
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_threads_reach_the_same_optimum(self, workers):
-        for seed in (0, 5, 9, 23):
-            ref = solve(_random_mip(seed).freeze(), SolveConfig(workers=1))
-            par = solve(_random_mip(seed).freeze(), SolveConfig(workers=workers))
+    def test_worker_processes_reach_the_same_optimum(self, workers):
+        for name in ("two_class_linear", "three_class_linear", "relu_mixed_phases",
+                     "pool_duel"):
+            net = zoo.FIXTURES[name]()
+            ref = compute_xi(net, math.e, config=SolveConfig(workers=1))
+            par = compute_xi(net, math.e, config=SolveConfig(workers=workers))
             assert par.status == ref.status
             if ref.status is SolveStatus.OPTIMAL:
-                assert par.objective == pytest.approx(ref.objective, abs=1e-6)
+                assert par.xi == pytest.approx(ref.xi, abs=1e-6)
+        net = zoo.random_relu_net(np.random.default_rng(1), input_dim=3,
+                                  hidden=(6, 6), classes=3)
+        plain = propagate_intervals(net)
+        ref = tighten_lookback(net, plain, depth=2, workers=1)
+        par = tighten_lookback(net, plain, depth=2, workers=workers)
+        for a, b in zip(ref.layers, par.layers):
+            if a.im_lo is not None:
+                assert np.array_equal(a.im_lo, b.im_lo)
+                assert np.array_equal(a.im_hi, b.im_hi)
 
     def test_larger_knapsack_parallel(self):
         vals = [4, 7, 2, 9, 5, 8, 3, 6, 1, 7, 5, 2]
