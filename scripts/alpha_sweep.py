@@ -43,16 +43,15 @@ def main() -> None:
                     help="competitors required to overtake (default 1)")
     ap.add_argument("--alphas", type=float, nargs="+", default=list(DEFAULT_ALPHAS),
                     help="dominance ratios to sweep (each >= 1)")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--segments", type=int, default=8,
-                    help="arc-tangent envelope segments per unit band")
+                    help="arc-tangent envelope segments per region")
     ap.add_argument("--csv", type=Path, default=None,
                     help="also write the table to this CSV file")
     args = ap.parse_args()
 
     net = _load(args.net)
     bounds = propagate_intervals(net)
-    config = SolveConfig(workers=args.workers)
+    config = SolveConfig()
 
     cap = compute_max_alpha(net, args.cls, bounds=bounds, config=config,
                             segments=args.segments)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import zoo
-from .dataflow import lookback_config, propagate_intervals, tighten_lookback, write_bounds_dump
+from .dataflow import write_bounds_dump
 from .encoder import EncodingError, QueryKind, QuerySpec, encode_query
 from .mipmodel import ModelError, export_mps
 from .network import (
@@ -44,6 +44,7 @@ from .resilience import (
     compute_max_alpha,
     compute_phi,
     compute_xi,
+    prepare_bounds,
 )
 from .solver import SolveConfig
 
@@ -141,7 +142,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--mip-gap", type=float, default=1e-6)
     p.add_argument("--segments", type=int, default=8,
-                   help="breakpoints per arc-tangent envelope region")
+                   help="segments per arc-tangent envelope region")
     p.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
                    metavar="DEPTH", help="tighten bounds with window models "
                    "of this depth before encoding (default depth 2)")
@@ -174,11 +175,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bounds(args) -> int:
     net = _load_net(args.net)
-    bounds = propagate_intervals(net)
-    if args.lookback is not None:
-        bounds = tighten_lookback(net, bounds, depth=args.lookback,
-                                  config=lookback_config(_solve_config(args)),
-                                  workers=args.workers)
+    bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
     buf = io.StringIO()
     write_bounds_dump(net, bounds, buf)
     text = buf.getvalue()
@@ -310,11 +307,7 @@ def cmd_max_alpha(args) -> int:
 
 def cmd_export(args) -> int:
     net = _load_net(args.net)
-    bounds = propagate_intervals(net)
-    if args.lookback is not None:
-        bounds = tighten_lookback(net, bounds, depth=args.lookback,
-                                  config=lookback_config(_solve_config(args)),
-                                  workers=args.workers)
+    bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
     kind = {"phi": QueryKind.MAX_PERTURBATION,
             "robustness": QueryKind.LOCAL_ROBUSTNESS,
             "max-alpha": QueryKind.MAX_ALPHA}[args.query]

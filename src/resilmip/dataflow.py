@@ -91,20 +91,25 @@ def relu_phases(im_lo: np.ndarray, im_hi: np.ndarray) -> np.ndarray:
     return phase
 
 
+def _refresh_outputs(spec, lb: LayerBounds) -> None:
+    """Recompute a dense layer's output bounds and phases from its im bounds."""
+    if spec.kind is LayerKind.RELU_DENSE:
+        lb.phase = relu_phases(lb.im_lo, lb.im_hi)
+        lb.lo = np.maximum(0.0, lb.im_lo)
+        lb.hi = np.maximum(0.0, lb.im_hi)
+    elif spec.kind is LayerKind.ATAN_DENSE:
+        lb.lo = np.arctan(lb.im_lo)
+        lb.hi = np.arctan(lb.im_hi)
+    else:
+        lb.lo = lb.im_lo.copy()
+        lb.hi = lb.im_hi.copy()
+
+
 def _layer_bounds(spec, lo: np.ndarray, hi: np.ndarray) -> LayerBounds:
     if spec.kind in DENSE_KINDS:
         im_lo, im_hi = _affine_bounds(spec.weights, lo, hi)
         out = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
-        if spec.kind is LayerKind.RELU_DENSE:
-            out.phase = relu_phases(im_lo, im_hi)
-            out.lo = np.maximum(0.0, im_lo)
-            out.hi = np.maximum(0.0, im_hi)
-        elif spec.kind is LayerKind.ATAN_DENSE:
-            out.lo = np.arctan(im_lo)
-            out.hi = np.arctan(im_hi)
-        else:
-            out.lo = im_lo.copy()
-            out.hi = im_hi.copy()
+        _refresh_outputs(spec, out)
         return out
     if spec.kind is LayerKind.MAX_POOL:
         g_lo = np.array([max(lo[i - 1] for i in g) for g in spec.pool_groups])
@@ -127,20 +132,6 @@ def propagate_intervals(net: Network) -> IntervalBounds:
         bounds.layers.append(lb)
         lo, hi = lb.lo, lb.hi
     return bounds
-
-
-def _refresh_outputs(spec, lb: LayerBounds) -> None:
-    """Recompute a dense layer's output bounds and phases from its im bounds."""
-    if spec.kind is LayerKind.RELU_DENSE:
-        lb.phase = relu_phases(lb.im_lo, lb.im_hi)
-        lb.lo = np.maximum(0.0, lb.im_lo)
-        lb.hi = np.maximum(0.0, lb.im_hi)
-    elif spec.kind is LayerKind.ATAN_DENSE:
-        lb.lo = np.arctan(lb.im_lo)
-        lb.hi = np.arctan(lb.im_hi)
-    else:
-        lb.lo = lb.im_lo.copy()
-        lb.hi = lb.im_hi.copy()
 
 
 def lookback_config(config=None):
@@ -190,7 +181,7 @@ def tighten_lookback(
     from .solver import worker_pool
 
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ValueError("lookback depth must be >= 1")
     cfg = config if config is not None else lookback_config()
 
     work = bounds.copy()

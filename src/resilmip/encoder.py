@@ -49,8 +49,12 @@ class QueryKind(Enum):
 @dataclass(frozen=True)
 class QuerySpec:
     """What to ask of a network: the class m (1-based), the dominance ratio
-    alpha, the number k of classes that must reach class m's score, and for
-    local robustness the anchor input and perturbation budget delta."""
+    alpha, the number k of classes that must reach class m's score, the
+    anchor input a and, for local robustness, the perturbation budget delta.
+
+    Local robustness needs a. A MAX_PERTURBATION query with a fixes phi's
+    anchor at a (the fixed-anchor stage of compute_phi); without a the
+    anchor is free. MAX_ALPHA ignores a."""
 
     kind: QueryKind
     m: int
@@ -113,7 +117,7 @@ class EncodedQuery:
     """A query model plus the variable maps needed to read solutions back."""
 
     model: MipModel
-    query: QuerySpec | None
+    query: QuerySpec
     input_ids: list[int] | None   # the free anchor input, when instantiated
     eps_ids: list[int] | None
     eps_abs_ids: list[int] | None
@@ -122,9 +126,6 @@ class EncodedQuery:
     pert: NetworkCopy | None
     class_sel: dict[int, int]     # 0-based class -> selector binary id
     t_id: int | None = None
-    segments: int = 8
-    m: int | None = None          # 1-based target class (also kept when query is None)
-    k: int = 1
 
 
 # -- gating helper ---------------------------------------------------------
@@ -548,12 +549,6 @@ def assign_branch_priorities(model: MipModel, net: Network, copies) -> None:
 # -- queries -----------------------------------------------------------------
 
 
-def _check_query_net(net: Network) -> int:
-    if not net.ends_in_softmax:
-        raise EncodingError("queries expect a softmax-terminated network")
-    return net.score_layer + 1  # last encoded position
-
-
 def _perturbation_vars(model: MipModel, net: Network, anchor: np.ndarray | None):
     """eps, |eps| and perturbed-input variables with their coupling rows.
 
@@ -595,41 +590,56 @@ def _dominance_rows(model: MipModel, enc_scores: list[int], m0: int, k: int,
     return sel
 
 
-def _validate_query(net: Network, q: QuerySpec) -> None:
+def validate_query(net: Network, q: QuerySpec) -> int:
+    """Reject a query that cannot be encoded, before anything is built or
+    solved. Returns the last encoded layer position (the score layer's)."""
+    if not net.ends_in_softmax:
+        raise EncodingError("queries expect a softmax-terminated network")
     n_cls = net.num_classes
     if not 1 <= q.m <= n_cls:
         raise EncodingError(f"class index {q.m} out of range 1..{n_cls}")
-    if q.kind is not QueryKind.MAX_ALPHA:
-        if q.alpha < 1.0:
-            raise EncodingError("alpha must be >= 1")
-        if not 1 <= q.k <= n_cls - 1:
-            raise EncodingError(f"k must sit in 1..{n_cls - 1}")
+    if q.kind is QueryKind.MAX_ALPHA:
+        return net.score_layer + 1
+    if q.alpha < 1.0:
+        raise EncodingError("alpha must be >= 1")
+    if not 1 <= q.k <= n_cls - 1:
+        raise EncodingError(f"k must sit in 1..{n_cls - 1}")
     if q.kind is QueryKind.LOCAL_ROBUSTNESS:
         if q.a is None:
             raise EncodingError("local robustness needs an anchor input")
         if q.delta < 0.0:
             raise EncodingError("delta must be >= 0")
+    if q.a is not None:
+        a = np.asarray(q.a, dtype=np.float64).reshape(-1)
+        if a.shape[0] != net.input_dim:
+            raise EncodingError("anchor input has the wrong dimension")
+        if (np.any(a < net.input_bounds[:, 0] - 1e-9)
+                or np.any(a > net.input_bounds[:, 1] + 1e-9)):
+            raise EncodingError("anchor input lies outside the input domain")
+    return net.score_layer + 1
 
 
 def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
                  segments: int = 8) -> EncodedQuery:
-    """Build the MIP for one query.
+    """Build the MIP for one query (checked first by validate_query).
 
-    MAX_PERTURBATION instantiates two copies of the body — one at the free
-    anchor a, one at a + eps — with strong-classification rows on the first,
-    k-of-n dominance selectors on the second, and objective min sum |eps_i|.
-    LOCAL_ROBUSTNESS fixes the anchor (folding it into constants), keeps only
-    the perturbed copy, drops the objective and adds sum |eps_i| <= delta.
-    MAX_ALPHA maximizes t with s_m - s_j >= t over one copy; alpha_max = e^t.
+    MAX_PERTURBATION without an anchor instantiates two copies of the body —
+    one at the free anchor a, one at a + eps — with strong-classification
+    rows on the first, k-of-n dominance selectors on the second, and
+    objective min sum |eps_i|. With an anchor (clipped into the input box)
+    both MAX_PERTURBATION and LOCAL_ROBUSTNESS fold a into constants and keep
+    only the perturbed copy: the former, phi's fixed-anchor stage
+    "fixed_min_m<m>", minimizes sum |eps_i|; the latter has no objective and
+    adds sum |eps_i| <= delta. MAX_ALPHA maximizes t with s_m - s_j >= t
+    over one copy; alpha_max = e^t.
     """
-    last = _check_query_net(net)
-    _validate_query(net, q)
+    last = validate_query(net, q)
     m0 = q.m - 1
     lo = net.input_bounds[:, 0]
     hi = net.input_bounds[:, 1]
-    model = MipModel(f"{q.kind.value}_m{q.m}")
 
     if q.kind is QueryKind.MAX_ALPHA:
+        model = MipModel(f"{q.kind.value}_m{q.m}")
         a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
                  for i in range(net.input_dim)]
         base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b", segments)
@@ -646,9 +656,10 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
         model.set_objective([(t_id, 1.0)], ObjSense.MAXIMIZE)
         assign_branch_priorities(model, net, [base])
         return EncodedQuery(model.freeze(), q, a_ids, None, None, None, base, None,
-                            {}, t_id=t_id, segments=segments, m=q.m, k=q.k)
+                            {}, t_id=t_id)
 
-    if q.kind is QueryKind.MAX_PERTURBATION:
+    if q.a is None:  # MAX_PERTURBATION over a free anchor
+        model = MipModel(f"{q.kind.value}_m{q.m}")
         a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
                  for i in range(net.input_dim)]
         e_ids, f_ids, p_ids = _perturbation_vars(model, net, None)
@@ -661,46 +672,24 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
         sel = _dominance_rows(model, pert.x_ids[last], m0, q.k, "DOM")
         model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
         assign_branch_priorities(model, net, [base, pert])
-        return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert,
-                            sel, segments=segments, m=q.m, k=q.k)
+        return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel)
 
-    # local robustness: anchor folded to constants
-    a = np.asarray(q.a, dtype=np.float64).reshape(-1)
-    if a.shape[0] != net.input_dim:
-        raise EncodingError("anchor input has the wrong dimension")
-    if np.any(a < lo - 1e-9) or np.any(a > hi + 1e-9):
-        raise EncodingError("anchor input lies outside the input domain")
-    a = np.clip(a, lo, hi)
+    # a fixed anchor folded into constants
+    fixed_min = q.kind is QueryKind.MAX_PERTURBATION
+    model = MipModel(f"fixed_min_m{q.m}" if fixed_min else f"{q.kind.value}_m{q.m}")
+    a = np.clip(np.asarray(q.a, dtype=np.float64).reshape(-1), lo, hi)
     e_ids, f_ids, p_ids = _perturbation_vars(model, net, a)
     for i in range(net.input_dim):
         model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (e_ids[i], -1.0)],
                              RowSense.EQ, float(a[i]))
     pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q", segments)
     sel = _dominance_rows(model, pert.x_ids[last], m0, q.k, "DOM")
-    model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE, float(q.delta))
+    if fixed_min:
+        model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
+    else:
+        model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE, float(q.delta))
     assign_branch_priorities(model, net, [pert])
-    return EncodedQuery(model.freeze(), q, None, e_ids, f_ids, p_ids, None, pert,
-                        sel, segments=segments, m=q.m, k=q.k)
-
-
-def encode_min_perturbation_at(net: Network, bounds: IntervalBounds, a: np.ndarray,
-                               m: int, k: int, segments: int = 8) -> EncodedQuery:
-    """Minimum 1-norm perturbation achieving k-dominance from a fixed anchor —
-    the fixed-input restriction used to seed the full search."""
-    last = _check_query_net(net)
-    m0 = m - 1
-    model = MipModel(f"fixed_min_m{m}")
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    e_ids, f_ids, p_ids = _perturbation_vars(model, net, a)
-    for i in range(net.input_dim):
-        model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (e_ids[i], -1.0)],
-                             RowSense.EQ, float(a[i]))
-    pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q", segments)
-    sel = _dominance_rows(model, pert.x_ids[last], m0, k, "DOM")
-    model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
-    assign_branch_priorities(model, net, [pert])
-    return EncodedQuery(model.freeze(), None, None, e_ids, f_ids, p_ids, None, pert,
-                        sel, segments=segments, m=m, k=k)
+    return EncodedQuery(model.freeze(), q, None, e_ids, f_ids, p_ids, None, pert, sel)
 
 
 # -- assignments from exact traces --------------------------------------------
@@ -800,12 +789,10 @@ def build_warm_start(enc: EncodedQuery, net: Network, a: np.ndarray,
     copy_assignment(asg, enc.pert, net, trace_p)
 
     scores = trace_p.x[net.score_layer]
-    if enc.m is None:
-        raise EncodingError("warm starts need the query's target class")
-    m0 = enc.m - 1
+    m0 = enc.query.m - 1
     if enc.class_sel:
         ranked = sorted(enc.class_sel, key=lambda j: scores[j] - scores[m0], reverse=True)
-        chosen = set(ranked[:enc.k])
+        chosen = set(ranked[:enc.query.k])
         for j, cid in enc.class_sel.items():
             asg[cid] = 1.0 if j in chosen else 0.0
     if enc.t_id is not None:

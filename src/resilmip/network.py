@@ -283,15 +283,11 @@ class ForwardTrace:
         return self.x[-1]
 
 
-def forward(net: Network, inputs: np.ndarray, *, check_domain: bool = False) -> ForwardTrace:
+def forward(net: Network, inputs: np.ndarray) -> ForwardTrace:
     """Evaluate the network exactly in float64 and record every node value."""
     a = np.asarray(inputs, dtype=np.float64).reshape(-1)
     if a.shape[0] != net.input_dim:
         raise ValueError(f"input has dimension {a.shape[0]}, expected {net.input_dim}")
-    if check_domain:
-        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
-        if np.any(a < lo) or np.any(a > hi):
-            raise ValueError("input lies outside the declared input bounds")
 
     ims: list[np.ndarray | None] = []
     xs: list[np.ndarray] = []

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import encoder
 from .dataflow import IntervalBounds, lookback_config, propagate_intervals, tighten_lookback
-from .encoder import EncodedQuery, QueryKind, QuerySpec
+from .encoder import QueryKind, QuerySpec
 from .mipmodel import MipModel, ObjSense, RowSense
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
 from .solver import SolveConfig, SolveResult, SolveStatus, solve, worker_pool
@@ -111,11 +111,15 @@ class MaxAlphaResult:
     solve: SolveResult | None = None
 
 
-def _prepare_bounds(net: Network, bounds: IntervalBounds | None,
-                    lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
+def prepare_bounds(net: Network, bounds: IntervalBounds | None,
+                   lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
+    """The bounds a query is encoded over: the given ones or the plain
+    intervals, tightened by lookback windows of depth `lookback` if set."""
     if bounds is None:
         bounds = propagate_intervals(net)
-    if lookback is not None and lookback >= 2:
+    # depth 1 boxes each node's predecessors, which reproduces the plain
+    # bounds; tighten_lookback rejects depths below 1
+    if lookback is not None and lookback != 1:
         workers = config.workers if config is not None else 1
         bounds = tighten_lookback(net, bounds, depth=lookback,
                                   config=lookback_config(config), workers=workers)
@@ -167,7 +171,9 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 presolve: bool = True) -> PhiResult:
     """Maximum-perturbation bound for class m at ratio alpha and overlap k."""
     cfg = config or SolveConfig()
-    bounds = _prepare_bounds(net, bounds, lookback, cfg)
+    spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
+    encoder.validate_query(net, spec)
+    bounds = prepare_bounds(net, bounds, lookback, cfg)
 
     anchor: np.ndarray | None = None
     anchor_phi: float | None = None
@@ -185,9 +191,13 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
             # empty set and the class is vacuously unbreakable
             return PhiResult(m, alpha, k, math.inf, SolveStatus.INFEASIBLE,
                              math.inf)
+    if anchor is not None:
+        # LP round-off can leave a stage-1 anchor up to the simplex's primal
+        # tolerance outside the box, more than validate_query admits
+        anchor = np.clip(anchor, net.input_bounds[:, 0], net.input_bounds[:, 1])
 
     if anchor is not None and presolve:
-        enc2 = encoder.encode_min_perturbation_at(net, bounds, anchor, m, k, segments)
+        enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor), segments)
         res2 = solve(enc2.model, cfg)
         if res2.status is SolveStatus.INFEASIBLE:
             # the dominance region is empty regardless of the anchor
@@ -197,8 +207,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
             anchor_phi = float(res2.objective)
             eps_seed = _vals(res2.assignment, enc2.eps_ids)
 
-    enc = encoder.encode_query(net, bounds, QuerySpec(QueryKind.MAX_PERTURBATION,
-                                                      m=m, alpha=alpha, k=k), segments)
+    enc = encoder.encode_query(net, bounds, replace(spec, a=None), segments)
     if anchor_phi is not None:
         enc.model.thaw()
         enc.model.add_constraint("RESTRICT", [(f, 1.0) for f in enc.eps_abs_ids],
@@ -230,7 +239,10 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
                segments: int = 8) -> XiResult:
     """Network resilience: the worst finite phi over all classes. Classes that
     cannot be strongly classified (phi = inf) do not constrain the minimum."""
-    bounds = _prepare_bounds(net, bounds, lookback, config)
+    # every class's query shares alpha and k: check them once, before lookback
+    encoder.validate_query(net, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
+                                          alpha=alpha, k=k))
+    bounds = prepare_bounds(net, bounds, lookback, config)
     classes = range(1, net.num_classes + 1)
     phi_of = functools.partial(compute_phi, net, alpha=alpha, k=k, config=config,
                                bounds=bounds, segments=segments)
@@ -266,8 +278,9 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if m is None:
         m = int(np.argmax(class_scores(net, a))) + 1
-    bounds = _prepare_bounds(net, bounds, lookback, config)
     q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=m, k=k, a=a, delta=float(delta))
+    encoder.validate_query(net, q)
+    bounds = prepare_bounds(net, bounds, lookback, config)
     enc = encoder.encode_query(net, bounds, q, segments)
     res = solve(enc.model, config or SolveConfig())
     if res.status is SolveStatus.INFEASIBLE:
@@ -296,8 +309,10 @@ def compute_max_alpha(net: Network, m: int, *,
     """Largest dominance ratio alpha at which class m is strongly classified
     anywhere in the domain: maximize the worst log-score margin t and report
     e^t. t < 0 means the class never tops every rival simultaneously."""
-    bounds = _prepare_bounds(net, bounds, lookback, config)
-    enc = encoder.encode_query(net, bounds, QuerySpec(QueryKind.MAX_ALPHA, m=m), segments)
+    q = QuerySpec(QueryKind.MAX_ALPHA, m=m)
+    encoder.validate_query(net, q)
+    bounds = prepare_bounds(net, bounds, lookback, config)
+    enc = encoder.encode_query(net, bounds, q, segments)
     res = solve(enc.model, config or SolveConfig())
     t_star = float(res.objective)
     anchor = None

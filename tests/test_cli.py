@@ -123,6 +123,21 @@ class TestPhi:
         assert doc["status"] == "limit"
         assert doc["exact"] is False
 
+    @pytest.mark.parametrize("command", ["phi", "xi"])
+    def test_overlap_of_every_class_is_an_error(self, command, capsys):
+        args = [command, "--net", "three_class_linear", "--alpha", str(math.e),
+                "--k", "3"]
+        if command == "phi":
+            args += ["--class", "1"]
+        assert main(args) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_lookback_depth_below_one_is_an_error(self, capsys):
+        code = main(["phi", "--net", "two_class_linear", "--class", "1",
+                     "--lookback", "0"])
+        assert code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
     def test_json_payload_round_trips(self, tmp_path):
         j = tmp_path / "phi.json"
         main(["phi", "--net", "two_class_linear", "--class", "1",

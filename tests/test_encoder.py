@@ -22,7 +22,6 @@ from resilmip.encoder import (
     encode_atan,
     encode_bound_probe,
     encode_maxpool,
-    encode_min_perturbation_at,
     encode_network_eval,
     encode_query,
     encode_relu,
@@ -366,11 +365,35 @@ class TestQueryModels:
 
     def test_fixed_anchor_restriction(self):
         net = zoo.two_class_linear()
-        enc = encode_min_perturbation_at(
-            net, propagate_intervals(net), np.array([1.0, 0.0]), 1, 1)
+        enc = encode_query(net, propagate_intervals(net), QuerySpec(
+            QueryKind.MAX_PERTURBATION, m=1, k=1, a=np.array([1.0, 0.0])))
         r = solve(enc.model, SolveConfig())
         assert r.status is SolveStatus.OPTIMAL
         assert r.objective == pytest.approx(1.0, abs=1e-7)
+
+    def test_fixed_anchor_model_is_robustness_without_the_budget(self):
+        net = zoo.relu_mixed_phases()
+        bounds = propagate_intervals(net)
+        anchor = np.array([1.0, 1.0])
+        phi = encode_query(net, bounds, QuerySpec(
+            QueryKind.MAX_PERTURBATION, m=1, alpha=math.e, a=anchor))
+        rob = encode_query(net, bounds, QuerySpec(
+            QueryKind.LOCAL_ROBUSTNESS, m=1, a=anchor, delta=0.5))
+        assert phi.model.name == "fixed_min_m1"
+        assert phi.model.constraints == [
+            row for row in rob.model.constraints if row.name != "DBUDGET"]
+        assert len(rob.model.constraints) == len(phi.model.constraints) + 1
+        assert phi.model.variables == rob.model.variables
+        assert phi.model.obj_sense is ObjSense.MINIMIZE
+        assert phi.model.objective == {f: 1.0 for f in phi.eps_abs_ids}
+
+    def test_fixed_anchor_within_tolerance_is_clipped_into_the_box(self):
+        net = zoo.two_class_linear()
+        enc = encode_query(net, propagate_intervals(net), QuerySpec(
+            QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.0 + 5e-10, -5e-10])))
+        rhs = {row.name: row.rhs for row in enc.model.constraints}
+        assert enc.model.name == "fixed_min_m1"
+        assert (rhs["PE0"], rhs["PE1"]) == (1.0, 0.0)
 
     def test_validation_errors(self):
         net = zoo.two_class_linear()
@@ -387,6 +410,9 @@ class TestQueryModels:
                       delta=0.1),
             QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=np.array([0.5]),
                       delta=0.1),
+            QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.5, 0.0])),
+            QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.0 + 2e-9, 0.0])),
+            QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.0])),
         ]
         for q in bad:
             with pytest.raises(EncodingError):

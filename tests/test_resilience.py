@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from resilmip import solver, zoo
+from resilmip import resilience, solver, zoo
 from resilmip.dataflow import LOOKBACK_NODE_LIMIT, propagate_intervals
+from resilmip.encoder import EncodingError
 from resilmip.network import (
     LayerKind,
     LayerSpec,
@@ -101,6 +102,28 @@ class TestComputePhi:
         assert r.phi == pytest.approx(1.0, abs=1e-7)
         with pytest.raises(ValueError):
             compute_phi(net, 1, alpha=math.e, a_ini=np.array([0.2, 0.1]))
+
+    def test_user_anchor_outside_the_box_is_rejected(self):
+        with pytest.raises(EncodingError):
+            compute_phi(zoo.two_class_linear(), 1, a_ini=np.array([1.5, 0.0]))
+
+    @pytest.mark.parametrize("m,k", [(1, 3), (0, 1), (4, 1)])
+    def test_invalid_query_is_rejected_before_any_solve(self, monkeypatch, m, k):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an invalid query")
+
+        monkeypatch.setattr(resilience, "solve", no_solve)
+        monkeypatch.setattr(resilience, "find_strong_anchor", no_solve)
+        with pytest.raises(EncodingError):
+            compute_phi(zoo.three_class_linear(), m, alpha=math.e, k=k)
+
+    def test_stage_one_anchor_round_off_is_clipped(self, monkeypatch):
+        # the simplex lets a basic variable leave its bounds by up to 1e-8
+        monkeypatch.setattr(resilience, "find_strong_anchor", lambda *args: (
+            np.array([1.0 + 5e-9, 0.0]), SolveStatus.OPTIMAL))
+        r = compute_phi(zoo.two_class_linear(), 1, alpha=math.e)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.phi == pytest.approx(1.0, abs=1e-7)
 
     def test_cold_solve_agrees_with_the_seeded_one(self):
         net = zoo.relu_mixed_phases()
