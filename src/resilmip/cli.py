@@ -134,28 +134,6 @@ def _emit_json(args, payload: dict) -> None:
         Path(args.json_out).write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
-def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="processes for independent sub-solves: lookback's "
-                   "window MIPs and xi's classes (default from RESILMIP_WORKERS)")
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p.add_argument("--mip-gap", type=float, default=1e-6)
-    p.add_argument("--segments", type=int, default=8,
-                   help="segments per arc-tangent envelope region")
-    p.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
-                   metavar="DEPTH", help="tighten bounds with window models "
-                   "of this depth before encoding (default depth 2)")
-
-
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--net", required=True,
-                   help="network JSON file or built-in fixture name")
-    p.add_argument("--json-out", default=None, metavar="FILE",
-                   help="also write the result as JSON")
-    p.add_argument("--verbose", action="store_true", help="log solver progress")
-
-
 def cmd_eval(args) -> int:
     net = _load_net(args.net)
     point = _parse_input(args.input, net.input_dim)
@@ -312,10 +290,13 @@ def cmd_export(args) -> int:
             "robustness": QueryKind.LOCAL_ROBUSTNESS,
             "max-alpha": QueryKind.MAX_ALPHA}[args.query]
     anchor = None
-    if kind is QueryKind.LOCAL_ROBUSTNESS:
-        if args.input is None:
-            raise EncodingError("--query robustness needs --input")
+    if args.input is not None:
+        if kind is QueryKind.MAX_ALPHA:
+            raise EncodingError("--query max-alpha takes no --input")
+        # phi then exports its fixed-anchor model, fixed_min_m<class>
         anchor = _parse_input(args.input, net.input_dim)
+    elif kind is QueryKind.LOCAL_ROBUSTNESS:
+        raise EncodingError("--query robustness needs --input")
     q = QuerySpec(kind, m=args.cls, alpha=args.alpha, k=args.k,
                   a=anchor, delta=args.delta)
     enc = encode_query(net, bounds, q, segments=args.segments)
@@ -335,63 +316,77 @@ def build_parser() -> argparse.ArgumentParser:
                     "networks by mixed-integer programming")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="exact forward pass at a point")
-    _common(p)
+    # each flag shared by subcommands lives in one parent parser (parents=)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--net", required=True,
+                        help="network JSON file or built-in fixture name")
+    common.add_argument("--json-out", default=None, metavar="FILE",
+                        help="also write the result as JSON")
+    common.add_argument("--verbose", action="store_true", help="log solver progress")
+
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--workers", type=int, default=_default_workers(),
+                        help="processes for independent sub-solves: lookback's "
+                        "window MIPs and xi's classes (default from RESILMIP_WORKERS)")
+    solver.add_argument("--node-limit", type=int, default=None)
+    solver.add_argument("--time-limit", type=float, default=None, help="seconds")
+    solver.add_argument("--mip-gap", type=float, default=1e-6)
+    solver.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
+                        metavar="DEPTH", help="tighten bounds with window models "
+                        "of this depth before encoding (default depth 2)")
+
+    encoding = argparse.ArgumentParser(add_help=False)
+    encoding.add_argument("--segments", type=int, default=8,
+                          help="segments per arc-tangent envelope region")
+    cls = argparse.ArgumentParser(add_help=False)
+    cls.add_argument("--class", dest="cls", type=int, required=True,
+                     help="1-based class")
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=float, default=1.0, help="dominance ratio (>= 1)")
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", "-k", type=int, default=1,
+                   help="how many rivals must reach the class's score")
+
+    p = sub.add_parser("eval", parents=[common], help="exact forward pass at a point")
     p.add_argument("--input", required=True,
                    help="input point: inline values or a file")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bounds", help="per-node activation intervals")
-    _common(p)
-    _add_solver_args(p)
+    p = sub.add_parser("bounds", parents=[common, solver],
+                       help="per-node activation intervals")
     p.add_argument("--out", default=None, metavar="FILE", help="write TSV here")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", help="local robustness at a point "
+    p = sub.add_parser("verify", parents=[common, solver, encoding, k],
+                       help="local robustness at a point "
                        "(exit 0 robust, 10 violated, 20 unknown)")
-    _common(p)
-    _add_solver_args(p)
     p.add_argument("--input", required=True, help="anchor point: inline or file")
     p.add_argument("--delta", type=float, required=True, help="1-norm budget")
     p.add_argument("--class", dest="cls", type=int, default=None,
                    help="1-based class to protect (default: the anchor's top class)")
-    p.add_argument("--k", "-k", type=int, default=1,
-                   help="how many rivals must reach the class's score")
     p.add_argument("--witness-out", default=None, metavar="FILE",
                    help="write the violating perturbation as JSON")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("phi", help="maximum-perturbation bound of one class")
-    _common(p)
-    _add_solver_args(p)
-    p.add_argument("--class", dest="cls", type=int, required=True, help="1-based class")
-    p.add_argument("--alpha", type=float, default=1.0, help="dominance ratio (>= 1)")
-    p.add_argument("--k", "-k", type=int, default=1)
+    p = sub.add_parser("phi", parents=[common, solver, encoding, cls, alpha, k],
+                       help="maximum-perturbation bound of one class")
     p.set_defaults(func=cmd_phi)
 
-    p = sub.add_parser("xi", help="network resilience (worst finite phi)")
-    _common(p)
-    _add_solver_args(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--k", "-k", type=int, default=1)
+    p = sub.add_parser("xi", parents=[common, solver, encoding, alpha, k],
+                       help="network resilience (worst finite phi)")
     p.set_defaults(func=cmd_xi)
 
-    p = sub.add_parser("max-alpha", help="largest attainable dominance ratio")
-    _common(p)
-    _add_solver_args(p)
-    p.add_argument("--class", dest="cls", type=int, required=True)
+    p = sub.add_parser("max-alpha", parents=[common, solver, encoding, cls],
+                       help="largest attainable dominance ratio")
     p.set_defaults(func=cmd_max_alpha)
 
-    p = sub.add_parser("export", help="write a query model as fixed-format MPS")
-    _common(p)
-    _add_solver_args(p)
+    p = sub.add_parser("export", parents=[common, solver, encoding, cls, alpha, k],
+                       help="write a query model as fixed-format MPS")
     p.add_argument("--out", required=True, help="output .mps path")
     p.add_argument("--query", choices=("phi", "robustness", "max-alpha"),
                    default="phi")
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--k", "-k", type=int, default=1)
-    p.add_argument("--input", default=None, help="anchor for --query robustness")
+    p.add_argument("--input", default=None,
+                   help="anchor point, fixed in the phi or robustness model")
     p.add_argument("--delta", type=float, default=0.0)
     p.set_defaults(func=cmd_export)
     return ap

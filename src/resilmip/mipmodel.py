@@ -177,9 +177,6 @@ class MipModel:
     def binary_ids(self) -> list[int]:
         return [i for i, v in enumerate(self.variables) if v.vtype is VarType.BINARY]
 
-    def objective_value(self, assignment: Assignment) -> float:
-        return sum(coef * assignment[vid] for vid, coef in self.objective.items())
-
     def dense_arrays(self) -> DenseLp:
         n, m = len(self.variables), len(self.constraints)
         a = np.zeros((m, n))

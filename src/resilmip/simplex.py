@@ -5,34 +5,39 @@ s_i with A x + s = b, the row sense folded into the slack's bounds, and every
 variable carries individual (possibly infinite) bounds handled directly in the
 basis logic: nonbasic variables rest at a finite bound (free ones at zero).
 A basis is the basic column of each row plus B^-1, updated by one rank-1
-product per pivot. Two algorithms share it:
+product per pivot. Two algorithms share it, and only the dual simplex
+reaches a feasible basis or proves that none exists:
 
-* The primal simplex, for cold solves: the root LP of a branch-and-bound tree
-  and the fallback below. It starts from the slack basis; a row whose slack
-  cannot absorb the starting residual gets an artificial column, and a
-  phase-1 objective drives those to zero. The ratio test caps steps by both
-  the blocking basic variable and the entering variable's own opposite bound,
-  and a step capped by the latter is a basis-preserving bound flip. Pricing
-  starts as Dantzig (most negative reduced cost) and switches to the
-  least-index rule after ``bland_threshold`` consecutive degenerate pivots,
-  which guarantees termination.
-* The dual simplex, for warm solves from a given ``Basis``. A branch-and-bound
-  child differs from its parent in one bound, so the parent's optimal basis
-  stays dual feasible (a boxed nonbasic variable whose reduced cost has the
-  wrong sign is flipped to its other bound) and a few dual pivots restore
-  primal feasibility. The leaving row is chosen by dual steepest edge with
-  exact weights, the entering column by a two-pass Harris ratio test. A
-  singular start basis, lost dual feasibility, a numerical failure or the
-  iteration cap falls back to a cold primal solve, and ``iterations`` counts
-  the pivots of both attempts.
+* The dual simplex. The leaving row is chosen by dual steepest edge with
+  exact weights, the entering column by a two-pass Harris ratio test. It
+  stops when the basis is primal feasible, or when a violated row's bound
+  cannot be reached over the box of the nonbasic variables (a Farkas row,
+  ``_Lp.row_is_infeasible``): the only INFEASIBLE claim this module makes.
+  A warm solve starts it from a given ``Basis``: a branch-and-bound child
+  differs from its parent in one bound, so the parent's optimal basis stays
+  dual feasible (a boxed nonbasic variable whose reduced cost has the wrong
+  sign is flipped to its other bound) and a few dual pivots restore primal
+  feasibility. A cold solve (a root LP, or the fallback below) starts it from
+  the slack basis, each slack holding its row's residual even outside its
+  bounds, under a zero objective, for which every basis is dual feasible.
+* The primal simplex, which takes a cold solve's first feasible basis to an
+  optimum of the real costs. The ratio test caps steps by both the blocking
+  basic variable and the entering variable's own opposite bound, and a step
+  capped by the latter is a basis-preserving bound flip.
 
-Every claimed optimum is verified once on a fresh factorization: B^-1, x_B and
-the duals are recomputed from scratch and every reduced cost is repriced, and
-iteration resumes if the check fails, so accumulated round-off can delay but
-never corrupt the answer. Infeasibility is claimed on fresh values only: a
-positive phase-1 artificial sum, or a violated row whose bound cannot be
-reached over the box of the nonbasic variables. Iteration exhaustion of the
-cold path surfaces as an explicit numerical-failure status.
+Both start with Dantzig-style choices and switch to the least-index rule
+after ``_LEAST_INDEX_AFTER`` consecutive degenerate pivots, which guarantees
+termination; under the zero objective every dual pivot is degenerate. A
+singular warm start basis, lost dual feasibility, a numerical failure or the
+iteration cap falls back to a cold solve, and ``iterations`` counts the
+pivots of both attempts.
+
+Every claimed optimum or infeasibility is checked on a fresh factorization:
+B^-1, x_B and the duals are recomputed from scratch and every reduced cost is
+repriced, and iteration resumes if the check fails, so accumulated round-off
+can delay but never corrupt the answer. A cold solve that exhausts its
+iterations, or whose basis cannot be carried on, surfaces as an explicit
+numerical-failure status.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ _TOL_DJ = 1e-9       # reduced-cost threshold for an improving column
 _TOL_PIV = 1e-9      # minimum magnitude of a usable pivot element
 _TOL_DEG = 1e-10     # step sizes below this count as degenerate
 _TOL_HARRIS = 5e-10  # dual infeasibility the Harris ratio test may accept
-_MAX_COND = 1e12     # warm bases conditioned worse than this are refused
+_TOL_FEAS = 1e-8     # bound violation a basic variable may keep
+_MAX_COND = 1e12     # the dual simplex refuses bases conditioned worse
+_LEAST_INDEX_AFTER = 50  # degenerate pivots in a row before least-index rule
 
 
 class LpStatus(Enum):
@@ -124,22 +131,23 @@ def solve_bounded_lp(
     lo: np.ndarray,
     hi: np.ndarray,
     *,
-    bland_threshold: int = 50,
     max_iters: int | None = None,
-    feas_tol: float = 1e-8,
     basis: Basis | None = None,
 ) -> LpResult:
     """Solve the LP ``form`` under the variable bounds lo <= x <= hi.
 
     With ``basis`` (typically the optimal basis of an LP that differs only in
     bounds) the dual simplex starts from it; otherwise, or when that fails,
-    the primal simplex starts cold. ``max_iters`` caps the pivots of each
-    attempt, and the result's ``iterations`` counts those of both.
+    the solve starts cold: the dual simplex under a zero objective finds a
+    feasible basis from the slack basis, and the primal simplex optimizes
+    from there. Either way INFEASIBLE is claimed only by the dual simplex's
+    Farkas row. ``max_iters`` caps the pivots of each attempt, and the
+    result's ``iterations`` counts those of both.
     """
     m = form.full.shape[0]
     if max_iters is None:
         max_iters = 5000 + 200 * (3 * m + lo.shape[0])
-    args = (form, lo, hi, feas_tol, bland_threshold, max_iters)
+    args = (form, lo, hi, max_iters)
     spent = 0
     if basis is not None:
         lp = _Lp(*args)
@@ -160,14 +168,14 @@ def _resting_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Lp:
-    """Working state of one solve attempt: the columns [A | I | artificials],
-    their bounds and costs, the current point, the basis and B^-1."""
+    """Working state of one solve attempt: the columns [A | I], their bounds
+    and costs, the current point, the basis and B^-1."""
 
-    def __init__(self, form: LpForm, lo, hi, feas_tol, bland_threshold, max_iters):
+    def __init__(self, form: LpForm, lo, hi, max_iters):
         m, n_full = form.full.shape
         n = n_full - m
         self.n, self.m = n, m
-        self.full = form.full  # shared: phase 1 extends a copy
+        self.full = form.full
         self.lo = np.concatenate([lo, form.slack_lo])
         self.hi = np.concatenate([hi, form.slack_hi])
         self.cost = form.cost
@@ -177,13 +185,7 @@ class _Lp:
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.binv = np.eye(m)
-        # columns from n on are signed unit vectors: slack i is +e_i, and an
-        # artificial column is +-e_i for the row it was added to
-        self.unit_row = np.arange(m)
-        self.unit_sign = np.ones(m)
         self.sign = form.sign
-        self.tol = feas_tol
-        self.bland_threshold = bland_threshold
         self.max_iters = max_iters
         self.iters = 0
 
@@ -207,30 +209,27 @@ class _Lp:
         """B^-1 and the 1-norm of B, inverting only the block of the
         structural basic columns.
 
-        With unit columns (s_p e_t) basic in rows T and structural columns S
+        With slack columns e_t basic for rows T and structural columns S
         basic elsewhere (rows R), B z = r gives z_S = M^-1 r_R with
-        M = A[R, S], then z_p = s_p (r_t - A[t, S] z_S).
+        M = A[R, S], then z_p = r_t - A[t, S] z_S.
         """
         n, m = self.n, self.m
         basis = self.basis
         unit = basis >= n
         upos = np.flatnonzero(unit)
         spos = np.flatnonzero(~unit)
-        t = self.unit_row[basis[upos] - n]
-        s = self.unit_sign[basis[upos] - n]
+        t = basis[upos] - n
         in_t = np.zeros(m, dtype=bool)
         in_t[t] = True
-        if np.count_nonzero(in_t) != t.size:
-            raise np.linalg.LinAlgError("two unit columns share a row")
         binv = np.zeros((m, m))
-        binv[upos, t] = s
+        binv[upos, t] = 1.0
         b_norm = 1.0
         if spos.size:
             rrows = np.flatnonzero(~in_t)
             a_s = self.full[:, basis[spos]]
             minv = np.linalg.inv(a_s[rrows])
             binv[np.ix_(spos, rrows)] = minv
-            binv[np.ix_(upos, rrows)] = -s[:, None] * (a_s[t] @ minv)
+            binv[np.ix_(upos, rrows)] = -(a_s[t] @ minv)
             b_norm = max(b_norm, float(np.abs(a_s).sum(axis=0).max()))
         return binv, b_norm
 
@@ -245,10 +244,8 @@ class _Lp:
         return d
 
     def movable(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nonbasic columns that may increase / decrease from where they rest
-        (artificials never re-enter)."""
+        """Nonbasic columns that may increase / decrease from where they rest."""
         nb = ~self.is_basic
-        nb[self.n + self.m:] = False
         return nb & (self.x < self.hi), nb & (self.x > self.lo)
 
     def pivot(self, r: int, q: int, w: np.ndarray) -> None:
@@ -289,78 +286,29 @@ class _Lp:
             return LpResult(status, -self.sign * INF, None, self.iters)
         return LpResult(status, math.nan, None, self.iters)
 
-    # -- cold start: primal simplex ------------------------------------------
+    # -- cold start: dual simplex to a feasible basis, then primal -------------
 
     def cold(self) -> LpStatus:
-        n, m = self.n, self.m
+        n = self.n
         lo, hi, x = self.lo, self.hi, self.x
         x[:n] = _resting_point(lo[:n], hi[:n])
-        # each row's slack takes the residual when it can absorb it, else an
-        # artificial column carries the overshoot
-        resid = self.b - self.full[:, :n] @ x[:n]
-        clipped = np.clip(resid, lo[n:], hi[n:])
-        over = resid - clipped
-        need = np.abs(over) > self.tol
-        x[n:] = np.where(need, clipped, resid)
-        rows = np.flatnonzero(need)
-        if rows.size:
-            status = self.phase1(rows, np.where(over[rows] >= 0, 1.0, -1.0),
-                                 np.abs(over[rows]))
-            if status is not None:
-                return status
-        status = self.primal(self.cost, phase1=False)
+        # the slack basis, each slack holding its row's residual even outside
+        # its own bounds; under a zero objective it is dual feasible, so the
+        # dual simplex can drive it to a primal feasible basis
+        x[n:] = self.b - self.full[:, :n] @ x[:n]
+        zero = np.zeros(n + self.m)
+        status = self.dual(zero, zero.copy(), fresh=True)
+        if status is not LpStatus.OPTIMAL:
+            return status or LpStatus.NUMERICAL
+        status = self.primal()
         if status is not None:
             return status
         # the fresh x_B may have drifted off a bound: the basis is dual
         # feasible, so the dual simplex repairs that
-        return self.dual(self.reduced_costs(self.cost), fresh=True) or LpStatus.NUMERICAL
+        d = self.reduced_costs(self.cost)
+        return self.dual(self.cost, d, fresh=True) or LpStatus.NUMERICAL
 
-    def phase1(self, rows, signs, overshoot):
-        """Drive the artificials of ``rows`` to zero; None once they are,
-        after which the artificial columns are gone again."""
-        n, m, k = self.n, self.m, rows.size
-        art = np.zeros((m, k))
-        art[rows, np.arange(k)] = signs
-        self.full = np.hstack([self.full, art])
-        self.unit_row = np.concatenate([self.unit_row, rows])
-        self.unit_sign = np.concatenate([self.unit_sign, signs])
-        self.lo = np.concatenate([self.lo, np.zeros(k)])
-        self.hi = np.concatenate([self.hi, np.full(k, INF)])
-        self.x = np.concatenate([self.x, overshoot])
-        self.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])
-        self.is_basic[n + rows] = False
-        self.basis[rows] = n + m + np.arange(k)
-        self.binv[rows, rows] = signs
-        cost1 = np.zeros(n + m + k)
-        cost1[n + m:] = 1.0
-
-        status = self.primal(cost1, phase1=True)
-        if status is not None:
-            return status
-        art_scale = self.tol * (1.0 + (float(np.max(np.abs(self.b))) if m else 0.0))
-        if float(np.sum(self.x[n + m:])) > art_scale + 1e-12:
-            return LpStatus.INFEASIBLE
-        # an artificial still basic (at zero) hands its position to its row's
-        # slack, whose column is the same unit vector up to sign
-        for r in np.flatnonzero(self.basis >= n + m):
-            a = int(self.basis[r]) - n - m
-            slack = n + int(rows[a])
-            if self.is_basic[slack]:
-                return LpStatus.NUMERICAL
-            self.binv[r] *= signs[a]
-            self.is_basic[slack] = True
-            self.basis[r] = slack
-        self.full = self.full[:, : n + m]
-        self.unit_row = self.unit_row[:m]
-        self.unit_sign = self.unit_sign[:m]
-        self.lo = self.lo[: n + m]
-        self.hi = self.hi[: n + m]
-        self.x = self.x[: n + m]
-        self.is_basic = self.is_basic[: n + m]
-        self.set_basic_values()
-        return None
-
-    def primal(self, cost, *, phase1: bool):
+    def primal(self):
         """Primal simplex from a primal feasible basis. Returns None once no
         column improves on a fresh factorization, else the failure status."""
         m = self.m
@@ -368,7 +316,7 @@ class _Lp:
         fresh = False
         degen_streak = 0
         while True:
-            d = self.reduced_costs(cost)
+            d = self.reduced_costs(self.cost)
             up, down = self.movable()
             can_incr = up & (d < -_TOL_DJ)
             can_decr = down & (d > _TOL_DJ)
@@ -384,7 +332,7 @@ class _Lp:
             self.iters += 1
             fresh = False
 
-            bland = degen_streak >= self.bland_threshold
+            bland = degen_streak >= _LEAST_INDEX_AFTER
             if bland:
                 j = int(np.flatnonzero(can_incr | can_decr)[0])
             else:
@@ -412,7 +360,7 @@ class _Lp:
 
             t_star = min(flip, t_block)
             if not np.isfinite(t_star):
-                return LpStatus.NUMERICAL if phase1 else LpStatus.UNBOUNDED
+                return LpStatus.UNBOUNDED
 
             degen_streak = degen_streak + 1 if t_star <= _TOL_DEG else 0
 
@@ -463,21 +411,24 @@ class _Lp:
         d = self.reduced_costs(self.cost)
         if not self.make_dual_feasible(d):
             return None
-        return self.dual(d, fresh=True)
+        return self.dual(self.cost, d, fresh=True)
 
-    def refresh(self) -> np.ndarray | None:
+    def refresh(self, cost: np.ndarray) -> np.ndarray | None:
         """Refactorize and reprice: the dual feasible reduced costs of the
-        current basis, or None when it is singular or not dual feasible."""
+        current basis under ``cost``, or None when it is singular or not dual
+        feasible."""
         if not self.refactor(_MAX_COND):
             return None
-        d = self.reduced_costs(self.cost)
+        d = self.reduced_costs(cost)
         return d if self.make_dual_feasible(d) else None
 
-    def dual(self, d: np.ndarray, *, fresh: bool):
-        """Dual simplex from a dual feasible basis with reduced costs ``d``.
+    def dual(self, cost: np.ndarray, d: np.ndarray, *, fresh: bool):
+        """Dual simplex from a basis that is dual feasible for ``cost``, with
+        reduced costs ``d``.
 
-        Returns OPTIMAL or INFEASIBLE, each confirmed on a fresh
-        factorization, or None when the basis cannot be carried on.
+        Returns OPTIMAL (the basis is primal feasible) or INFEASIBLE, each
+        confirmed on a fresh factorization, or None when the basis cannot be
+        carried on or the iteration cap is reached.
         """
         lo, hi = self.lo, self.hi
         degen_streak = 0
@@ -486,17 +437,17 @@ class _Lp:
             xb = x[basis]
             below = lo[basis] - xb
             viol = np.maximum(below, xb - hi[basis])
-            bad = np.flatnonzero(viol > self.tol)
+            bad = np.flatnonzero(viol > _TOL_FEAS)
             if not bad.size:
                 if fresh:
                     return LpStatus.OPTIMAL
-                d = self.refresh()  # verify the claimed optimum
+                d = self.refresh(cost)  # verify the claimed optimum
                 if d is None:
                     return None
                 fresh = True
                 continue
 
-            bland = degen_streak >= self.bland_threshold
+            bland = degen_streak >= _LEAST_INDEX_AFTER
             if bland:
                 r = int(bad[np.argmin(basis[bad])])
             else:
@@ -513,7 +464,7 @@ class _Lp:
             cand = np.flatnonzero(via_up | via_dn)
             if not cand.size:
                 if not fresh:
-                    d = self.refresh()  # re-check the claim on fresh values
+                    d = self.refresh(cost)  # re-check the claim on fresh values
                     if d is None:
                         return None
                     fresh = True
@@ -532,7 +483,7 @@ class _Lp:
             w = self.binv @ self.full[:, q]
             if abs(w[r]) < _TOL_PIV or abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
                 # row and column disagree on the pivot: B^-1 has drifted
-                d = None if fresh else self.refresh()
+                d = None if fresh else self.refresh(cost)
                 if d is None:
                     return None
                 fresh = True
@@ -566,4 +517,4 @@ class _Lp:
         reach[(np.abs(g) <= _TOL_PIV) & np.isinf(reach)] = 0.0
         j = self.basis[r]
         gap = self.lo[j] - self.x[j] if to_lower else self.x[j] - self.hi[j]
-        return float(np.sum(reach)) < gap - self.tol
+        return float(np.sum(reach)) < gap - _TOL_FEAS

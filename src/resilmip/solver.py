@@ -9,13 +9,15 @@ variable id. An incumbent is replaced only by a strictly better one. The
 search is deterministic: the same model and limits give the same nodes.
 
 Node LPs: the LP's fixed data is put in the simplex's layout once per solve
-(``simplex.lp_form``). The root LP is solved cold by the primal simplex.
-Every child carries its parent's optimal basis and is re-solved from it by
-the dual simplex, since it differs from its parent in one binary bound; the
-child the search keeps also takes the parent's basis inverse, while a node
-pushed to the heap keeps only the O(n + m) basis. The simplex falls back to
-a cold primal solve when a warm start fails, and verifies every optimum once
-on a fresh factorization (see ``simplex``).
+(``simplex.lp_form``). The root LP is solved cold: the dual simplex finds a
+feasible basis from the slack basis, and the primal simplex optimizes from
+it. Every child carries its parent's optimal basis and is re-solved from it
+by the dual simplex, since it differs from its parent in one binary bound;
+the child the search keeps also takes the parent's basis inverse, while a
+node pushed to the heap keeps only the O(n + m) basis. The simplex falls back
+to a cold solve when a warm start fails, proves every infeasible node with a
+Farkas row of the dual simplex, and verifies every optimum once on a fresh
+factorization (see ``simplex``).
 
 The reported dual bound is the minimum over the open node bounds, the bound
 of the node being solved, the bounds of nodes pruned by cutoff, and the
@@ -46,6 +48,7 @@ from .simplex import Basis, LpResult, LpStatus, lp_form, solve_bounded_lp
 log = logging.getLogger("resilmip.solver")
 
 INF = math.inf
+INT_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 
 
 class SolveStatus(Enum):
@@ -66,9 +69,7 @@ class SolveConfig:
     node_limit: int | None = None
     time_limit: float | None = None
     mip_gap: float = 1e-6
-    int_tol: float = 1e-6
     log_interval: float | None = None
-    bland_threshold: int = 50
 
 
 @contextlib.contextmanager
@@ -107,23 +108,12 @@ class SolveResult:
     relative_gap: float
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "objective": self.objective,
-            "dual_bound": self.dual_bound,
-            "nodes_explored": self.nodes_explored,
-            "wall_time": self.wall_time,
-            "absolute_gap": self.absolute_gap,
-            "relative_gap": self.relative_gap,
-        }
 
-
-def solve_lp(model: MipModel, *, bland_threshold: int = 50) -> LpResult:
+def solve_lp(model: MipModel) -> LpResult:
     """Solve the LP relaxation (binaries kept only as [0, 1] bounds)."""
     d = model.dense_arrays()
     form = lp_form(d.c, d.a, d.senses, d.rhs, maximize=d.maximize)
-    return solve_bounded_lp(form, d.lo, d.hi, bland_threshold=bland_threshold)
+    return solve_bounded_lp(form, d.lo, d.hi)
 
 
 @dataclass
@@ -176,8 +166,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         return best_obj - cfg.mip_gap * max(1.0, abs(best_obj))
 
     def node_lp(lo: np.ndarray, hi: np.ndarray, basis: Basis | None) -> LpResult:
-        return solve_bounded_lp(form, lo, hi, bland_threshold=cfg.bland_threshold,
-                                basis=basis)
+        return solve_bounded_lp(form, lo, hi, basis=basis)
 
     def pick_branch_var(x: np.ndarray) -> int | None:
         best_key = None
@@ -185,7 +174,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         for vid in bin_ids:
             v = x[vid]
             frac = abs(v - round(v))
-            if frac <= cfg.int_tol:
+            if frac <= INT_TOL:
                 continue
             prio = model.variables[vid].branch_priority
             key = (-prio, -min(v - math.floor(v), math.ceil(v) - v), vid)
@@ -195,7 +184,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         return best_vid
 
     # optional warm start becomes the initial incumbent
-    if model.warm_start is not None and check_feasible(model, model.warm_start, cfg.int_tol):
+    if model.warm_start is not None and check_feasible(model, model.warm_start, INT_TOL):
         x = np.array([model.warm_start[i] for i in range(model.num_variables)])
         if bin_ids.size:
             x[bin_ids] = np.round(x[bin_ids])

@@ -196,11 +196,41 @@ class TestExport:
         model = parse_mps(f.read_text())
         assert model.binary_ids  # region gates survive the round trip
 
+    def test_phi_export_with_an_input_fixes_the_anchor(self, tmp_path, capsys):
+        f = tmp_path / "fixed.mps"
+        assert main(["export", "--net", "two_class_linear", "--class", "1",
+                     "--query", "phi", "--input", "1,0", "--out", str(f)]) == EXIT_OK
+        text = f.read_text()
+        assert text.splitlines()[0].split() == ["NAME", "fixed_min_m1"]
+        names = {v.name for v in parse_mps(text).variables}
+        assert "a0" not in names and "a1" not in names
+
+    def test_phi_export_rejects_an_anchor_outside_the_box(self, tmp_path, capsys):
+        f = tmp_path / "out.mps"
+        code = main(["export", "--net", "two_class_linear", "--class", "1",
+                     "--query", "phi", "--input", "1.5,7", "--out", str(f)])
+        assert code == EXIT_ERROR
+        assert "outside the input domain" in capsys.readouterr().err
+        assert not f.exists()
+
+    def test_max_alpha_export_takes_no_input(self, tmp_path, capsys):
+        f = tmp_path / "ma.mps"
+        code = main(["export", "--net", "two_class_linear", "--class", "1",
+                     "--query", "max-alpha", "--input", "1,0", "--out", str(f)])
+        assert code == EXIT_ERROR
+        assert "--input" in capsys.readouterr().err
+        assert not f.exists()
+
 
 class TestUsage:
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             main(["phi", "--class", "1"])  # no --net
+        assert e.value.code == 2
+
+    def test_bounds_takes_no_segments(self):
+        with pytest.raises(SystemExit) as e:
+            main(["bounds", "--net", "relu_mixed_phases", "--segments", "3"])
         assert e.value.code == 2
 
     def test_unknown_subcommand_is_usage_error(self):

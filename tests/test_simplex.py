@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from resilmip import simplex
 from resilmip.mipmodel import RowSense
 from resilmip.simplex import Basis, LpStatus, lp_form, solve_bounded_lp
 
@@ -190,6 +191,31 @@ def test_warm_resolve_matches_cold_and_scipy(seed, var, frac, lean):
         scale = max(1.0, abs(cold.objective))
         assert abs(warm.objective - cold.objective) <= 1e-7 * scale
     _assert_matches_scipy(warm, c, a, senses, b, lo2, hi2, maximize)
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=80)
+def test_least_index_rule_matches_scipy(seed):
+    """With the least-index rule from the first pivot on, as after a long run
+    of degenerate pivots, cold solves and warm re-solves still agree with
+    HiGHS: the rule that guarantees termination gives correct answers."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_LEAST_INDEX_AFTER", 0)
+        cold = _solve(c, a, senses, b, lo, hi, maximize)
+        _assert_matches_scipy(cold, c, a, senses, b, lo, hi, maximize)
+        if cold.status is not LpStatus.OPTIMAL:
+            return
+        # cut off the optimum in one variable and re-solve from its basis
+        j = seed % len(c)
+        lo2, hi2 = lo.copy(), hi.copy()
+        xj = cold.x[j]
+        if hi[j] - xj >= xj - lo[j]:
+            lo2[j] = (xj + hi[j]) / 2
+        else:
+            hi2[j] = (lo[j] + xj) / 2
+        warm = _solve(c, a, senses, b, lo2, hi2, maximize, basis=cold.basis)
+        _assert_matches_scipy(warm, c, a, senses, b, lo2, hi2, maximize)
 
 
 class TestWarmStart:
