@@ -43,8 +43,6 @@ def main() -> None:
                     help="competitors required to overtake (default 1)")
     ap.add_argument("--alphas", type=float, nargs="+", default=list(DEFAULT_ALPHAS),
                     help="dominance ratios to sweep (each >= 1)")
-    ap.add_argument("--segments", type=int, default=8,
-                    help="arc-tangent envelope segments per region")
     ap.add_argument("--csv", type=Path, default=None,
                     help="also write the table to this CSV file")
     args = ap.parse_args()
@@ -53,12 +51,11 @@ def main() -> None:
     bounds = propagate_intervals(net)
     config = SolveConfig()
 
-    cap = compute_max_alpha(net, args.cls, bounds=bounds, config=config,
-                            segments=args.segments)
+    cap = compute_max_alpha(net, args.cls, bounds=bounds, config=config)
     print(f"net {args.net}: d={net.input_dim}, classes={net.num_classes}, "
           f"class {args.cls}, k={args.k}")
     print(f"largest achievable ratio alpha_max = {cap.alpha_max:.6g} "
-          f"(attainable: {cap.attainable})")
+          f"(attainable: {'unknown' if cap.attainable is None else cap.attainable})")
     print()
     header = f"{'alpha':>10}  {'phi':>12}  {'status':>10}  {'nodes':>7}  {'time_s':>8}"
     print(header)
@@ -68,7 +65,7 @@ def main() -> None:
     for alpha in args.alphas:
         t0 = time.perf_counter()
         res = compute_phi(net, args.cls, alpha=alpha, k=args.k, bounds=bounds,
-                          config=config, segments=args.segments)
+                          config=config)
         dt = time.perf_counter() - t0
         nodes = res.solve.nodes_explored if res.solve is not None else 0
         phi_txt = "inf" if math.isinf(res.phi) else f"{res.phi:.6g}"

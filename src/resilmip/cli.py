@@ -46,7 +46,7 @@ from .resilience import (
     compute_xi,
     prepare_bounds,
 )
-from .solver import SolveConfig
+from .solver import SolveConfig, SolveStatus
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
     point = _parse_input(args.input, net.input_dim)
     res = check_local_robustness(
         net, point, args.delta, m=args.cls, k=args.k,
-        config=_solve_config(args), lookback=args.lookback, segments=args.segments)
+        config=_solve_config(args), lookback=args.lookback)
     print(f"verdict  {res.verdict.value}")
     print(f"class    {res.m}")
     print(f"delta    {_g(res.delta)}")
@@ -238,8 +238,7 @@ def _phi_payload(res) -> dict:
 def cmd_phi(args) -> int:
     net = _load_net(args.net)
     res = compute_phi(net, args.cls, args.alpha, args.k,
-                      config=_solve_config(args), lookback=args.lookback,
-                      segments=args.segments)
+                      config=_solve_config(args), lookback=args.lookback)
     _print_phi(res)
     _emit_json(args, _phi_payload(res))
     return EXIT_OK if res.exact else EXIT_UNKNOWN
@@ -248,7 +247,7 @@ def cmd_phi(args) -> int:
 def cmd_xi(args) -> int:
     net = _load_net(args.net)
     res = compute_xi(net, args.alpha, args.k, config=_solve_config(args),
-                     lookback=args.lookback, segments=args.segments)
+                     lookback=args.lookback)
     print(f"xi       {_g(res.xi)}")
     print(f"status   {res.status.value}")
     if res.weakest_class is not None:
@@ -268,18 +267,19 @@ def cmd_xi(args) -> int:
 def cmd_max_alpha(args) -> int:
     net = _load_net(args.net)
     res = compute_max_alpha(net, args.cls, config=_solve_config(args),
-                            lookback=args.lookback, segments=args.segments)
+                            lookback=args.lookback)
     print(f"alpha    {_g(res.alpha_max)}")
     print(f"log      {_g(res.t_star)}")
     print(f"status   {res.status.value}")
-    if not res.attainable:
+    if res.status is not SolveStatus.OPTIMAL and math.isfinite(res.upper_bound):
+        print(f"bound    {_g(res.upper_bound)}")
+    if res.attainable is False:
         print("note     class never tops every rival (alpha < 1)")
     if res.anchor is not None:
         print(f"anchor   {_vec(res.anchor)}")
     _emit_json(args, {"alpha_max": res.alpha_max, "t_star": res.t_star,
                       "attainable": res.attainable, "status": res.status.value,
-                      "anchor": res.anchor})
-    from .solver import SolveStatus
+                      "upper_bound": res.upper_bound, "anchor": res.anchor})
     return EXIT_OK if res.status is SolveStatus.OPTIMAL else EXIT_UNKNOWN
 
 
@@ -299,7 +299,7 @@ def cmd_export(args) -> int:
         raise EncodingError("--query robustness needs --input")
     q = QuerySpec(kind, m=args.cls, alpha=args.alpha, k=args.k,
                   a=anchor, delta=args.delta)
-    enc = encode_query(net, bounds, q, segments=args.segments)
+    enc = encode_query(net, bounds, q)
     text = export_mps(enc.model)
     Path(args.out).write_text(text)
     rows = enc.model.num_constraints
@@ -335,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="DEPTH", help="tighten bounds with window models "
                         "of this depth before encoding (default depth 2)")
 
-    encoding = argparse.ArgumentParser(add_help=False)
-    encoding.add_argument("--segments", type=int, default=8,
-                          help="segments per arc-tangent envelope region")
     cls = argparse.ArgumentParser(add_help=False)
     cls.add_argument("--class", dest="cls", type=int, required=True,
                      help="1-based class")
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE", help="write TSV here")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common, solver, encoding, k],
+    p = sub.add_parser("verify", parents=[common, solver, k],
                        help="local robustness at a point "
                        "(exit 0 robust, 10 violated, 20 unknown)")
     p.add_argument("--input", required=True, help="anchor point: inline or file")
@@ -368,19 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the violating perturbation as JSON")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("phi", parents=[common, solver, encoding, cls, alpha, k],
+    p = sub.add_parser("phi", parents=[common, solver, cls, alpha, k],
                        help="maximum-perturbation bound of one class")
     p.set_defaults(func=cmd_phi)
 
-    p = sub.add_parser("xi", parents=[common, solver, encoding, alpha, k],
+    p = sub.add_parser("xi", parents=[common, solver, alpha, k],
                        help="network resilience (worst finite phi)")
     p.set_defaults(func=cmd_xi)
 
-    p = sub.add_parser("max-alpha", parents=[common, solver, encoding, cls],
+    p = sub.add_parser("max-alpha", parents=[common, solver, cls],
                        help="largest attainable dominance ratio")
     p.set_defaults(func=cmd_max_alpha)
 
-    p = sub.add_parser("export", parents=[common, solver, encoding, cls, alpha, k],
+    p = sub.add_parser("export", parents=[common, solver, cls, alpha, k],
                        help="write a query model as fixed-format MPS")
     p.add_argument("--out", required=True, help="output .mps path")
     p.add_argument("--query", choices=("phi", "robustness", "max-alpha"),

@@ -9,7 +9,8 @@ min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import IO
 
@@ -136,7 +137,8 @@ def propagate_intervals(net: Network) -> IntervalBounds:
 
 def lookback_config(config=None):
     """The solve config of lookback's window MIPs under a caller's config:
-    its time limit and MIP gap, and a node limit of LOOKBACK_NODE_LIMIT."""
+    its time limit (for the whole tightening) and MIP gap, and a node limit
+    of LOOKBACK_NODE_LIMIT."""
     from .solver import SolveConfig
 
     cfg = config if config is not None else SolveConfig()
@@ -146,11 +148,17 @@ def lookback_config(config=None):
 
 def _probe(job) -> float | None:
     """The proven extreme of one pre-activation over its window MIP, or None
-    when the solve stops short of optimality."""
+    when the solve stops short of optimality or the deadline (a
+    time.monotonic() reading, or None) has passed before it starts."""
     from . import encoder  # local import: encoder depends on these types
     from .solver import SolveStatus, solve
 
-    net, bounds, pos, node, depth, maximize, config = job
+    net, bounds, pos, node, depth, maximize, config, deadline = job
+    if deadline is not None:
+        left = deadline - time.monotonic()
+        if left <= 0.0:
+            return None
+        config = replace(config, time_limit=left)
     model, _ = encoder.encode_bound_probe(net, bounds, pos, node, depth,
                                           maximize=maximize)
     res = solve(model, config)
@@ -175,14 +183,19 @@ def tighten_lookback(
     boxing everything older at the current bounds. A solve's proven bound is
     adopted only when it is Optimal; budget exhaustion keeps the old bound.
     Results are always pointwise contained in the inputs. `config` configures
-    each window solve (default `lookback_config()`); `workers` processes run
-    the window solves of a layer side by side, with the same results as one.
+    each window solve (default `lookback_config()`), except that its time
+    limit bounds the whole call: one deadline is fixed on entry, each window
+    solve gets the time left, and windows reached after it keep their bounds.
+    `workers` processes run the window solves of a layer side by side, with
+    the same results as one (up to that deadline).
     """
     from .solver import worker_pool
 
     if depth < 1:
         raise ValueError("lookback depth must be >= 1")
     cfg = config if config is not None else lookback_config()
+    # the monotonic clock is system-wide, so forked workers read it too
+    deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
 
     work = bounds.copy()
     with worker_pool(workers) as pmap:
@@ -200,7 +213,7 @@ def tighten_lookback(
                 continue  # window over the input box reproduces the plain bounds
 
             n_nodes = lb.im_lo.shape[0]
-            jobs = [(net, work, pos, node, depth, sense_max, cfg)
+            jobs = [(net, work, pos, node, depth, sense_max, cfg, deadline)
                     for node in range(n_nodes) for sense_max in (False, True)]
             extremes = pmap(_probe, jobs)
             for node in range(n_nodes):

@@ -15,7 +15,11 @@ relaxed to a two-sided piecewise-linear envelope around the classic quadratic
 approximation (pi/4)t + 0.273 t (1 - |t|), widened by its 0.0038 worst-case
 error plus the secant gap of the breakpoint grid; outside [-1, 1] the
 envelope works through a reciprocal auxiliary variable so that
-x = +-pi/2 - envelope(1/im).
+x = +-pi/2 - envelope(1/im). The grid's resolution is fixed here, at
+ATAN_SEGMENTS segments per region.
+
+Each body binary gets its branch priority as it is created, so deeper layers
+branch later (encode_network_copy); class selectors keep priority 0.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .mipmodel import Assignment, MipModel, RowSense, ObjSense, VarType
 from .network import DENSE_KINDS, ForwardTrace, LayerKind, Network, forward
 
 ATAN_APPROX_ERR = 0.0038  # worst-case |atan(t) - q(t)| on [-1, 1]
+ATAN_SEGMENTS = 8         # envelope segments per arc-tangent region
 _Q_CURVE = 2 * 0.273      # |q''| away from t = 0
 _GATE_REL = 1e-7
 _GATE_ABS = 1e-9
@@ -84,8 +89,6 @@ class AtanRegion:
     im_lo: float
     im_hi: float
     bps: np.ndarray      # breakpoints on the interpolation axis (im or 1/im)
-    qvals: np.ndarray
-    widen: float
     lam_ids: list[int]
     seg_ids: list[int]
     gate_id: int | None
@@ -101,7 +104,6 @@ class AtanGadget:
 class NetworkCopy:
     """Variable bookkeeping for one encoded instantiation of (part of) a net."""
 
-    prefix: str
     first_pos: int
     last_pos: int
     x_ids: dict[int, list[int]] = field(default_factory=dict)
@@ -109,7 +111,6 @@ class NetworkCopy:
     relu: dict[int, dict[int, ReluGadget]] = field(default_factory=dict)
     pools: dict[int, dict[int, list[PoolPair]]] = field(default_factory=dict)
     atan: dict[int, dict[int, AtanGadget]] = field(default_factory=dict)
-    binary_layer: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -249,8 +250,8 @@ def _q(t: np.ndarray | float):
     return (math.pi / 4.0) * t + 0.273 * t * (1.0 - np.abs(t))
 
 
-def _breakpoints(lo: float, hi: float, segments: int, *, insert_zero: bool) -> np.ndarray:
-    bps = np.linspace(lo, hi, segments + 1)
+def _breakpoints(lo: float, hi: float, *, insert_zero: bool) -> np.ndarray:
+    bps = np.linspace(lo, hi, ATAN_SEGMENTS + 1)
     if insert_zero and lo < -1e-12 and hi > 1e-12:
         bps = np.unique(np.concatenate([bps, [0.0]]))
     return bps
@@ -293,11 +294,12 @@ def _atan_regions(im_lo: float, im_hi: float) -> list[tuple[str, float, float]]:
 
 
 def encode_atan(model: MipModel, x_id: int, im_id: int, im_lo: float, im_hi: float,
-                segments: int, tag: str) -> AtanGadget:
+                tag: str) -> AtanGadget:
     """Two-sided piecewise-linear envelope of x = atan(im) over [im_lo, im_hi].
 
     Each region (below -1, the central band, above 1) carries a breakpoint
-    interpolation of the quadratic approximation with segment-selection
+    interpolation of the quadratic approximation over ATAN_SEGMENTS equal
+    segments (the central band also breaks at 0), with segment-selection
     binaries; the envelope is the interpolant widened by the approximation
     error plus the grid's secant gap. Outer regions interpolate over the
     reciprocal r = 1/im, tied to im by tangent/chord envelope rows, and read
@@ -329,18 +331,18 @@ def encode_atan(model: MipModel, x_id: int, im_id: int, im_lo: float, im_hi: flo
             add_gated(model, f"{rtag}.ihi", [(im_id, 1.0)], RowSense.LE, rhi, gate)
 
         if kind == "mid":
-            bps = _breakpoints(rlo, rhi, segments, insert_zero=True)
+            bps = _breakpoints(rlo, rhi, insert_zero=True)
             axis_id = im_id
             recip_id = None
         else:
             r_lo, r_hi = 1.0 / rhi, 1.0 / rlo  # 1/t is decreasing on one sign
             recip_id = model.add_variable(f"{rtag}.r", min(r_lo, r_hi), max(r_lo, r_hi))
-            bps = _breakpoints(min(r_lo, r_hi), max(r_lo, r_hi), segments, insert_zero=False)
+            bps = _breakpoints(min(r_lo, r_hi), max(r_lo, r_hi), insert_zero=False)
             axis_id = recip_id
             # envelope rows tying r to im: tangents on the curve side, the
             # chord on the hull side (1/t is convex for t>0, concave for t<0)
             tangent_ge = kind == "pos"
-            for sidx, s in enumerate(np.linspace(rlo, rhi, segments + 1)):
+            for sidx, s in enumerate(np.linspace(rlo, rhi, ATAN_SEGMENTS + 1)):
                 coefs = [(recip_id, 1.0), (im_id, 1.0 / (s * s))]
                 rhs = 2.0 / s
                 sense = RowSense.GE if tangent_ge else RowSense.LE
@@ -392,8 +394,8 @@ def encode_atan(model: MipModel, x_id: int, im_id: int, im_lo: float, im_hi: flo
         add_gated(model, f"{rtag}.xl", x_c, RowSense.GE, offset - widen, gate)
 
         regions.append(AtanRegion(
-            kind=kind, im_lo=rlo, im_hi=rhi, bps=bps, qvals=np.asarray(qv),
-            widen=widen, lam_ids=lam, seg_ids=segs, gate_id=gate, recip_id=recip_id,
+            kind=kind, im_lo=rlo, im_hi=rhi, bps=bps, lam_ids=lam, seg_ids=segs,
+            gate_id=gate, recip_id=recip_id,
         ))
     return AtanGadget(regions=regions)
 
@@ -417,13 +419,16 @@ def encode_strong_classification(model: MipModel, score_ids: list[int], m0: int,
 
 def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
                         first_pos: int, last_pos: int, input_ids: list[int],
-                        prefix: str, segments: int = 8) -> NetworkCopy:
+                        prefix: str) -> NetworkCopy:
     """Encode layers first_pos..last_pos (1-based positions, no softmax) fed by
-    the given input variables (the outputs of position first_pos - 1)."""
-    copy = NetworkCopy(prefix, first_pos, last_pos)
+    the given input variables (the outputs of position first_pos - 1); `prefix`
+    keeps its names apart from another copy's. Every binary created for
+    layer position l gets branch priority net.num_layers - l."""
+    copy = NetworkCopy(first_pos, last_pos)
     copy.x_ids[first_pos - 1] = list(input_ids)
     prev = list(input_ids)
     for pos in range(first_pos, last_pos + 1):
+        first_var = model.num_variables
         spec = net.layers[pos - 1]
         lb = bounds.layers[pos - 1]
         if spec.kind is LayerKind.SOFTMAX:
@@ -447,11 +452,9 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
                 ]
                 copy.relu[pos] = {}
                 for i in range(n):
-                    g = encode_relu(model, x_ids[i], im_ids[i], int(lb.phase[i]),
-                                    (lb.im_lo[i], lb.im_hi[i]), f"R{prefix}{pos}_{i}")
-                    copy.relu[pos][i] = g
-                    if g.b_id is not None:
-                        copy.binary_layer[g.b_id] = pos
+                    copy.relu[pos][i] = encode_relu(
+                        model, x_ids[i], im_ids[i], int(lb.phase[i]),
+                        (lb.im_lo[i], lb.im_hi[i]), f"R{prefix}{pos}_{i}")
                 copy.x_ids[pos] = x_ids
             else:  # atan
                 x_ids = [
@@ -460,14 +463,9 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
                 ]
                 copy.atan[pos] = {}
                 for i in range(n):
-                    g = encode_atan(model, x_ids[i], im_ids[i], float(lb.im_lo[i]),
-                                    float(lb.im_hi[i]), segments, f"T{prefix}{pos}_{i}")
-                    copy.atan[pos][i] = g
-                    for region in g.regions:
-                        for b in region.seg_ids:
-                            copy.binary_layer[b] = pos
-                        if region.gate_id is not None:
-                            copy.binary_layer[region.gate_id] = pos
+                    copy.atan[pos][i] = encode_atan(
+                        model, x_ids[i], im_ids[i], float(lb.im_lo[i]),
+                        float(lb.im_hi[i]), f"T{prefix}{pos}_{i}")
                 copy.x_ids[pos] = x_ids
         else:  # max_pool
             p_lo = bounds.x_lo(pos - 1)
@@ -480,18 +478,17 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
             for g, members in enumerate(spec.pool_groups):
                 operands = [(prev[i - 1], float(p_lo[i - 1]), float(p_hi[i - 1]))
                             for i in members]
-                pairs = encode_maxpool(model, x_ids[g], operands, f"P{prefix}{pos}_{g}")
-                copy.pools[pos][g] = pairs
-                for pair in pairs:
-                    if pair.b_id is not None:
-                        copy.binary_layer[pair.b_id] = pos
+                copy.pools[pos][g] = encode_maxpool(model, x_ids[g], operands,
+                                                    f"P{prefix}{pos}_{g}")
             copy.x_ids[pos] = x_ids
+        for vid in range(first_var, model.num_variables):
+            if model.variables[vid].vtype is VarType.BINARY:
+                model.set_branch_priority(vid, net.num_layers - pos)
         prev = copy.x_ids[pos]
     return copy
 
 
-def encode_network_eval(net: Network, bounds: IntervalBounds,
-                        segments: int = 8) -> tuple[MipModel, NetworkCopy]:
+def encode_network_eval(net: Network, bounds: IntervalBounds) -> tuple[MipModel, NetworkCopy]:
     """Whole-body encoding over free in-domain inputs (no query rows); used by
     the encoding-consistency oracle and the gadget test benches."""
     model = MipModel("eval")
@@ -500,14 +497,12 @@ def encode_network_eval(net: Network, bounds: IntervalBounds,
         for i in range(net.input_dim)
     ]
     last = net.score_layer + 1
-    copy = encode_network_copy(model, net, bounds, 1, last, input_ids, "n", segments)
-    assign_branch_priorities(model, net, [copy])
+    copy = encode_network_copy(model, net, bounds, 1, last, input_ids, "n")
     return model, copy
 
 
 def encode_bound_probe(net: Network, bounds: IntervalBounds, layer_pos: int,
-                       node: int, depth: int, *, maximize: bool,
-                       segments: int = 8) -> tuple[MipModel, int]:
+                       node: int, depth: int, *, maximize: bool) -> tuple[MipModel, int]:
     """Window model for one pre-activation: the `depth - 1` preceding layers
     are encoded exactly, everything older is boxed at its current bounds, and
     the objective is the node's own affine pre-activation."""
@@ -524,9 +519,8 @@ def encode_bound_probe(net: Network, bounds: IntervalBounds, layer_pos: int,
     ]
     if layer_pos - 1 >= box_pos + 1:
         copy = encode_network_copy(model, net, bounds, box_pos + 1, layer_pos - 1,
-                                   box_ids, "w", segments)
+                                   box_ids, "w")
         prev = copy.x_ids[layer_pos - 1]
-        assign_branch_priorities(model, net, [copy])
     else:
         prev = box_ids
     lb = bounds.layers[layer_pos - 1]
@@ -535,15 +529,6 @@ def encode_bound_probe(net: Network, bounds: IntervalBounds, layer_pos: int,
     model.set_objective([(im_id, 1.0)],
                         ObjSense.MAXIMIZE if maximize else ObjSense.MINIMIZE)
     return model.freeze(), im_id
-
-
-def assign_branch_priorities(model: MipModel, net: Network, copies) -> None:
-    """Deeper decisions branch later: a binary of layer position l gets
-    priority L - l (L counting all layers), class selectors keep priority 0."""
-    total = net.num_layers
-    for copy in copies:
-        for vid, pos in copy.binary_layer.items():
-            model.set_branch_priority(vid, total - pos)
 
 
 # -- queries -----------------------------------------------------------------
@@ -619,8 +604,7 @@ def validate_query(net: Network, q: QuerySpec) -> int:
     return net.score_layer + 1
 
 
-def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
-                 segments: int = 8) -> EncodedQuery:
+def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQuery:
     """Build the MIP for one query (checked first by validate_query).
 
     MAX_PERTURBATION without an anchor instantiates two copies of the body —
@@ -642,7 +626,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
         model = MipModel(f"{q.kind.value}_m{q.m}")
         a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
                  for i in range(net.input_dim)]
-        base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b", segments)
+        base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b")
         scores = base.x_ids[last]
         s_lo = bounds.layers[last - 1].lo
         s_hi = bounds.layers[last - 1].hi
@@ -654,7 +638,6 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
                 model.add_constraint(f"MA{j}", [(scores[m0], 1.0), (sid, -1.0), (t_id, -1.0)],
                                      RowSense.GE, 0.0)
         model.set_objective([(t_id, 1.0)], ObjSense.MAXIMIZE)
-        assign_branch_priorities(model, net, [base])
         return EncodedQuery(model.freeze(), q, a_ids, None, None, None, base, None,
                             {}, t_id=t_id)
 
@@ -666,12 +649,11 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
         for i in range(net.input_dim):
             model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (a_ids[i], -1.0), (e_ids[i], -1.0)],
                                  RowSense.EQ, 0.0)
-        base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b", segments)
-        pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q", segments)
+        base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b")
+        pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q")
         encode_strong_classification(model, base.x_ids[last], m0, q.alpha, "SC")
         sel = _dominance_rows(model, pert.x_ids[last], m0, q.k, "DOM")
         model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
-        assign_branch_priorities(model, net, [base, pert])
         return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel)
 
     # a fixed anchor folded into constants
@@ -682,13 +664,12 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec,
     for i in range(net.input_dim):
         model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (e_ids[i], -1.0)],
                              RowSense.EQ, float(a[i]))
-    pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q", segments)
+    pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q")
     sel = _dominance_rows(model, pert.x_ids[last], m0, q.k, "DOM")
     if fixed_min:
         model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
     else:
         model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE, float(q.delta))
-    assign_branch_priorities(model, net, [pert])
     return EncodedQuery(model.freeze(), q, None, e_ids, f_ids, p_ids, None, pert, sel)
 
 

@@ -218,7 +218,7 @@ def trace_violations(model: MipModel, copy, net: Network, trace: ForwardTrace,
 def encoding_consistency(net: Network, samples: np.ndarray | int = 64,
                          rng: np.random.Generator | None = None,
                          bounds: IntervalBounds | None = None,
-                         segments: int = 8, tol: float = 1e-7) -> ConsistencyReport:
+                         tol: float = 1e-7) -> ConsistencyReport:
     """Check that sampled exact forward traces satisfy the network encoding.
 
     samples may be an explicit (n, d) array of inputs or a count drawn
@@ -233,7 +233,7 @@ def encoding_consistency(net: Network, samples: np.ndarray | int = 64,
         pts = rng.uniform(lo, hi, size=(int(samples), net.input_dim))
     else:
         pts = np.asarray(samples, dtype=np.float64)
-    model, copy = encoder.encode_network_eval(net, bounds, segments)
+    model, copy = encoder.encode_network_eval(net, bounds)
     report = ConsistencyReport(checked=pts.shape[0])
     for idx, point in enumerate(pts):
         trace = forward(net, point)

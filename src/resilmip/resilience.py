@@ -32,7 +32,7 @@ import numpy as np
 from . import encoder
 from .dataflow import IntervalBounds, lookback_config, propagate_intervals, tighten_lookback
 from .encoder import QueryKind, QuerySpec
-from .mipmodel import MipModel, ObjSense, RowSense
+from .mipmodel import MipModel, RowSense
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
 from .solver import SolveConfig, SolveResult, SolveStatus, solve, worker_pool
 
@@ -65,7 +65,6 @@ class PhiResult:
     anchor: np.ndarray | None = None
     eps: np.ndarray | None = None
     perturbed: np.ndarray | None = None
-    anchor_input: np.ndarray | None = None   # the step-1 seed
     anchor_phi: float | None = None          # the step-2 fixed-anchor optimum
     solve: SolveResult | None = None
     # True when the witness pair re-validates through the exact forward pass
@@ -104,7 +103,10 @@ class RobustnessResult:
 class MaxAlphaResult:
     alpha_max: float
     t_star: float
-    attainable: bool           # alpha_max >= 1, i.e. the class can lead at all
+    # True when an incumbent proves alpha_max >= 1 (the class can lead at
+    # all), False when the dual bound proves alpha < 1 everywhere, None when
+    # the search stopped before settling either way
+    attainable: bool | None
     status: SolveStatus
     upper_bound: float         # exp of the dual bound
     anchor: np.ndarray | None = None
@@ -142,8 +144,8 @@ def _witness_holds(net: Network, anchor: np.ndarray, perturbed: np.ndarray,
 
 
 def find_strong_anchor(net: Network, m: int, alpha: float,
-                       bounds: IntervalBounds, config: SolveConfig | None = None,
-                       segments: int = 8) -> tuple[np.ndarray | None, SolveStatus]:
+                       bounds: IntervalBounds, config: SolveConfig | None = None
+                       ) -> tuple[np.ndarray | None, SolveStatus]:
     """Some in-domain input the encoding certifies as strongly classified, or
     None when the strong region is (provably) empty."""
     last = net.score_layer + 1
@@ -152,10 +154,8 @@ def find_strong_anchor(net: Network, m: int, alpha: float,
     hi = net.input_bounds[:, 1]
     a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
              for i in range(net.input_dim)]
-    body = encoder.encode_network_copy(model, net, bounds, 1, last, a_ids, "b", segments)
+    body = encoder.encode_network_copy(model, net, bounds, 1, last, a_ids, "b")
     encoder.encode_strong_classification(model, body.x_ids[last], m - 1, alpha, "SC")
-    model.set_objective([], ObjSense.MINIMIZE)
-    encoder.assign_branch_priorities(model, net, [body])
     res = solve(model.freeze(), config or SolveConfig())
     if res.assignment is not None:
         return _vals(res.assignment, a_ids), res.status
@@ -167,7 +167,6 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 config: SolveConfig | None = None,
                 bounds: IntervalBounds | None = None,
                 lookback: int | None = None,
-                segments: int = 8,
                 presolve: bool = True) -> PhiResult:
     """Maximum-perturbation bound for class m at ratio alpha and overlap k."""
     cfg = config or SolveConfig()
@@ -185,7 +184,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 f"given anchor is not strongly classified as class {m} at alpha={alpha}"
             )
     elif presolve:
-        anchor, a_status = find_strong_anchor(net, m, alpha, bounds, cfg, segments)
+        anchor, a_status = find_strong_anchor(net, m, alpha, bounds, cfg)
         if anchor is None and a_status is SolveStatus.INFEASIBLE:
             # no input is strongly classified: the minimum ranges over an
             # empty set and the class is vacuously unbreakable
@@ -197,17 +196,17 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
         anchor = np.clip(anchor, net.input_bounds[:, 0], net.input_bounds[:, 1])
 
     if anchor is not None and presolve:
-        enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor), segments)
+        enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor))
         res2 = solve(enc2.model, cfg)
         if res2.status is SolveStatus.INFEASIBLE:
             # the dominance region is empty regardless of the anchor
             return PhiResult(m, alpha, k, math.inf, SolveStatus.INFEASIBLE,
-                             math.inf, anchor_input=anchor)
+                             math.inf)
         if res2.assignment is not None:
             anchor_phi = float(res2.objective)
             eps_seed = _vals(res2.assignment, enc2.eps_ids)
 
-    enc = encoder.encode_query(net, bounds, replace(spec, a=None), segments)
+    enc = encoder.encode_query(net, bounds, replace(spec, a=None))
     if anchor_phi is not None:
         enc.model.thaw()
         enc.model.add_constraint("RESTRICT", [(f, 1.0) for f in enc.eps_abs_ids],
@@ -218,7 +217,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
 
     res = solve(enc.model, cfg)
     out = PhiResult(m, alpha, k, math.inf, res.status, res.dual_bound,
-                    anchor_input=anchor, anchor_phi=anchor_phi, solve=res)
+                    anchor_phi=anchor_phi, solve=res)
     if res.status is SolveStatus.INFEASIBLE:
         out.lower_bound = math.inf
         return out
@@ -235,8 +234,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
 def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
                config: SolveConfig | None = None,
                bounds: IntervalBounds | None = None,
-               lookback: int | None = None,
-               segments: int = 8) -> XiResult:
+               lookback: int | None = None) -> XiResult:
     """Network resilience: the worst finite phi over all classes. Classes that
     cannot be strongly classified (phi = inf) do not constrain the minimum."""
     # every class's query shares alpha and k: check them once, before lookback
@@ -245,7 +243,7 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
     bounds = prepare_bounds(net, bounds, lookback, config)
     classes = range(1, net.num_classes + 1)
     phi_of = functools.partial(compute_phi, net, alpha=alpha, k=k, config=config,
-                               bounds=bounds, segments=segments)
+                               bounds=bounds)
     with worker_pool(config.workers if config is not None else 1) as pmap:
         per_class = dict(zip(classes, pmap(phi_of, classes)))
     xi = math.inf
@@ -268,8 +266,7 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
                            m: int | None = None, k: int = 1,
                            config: SolveConfig | None = None,
                            bounds: IntervalBounds | None = None,
-                           lookback: int | None = None,
-                           segments: int = 8) -> RobustnessResult:
+                           lookback: int | None = None) -> RobustnessResult:
     """Is class m's verdict at anchor a stable against every perturbation of
     1-norm at most delta? Decided by a feasibility model over the perturbed
     copy; an infeasible model proves robustness, a feasible point is
@@ -281,7 +278,7 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=m, k=k, a=a, delta=float(delta))
     encoder.validate_query(net, q)
     bounds = prepare_bounds(net, bounds, lookback, config)
-    enc = encoder.encode_query(net, bounds, q, segments)
+    enc = encoder.encode_query(net, bounds, q)
     res = solve(enc.model, config or SolveConfig())
     if res.status is SolveStatus.INFEASIBLE:
         return RobustnessResult(Verdict.ROBUST, m, delta, k, solve=res)
@@ -304,15 +301,15 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
 def compute_max_alpha(net: Network, m: int, *,
                       config: SolveConfig | None = None,
                       bounds: IntervalBounds | None = None,
-                      lookback: int | None = None,
-                      segments: int = 8) -> MaxAlphaResult:
+                      lookback: int | None = None) -> MaxAlphaResult:
     """Largest dominance ratio alpha at which class m is strongly classified
     anywhere in the domain: maximize the worst log-score margin t and report
-    e^t. t < 0 means the class never tops every rival simultaneously."""
+    e^t. A proven bound t < 0 means the class never tops every rival
+    simultaneously; an incumbent t >= 0 means it does somewhere."""
     q = QuerySpec(QueryKind.MAX_ALPHA, m=m)
     encoder.validate_query(net, q)
     bounds = prepare_bounds(net, bounds, lookback, config)
-    enc = encoder.encode_query(net, bounds, q, segments)
+    enc = encoder.encode_query(net, bounds, q)
     res = solve(enc.model, config or SolveConfig())
     t_star = float(res.objective)
     anchor = None
@@ -321,5 +318,6 @@ def compute_max_alpha(net: Network, m: int, *,
     alpha_max = math.exp(t_star) if math.isfinite(t_star) else (
         0.0 if t_star < 0 else math.inf)
     upper = math.exp(res.dual_bound) if math.isfinite(res.dual_bound) else math.inf
-    return MaxAlphaResult(alpha_max, t_star, t_star >= 0.0, res.status, upper,
+    attainable = True if t_star >= 0.0 else (False if res.dual_bound < 0.0 else None)
+    return MaxAlphaResult(alpha_max, t_star, attainable, res.status, upper,
                           anchor, res)

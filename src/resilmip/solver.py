@@ -105,7 +105,6 @@ class SolveResult:
     nodes_explored: int
     wall_time: float
     absolute_gap: float
-    relative_gap: float
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
@@ -119,7 +118,6 @@ def solve_lp(model: MipModel) -> LpResult:
 @dataclass
 class _Node:
     bound: float  # inherited lower bound (internal minimize orientation)
-    depth: int
     lo: np.ndarray
     hi: np.ndarray
     basis: Basis | None = None  # the parent's optimal basis
@@ -192,7 +190,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         best_x = x
         record(t0)
 
-    push(_Node(bound=-INF, depth=0, lo=d.lo.copy(), hi=d.hi.copy()))
+    push(_Node(bound=-INF, lo=d.lo.copy(), hi=d.hi.copy()))
     node: _Node | None = None  # the plunge child, when there is one
     unbounded = limit_hit = False
     while node is not None or heap:
@@ -252,9 +250,9 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             branch_vid = int(bin_ids[int(np.argmax(devs))])
 
         v = x[branch_vid]
-        down = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
+        down = _Node(bound, node.lo.copy(), node.hi.copy())
         down.hi[branch_vid] = 0.0
-        up = _Node(bound, node.depth + 1, node.lo.copy(), node.hi.copy())
+        up = _Node(bound, node.lo.copy(), node.hi.copy())
         up.lo[branch_vid] = 1.0
         first, second = (up, down) if v >= 0.5 else (down, up)
         # both children re-solve from this basis; the plunge child also keeps
@@ -270,7 +268,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     if unbounded:
         return SolveResult(
             SolveStatus.UNBOUNDED, ext(-INF), ext(-INF), None,
-            nodes, wall, INF, INF, history,
+            nodes, wall, INF, history,
         )
 
     dual_int = dual()
@@ -287,7 +285,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     if status is SolveStatus.INFEASIBLE:
         return SolveResult(
             SolveStatus.INFEASIBLE, ext(INF), ext(INF), None,
-            nodes, wall, 0.0, 0.0, history,
+            nodes, wall, 0.0, history,
         )
 
     obj_int = best_obj if have_inc else INF
@@ -295,12 +293,11 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     if have_inc:
         assignment = {i: float(v) for i, v in enumerate(best_x)}
     abs_gap = abs(obj_int - dual_int) if have_inc and math.isfinite(dual_int) else INF
-    rel_gap = abs_gap / max(1.0, abs(obj_int)) if math.isfinite(abs_gap) else INF
     if status is SolveStatus.OPTIMAL:
         dual_int = min(dual_int, obj_int)
     return SolveResult(
         status, ext(obj_int), ext(dual_int), assignment,
-        nodes, wall, abs_gap, rel_gap, history,
+        nodes, wall, abs_gap, history,
     )
 
 

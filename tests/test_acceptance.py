@@ -327,7 +327,7 @@ def _atan_extreme(im_value: float, sense) -> float:
     x = m.add_variable("x", -math.pi / 2 - 1.0, math.pi / 2 + 1.0)
     im = m.add_variable("im", -1.0, 1.0)
     m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, float(im_value))
-    encode_atan(m, x, im, -1.0, 1.0, 8, "T")
+    encode_atan(m, x, im, -1.0, 1.0, "T")
     m.set_objective([(x, 1.0)], sense)
     r = solve(m.freeze(), SolveConfig())
     assert r.status is SolveStatus.OPTIMAL

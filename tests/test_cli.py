@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, sidecar files."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -96,6 +97,15 @@ class TestVerify:
 
 
 class TestPhi:
+    def test_verbose_logs_solver_progress(self, caplog, capsys):
+        caplog.set_level(logging.INFO, logger="resilmip.solver")
+        argv = ["phi", "--net", "relu_mixed_phases", "--class", "1",
+                "--alpha", str(math.e)]
+        assert main(argv) == EXIT_OK
+        assert "nodes=" not in caplog.text
+        assert main(argv + ["--verbose"]) == EXIT_OK
+        assert "nodes=" in caplog.text
+
     def test_exact_bound_exits_zero(self, capsys):
         code = main(["phi", "--net", "two_class_linear", "--class", "1",
                      "--alpha", str(math.e)])
@@ -164,6 +174,15 @@ class TestXiAndMaxAlpha:
         assert "alpha    2.71828" in out
         assert "log      1" in out
 
+    def test_unsettled_max_alpha_claims_nothing(self, tmp_path, capsys):
+        # no node is solved, so there is no incumbent and no proof either way
+        f = tmp_path / "ma.json"
+        code = main(["max-alpha", "--net", "relu_deep", "--class", "1",
+                     "--time-limit", "0", "--json-out", str(f)])
+        assert code == EXIT_UNKNOWN
+        assert "never tops" not in capsys.readouterr().out
+        assert json.loads(f.read_text())["attainable"] is None
+
 
 class TestExport:
     def test_written_model_is_parseable_and_solves(self, tmp_path, capsys):
@@ -228,10 +247,22 @@ class TestUsage:
             main(["phi", "--class", "1"])  # no --net
         assert e.value.code == 2
 
-    def test_bounds_takes_no_segments(self):
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--net", "atan_narrow", "--input", "0"],
+        ["bounds", "--net", "relu_mixed_phases"],
+        ["verify", "--net", "atan_narrow", "--input", "0", "--delta", "0.1"],
+        ["phi", "--net", "atan_narrow", "--class", "1"],
+        ["xi", "--net", "atan_narrow"],
+        ["max-alpha", "--net", "atan_narrow", "--class", "1"],
+        ["export", "--net", "atan_narrow", "--class", "1", "--out", "x.mps"],
+    ], ids=lambda argv: argv[0])
+    def test_no_subcommand_takes_segments(self, argv, capsys):
+        # the envelope resolution is fixed by the encoder; --segments 0 once
+        # made max-alpha on atan_narrow report alpha 1.155 as optimal
         with pytest.raises(SystemExit) as e:
-            main(["bounds", "--net", "relu_mixed_phases", "--segments", "3"])
+            main(argv + ["--segments", "0"])
         assert e.value.code == 2
+        assert "--segments" in capsys.readouterr().err
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:

@@ -1,21 +1,24 @@
 """Interval propagation: phase detection, soundness, window tightening."""
 
 import io
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from resilmip import zoo
+from resilmip import solver, zoo
 from resilmip.dataflow import (
     Phase,
     domain_samples,
+    lookback_config,
     propagate_intervals,
     relu_phases,
     tighten_lookback,
     write_bounds_dump,
 )
 from resilmip.network import forward
-from resilmip.solver import SolveConfig
+from resilmip.solver import SolveConfig, SolveStatus
 
 
 class TestPhases:
@@ -131,6 +134,29 @@ class TestLookback:
         tight = tighten_lookback(net, propagate_intervals(net), depth=2, config=cfg)
         for point in domain_samples(net, 2000, rng):
             _assert_trace_in_bounds(net, tight, point)
+
+    def test_time_limit_bounds_the_whole_call(self, monkeypatch):
+        """One deadline for every window: each solve gets the time left, and
+        windows reached after it are skipped with their bounds kept."""
+        seen = []
+
+        def slow_limit(model, config=None):
+            seen.append(config.time_limit)
+            time.sleep(0.1)
+            return SimpleNamespace(status=SolveStatus.LIMIT)
+
+        monkeypatch.setattr(solver, "solve", slow_limit)
+        net = zoo.relu_mixed_phases()  # 4 windows: 2 nodes, 2 senses
+        plain = propagate_intervals(net)
+        cfg = lookback_config(SolveConfig(time_limit=0.15))
+        tight = tighten_lookback(net, plain, depth=2, config=cfg, workers=1)
+        assert 1 <= len(seen) <= 2
+        assert all(0.0 < t <= 0.15 for t in seen)
+        assert seen == sorted(seen, reverse=True)
+        for a, b in zip(plain.layers, tight.layers):
+            if a.im_lo is not None:
+                assert np.array_equal(a.im_lo, b.im_lo)
+                assert np.array_equal(a.im_hi, b.im_hi)
 
     def test_depth_zero_rejected(self):
         net = zoo.lookback_chain()

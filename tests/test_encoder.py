@@ -14,6 +14,7 @@ from resilmip.encoder import (
     _GATE_ABS,
     _GATE_REL,
     ATAN_APPROX_ERR,
+    ATAN_SEGMENTS,
     EncodingError,
     QueryKind,
     QuerySpec,
@@ -187,12 +188,12 @@ class TestMaxPool:
             encode_maxpool(m, y, ops, "P")
 
 
-def _atan_extreme(im_lo, im_hi, im_value, sense, segments=8):
+def _atan_extreme(im_lo, im_hi, im_value, sense):
     m = MipModel("atanbench")
     x = m.add_variable("x", -math.pi / 2 - 1.0, math.pi / 2 + 1.0)
     im = m.add_variable("im", im_lo, im_hi)
     m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, float(im_value))
-    encode_atan(m, x, im, im_lo, im_hi, segments, "T")
+    encode_atan(m, x, im, im_lo, im_hi, "T")
     m.set_objective([(x, 1.0)], sense)
     r = solve(m.freeze(), SolveConfig())
     assert r.status is SolveStatus.OPTIMAL
@@ -201,7 +202,7 @@ def _atan_extreme(im_lo, im_hi, im_value, sense, segments=8):
 
 class TestAtanEnvelope:
     def test_central_band_contains_atan_and_stays_narrow(self):
-        h = 2.0 / 8.0
+        h = 2.0 / ATAN_SEGMENTS
         half = ATAN_APPROX_ERR + _SECANT_CURVE * h * h
         for v in np.linspace(-1.0, 1.0, 41):
             lo = _atan_extreme(-1.0, 1.0, v, ObjSense.MINIMIZE)
@@ -221,7 +222,7 @@ class TestAtanEnvelope:
         m = MipModel("wide")
         x = m.add_variable("x", -2.0, 2.0)
         im = m.add_variable("im", -3.0, 3.0)
-        g = encode_atan(m, x, im, -3.0, 3.0, 8, "T")
+        g = encode_atan(m, x, im, -3.0, 3.0, "T")
         assert [r.kind for r in g.regions] == ["neg", "mid", "pos"]
         assert all(r.gate_id is not None for r in g.regions)
         assert g.regions[0].im_lo == -3.0 and g.regions[-1].im_hi == 3.0
@@ -237,7 +238,7 @@ class TestAtanEnvelope:
         m = MipModel("narrow")
         x = m.add_variable("x", -2.0, 2.0)
         im = m.add_variable("im", -0.8, 0.9)
-        g = encode_atan(m, x, im, -0.8, 0.9, 8, "T")
+        g = encode_atan(m, x, im, -0.8, 0.9, "T")
         assert len(g.regions) == 1
         assert g.regions[0].kind == "mid"
         assert g.regions[0].gate_id is None
@@ -246,7 +247,7 @@ class TestAtanEnvelope:
         m = MipModel("deg")
         x = m.add_variable("x", -2.0, 2.0)
         im = m.add_variable("im", 0.5, 0.5)
-        g = encode_atan(m, x, im, 0.5, 0.5 + 1e-13, 8, "T")
+        g = encode_atan(m, x, im, 0.5, 0.5 + 1e-13, "T")
         assert g.regions == []
         m.set_objective([(x, 1.0)], ObjSense.MAXIMIZE)
         r = solve(m.freeze(), SolveConfig())
@@ -257,7 +258,7 @@ class TestAtanEnvelope:
         x = m.add_variable("x", -2.0, 2.0)
         im = m.add_variable("im", 0.0, math.inf)
         with pytest.raises(EncodingError):
-            encode_atan(m, x, im, 0.0, math.inf, 8, "T")
+            encode_atan(m, x, im, 0.0, math.inf, "T")
 
 
 class TestAddGated:
@@ -425,26 +426,57 @@ class TestQueryModels:
                          QuerySpec(QueryKind.MAX_PERTURBATION, m=1))
 
 
+def _gadget_binaries(copy) -> dict[int, int]:
+    """Binary id -> layer position, read from the copy's ReLU, arc-tangent
+    and max-pool gadgets."""
+    out: dict[int, int] = {}
+    for pos, gadgets in copy.relu.items():
+        out.update((g.b_id, pos) for g in gadgets.values() if g.b_id is not None)
+    for pos, gadgets in copy.atan.items():
+        for g in gadgets.values():
+            for region in g.regions:
+                out.update((b, pos) for b in region.seg_ids)
+                if region.gate_id is not None:
+                    out[region.gate_id] = pos
+    for pos, groups in copy.pools.items():
+        for pairs in groups.values():
+            out.update((p.b_id, pos) for p in pairs if p.b_id is not None)
+    return out
+
+
 class TestBranchPriorities:
     def test_earlier_layers_branch_first(self):
         net = zoo.relu_mixed_phases()
         enc = encode_query(net, propagate_intervals(net),
                            QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e))
         total = net.num_layers
+        every = set(enc.class_sel.values())
         for copy in (enc.base, enc.pert):
-            assert copy.binary_layer  # the fixture has undecided nodes
-            for vid, pos in copy.binary_layer.items():
+            binaries = _gadget_binaries(copy)
+            assert binaries  # the fixture has undecided nodes
+            every |= set(binaries)
+            for vid, pos in binaries.items():
                 assert enc.model.variables[vid].branch_priority == total - pos
         for cid in enc.class_sel.values():
             assert enc.model.variables[cid].branch_priority == 0
+        assert every == set(enc.model.binary_ids)
 
     def test_atan_binaries_carry_their_layer_position(self):
         net = zoo.atan_wide()
         model, copy = encode_network_eval(net, propagate_intervals(net))
-        assert copy.binary_layer
-        for vid, pos in copy.binary_layer.items():
+        binaries = _gadget_binaries(copy)
+        assert binaries
+        for vid, pos in binaries.items():
             assert pos == 1
             assert model.variables[vid].branch_priority == net.num_layers - 1
+
+    def test_pool_binaries_carry_their_layer_position(self):
+        net = zoo.pool_pairs()
+        model, copy = encode_network_eval(net, propagate_intervals(net))
+        binaries = _gadget_binaries(copy)
+        assert binaries and set(binaries) == set(model.binary_ids)
+        for vid, pos in binaries.items():
+            assert model.variables[vid].branch_priority == net.num_layers - pos
 
 
 class TestWarmStart:

@@ -151,8 +151,12 @@ class TestComputePhi:
         cfg = SolveConfig(time_limit=30.0, mip_gap=1e-3)
         compute_phi(zoo.relu_mixed_phases(), 1, alpha=math.e, config=cfg, lookback=2)
         assert seen
-        assert all((c.time_limit, c.mip_gap, c.node_limit)
-                   == (30.0, 1e-3, LOOKBACK_NODE_LIMIT) for c in seen)
+        assert all((c.mip_gap, c.node_limit) == (1e-3, LOOKBACK_NODE_LIMIT)
+                   for c in seen)
+        # the caller's time limit bounds all windows together (one deadline)
+        limits = [c.time_limit for c in seen]
+        assert all(0.0 < t <= 30.0 for t in limits)
+        assert limits == sorted(limits, reverse=True)
 
     def test_node_limit_yields_an_honest_partial_result(self):
         net = zoo.relu_mixed_phases()
