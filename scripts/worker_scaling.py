@@ -9,7 +9,8 @@ hidden=h, classes=3)` for h in (6,), (8, 8), (12, 12). Worker counts take
 turns within each repeat, so a drift in host speed reaches every count
 alike. Prints each query's median wall time per worker count and its speedup
 over the first count, and exits 1 if any count returns a different answer
-(answers must not depend on the worker count, only the time).
+(answers must not depend on the worker count, only the time). A count above
+the CPU count runs with one process per CPU, since `worker_pool` caps it.
 
 Example:
     python3 scripts/worker_scaling.py --workers 1 2 4 --repeats 5

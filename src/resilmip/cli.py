@@ -28,7 +28,7 @@ import numpy as np
 
 from . import zoo
 from .dataflow import write_bounds_dump
-from .encoder import EncodingError, QueryKind, QuerySpec, encode_query
+from .encoder import EncodingError, QueryKind, QuerySpec, encode_query, validate_query
 from .mipmodel import ModelError, export_mps
 from .network import (
     Network,
@@ -67,6 +67,17 @@ def _default_workers() -> int:
         return max(1, int(os.environ.get("RESILMIP_WORKERS", "1")))
     except ValueError:
         return 1
+
+
+def _at_least(kind, least):
+    """An argparse type: a finite `kind` (int or float) no smaller than least."""
+    def parse(text: str):
+        v = kind(text)  # a ValueError here is argparse's "invalid value"
+        if not (math.isfinite(v) and v >= least):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {least}: {text!r}")
+        return v
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _load_net(ref: str) -> Network:
@@ -285,7 +296,6 @@ def cmd_max_alpha(args) -> int:
 
 def cmd_export(args) -> int:
     net = _load_net(args.net)
-    bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
     kind = {"phi": QueryKind.MAX_PERTURBATION,
             "robustness": QueryKind.LOCAL_ROBUSTNESS,
             "max-alpha": QueryKind.MAX_ALPHA}[args.query]
@@ -299,6 +309,8 @@ def cmd_export(args) -> int:
         raise EncodingError("--query robustness needs --input")
     q = QuerySpec(kind, m=args.cls, alpha=args.alpha, k=args.k,
                   a=anchor, delta=args.delta)
+    validate_query(net, q)  # before lookback solves anything
+    bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
     enc = encode_query(net, bounds, q)
     text = export_mps(enc.model)
     Path(args.out).write_text(text)
@@ -325,12 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verbose", action="store_true", help="log solver progress")
 
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--workers", type=int, default=_default_workers(),
+    solver.add_argument("--workers", type=_at_least(int, 1), default=_default_workers(),
                         help="processes for independent sub-solves: lookback's "
-                        "window MIPs and xi's classes (default from RESILMIP_WORKERS)")
-    solver.add_argument("--node-limit", type=int, default=None)
-    solver.add_argument("--time-limit", type=float, default=None, help="seconds")
-    solver.add_argument("--mip-gap", type=float, default=1e-6)
+                        "window MIPs and xi's classes, at most the CPU count "
+                        "(default from RESILMIP_WORKERS)")
+    solver.add_argument("--node-limit", type=_at_least(int, 0), default=None)
+    solver.add_argument("--time-limit", type=_at_least(float, 0.0), default=None,
+                        help="seconds")
+    solver.add_argument("--mip-gap", type=_at_least(float, 0.0), default=1e-6)
     solver.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
                         metavar="DEPTH", help="tighten bounds with window models "
                         "of this depth before encoding (default depth 2)")

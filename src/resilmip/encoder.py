@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataflow import IntervalBounds, Phase
 from .mipmodel import Assignment, MipModel, RowSense, ObjSense, VarType
-from .network import DENSE_KINDS, ForwardTrace, LayerKind, Network, forward
+from .network import DENSE_KINDS, ForwardTrace, LayerKind, Network
 
 ATAN_APPROX_ERR = 0.0038  # worst-case |atan(t) - q(t)| on [-1, 1]
 ATAN_SEGMENTS = 8         # envelope segments per arc-tangent region
@@ -126,7 +126,6 @@ class EncodedQuery:
     base: NetworkCopy | None
     pert: NetworkCopy | None
     class_sel: dict[int, int]     # 0-based class -> selector binary id
-    t_id: int | None = None
 
 
 # -- gating helper ---------------------------------------------------------
@@ -585,15 +584,15 @@ def validate_query(net: Network, q: QuerySpec) -> int:
         raise EncodingError(f"class index {q.m} out of range 1..{n_cls}")
     if q.kind is QueryKind.MAX_ALPHA:
         return net.score_layer + 1
-    if q.alpha < 1.0:
-        raise EncodingError("alpha must be >= 1")
+    if not (math.isfinite(q.alpha) and q.alpha >= 1.0):
+        raise EncodingError("alpha must be a finite number >= 1")
     if not 1 <= q.k <= n_cls - 1:
         raise EncodingError(f"k must sit in 1..{n_cls - 1}")
     if q.kind is QueryKind.LOCAL_ROBUSTNESS:
         if q.a is None:
             raise EncodingError("local robustness needs an anchor input")
-        if q.delta < 0.0:
-            raise EncodingError("delta must be >= 0")
+        if not (math.isfinite(q.delta) and q.delta >= 0.0):
+            raise EncodingError("delta must be a finite number >= 0")
     if q.a is not None:
         a = np.asarray(q.a, dtype=np.float64).reshape(-1)
         if a.shape[0] != net.input_dim:
@@ -638,8 +637,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
                 model.add_constraint(f"MA{j}", [(scores[m0], 1.0), (sid, -1.0), (t_id, -1.0)],
                                      RowSense.GE, 0.0)
         model.set_objective([(t_id, 1.0)], ObjSense.MAXIMIZE)
-        return EncodedQuery(model.freeze(), q, a_ids, None, None, None, base, None,
-                            {}, t_id=t_id)
+        return EncodedQuery(model.freeze(), q, a_ids, None, None, None, base, None, {})
 
     if q.a is None:  # MAX_PERTURBATION over a free anchor
         model = MipModel(f"{q.kind.value}_m{q.m}")
@@ -742,41 +740,3 @@ def copy_assignment(asg: Assignment, copy: NetworkCopy, net: Network,
                     asg[pair.b_id] = 1.0 if l_val >= r_val else 0.0
         for i, gadget in copy.atan.get(pos, {}).items():
             _assign_atan(asg, gadget, float(imv[i]))
-
-
-def build_warm_start(enc: EncodedQuery, net: Network, a: np.ndarray,
-                     eps: np.ndarray) -> Assignment:
-    """Complete assignment for a perturbation query from the exact traces at
-    the anchor and at the perturbed point."""
-    lo = net.input_bounds[:, 0]
-    hi = net.input_bounds[:, 1]
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    eps = np.asarray(eps, dtype=np.float64).reshape(-1)
-    p = np.clip(a + eps, lo, hi)
-    eps = p - a
-    asg: Assignment = {}
-    trace_a = forward(net, a)
-    trace_p = forward(net, p)
-    if enc.input_ids is not None:
-        for vid, v in zip(enc.input_ids, a):
-            asg[vid] = float(v)
-        copy_assignment(asg, enc.base, net, trace_a)
-    for vid, v in zip(enc.eps_ids, eps):
-        asg[vid] = float(v)
-    for vid, v in zip(enc.eps_abs_ids, np.abs(eps)):
-        asg[vid] = float(v)
-    for vid, v in zip(enc.pert_input_ids, p):
-        asg[vid] = float(v)
-    copy_assignment(asg, enc.pert, net, trace_p)
-
-    scores = trace_p.x[net.score_layer]
-    m0 = enc.query.m - 1
-    if enc.class_sel:
-        ranked = sorted(enc.class_sel, key=lambda j: scores[j] - scores[m0], reverse=True)
-        chosen = set(ranked[:enc.query.k])
-        for j, cid in enc.class_sel.items():
-            asg[cid] = 1.0 if j in chosen else 0.0
-    if enc.t_id is not None:
-        others = [scores[j] for j in range(len(scores)) if j != m0]
-        asg[enc.t_id] = float(scores[m0] - max(others))
-    return asg

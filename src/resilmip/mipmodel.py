@@ -158,11 +158,6 @@ class MipModel:
         self.frozen = True
         return self
 
-    def thaw(self) -> "MipModel":
-        """Reopen a frozen model for further rows (e.g. search restrictions)."""
-        self.frozen = False
-        return self
-
     # -- views ---------------------------------------------------------------
 
     @property

@@ -10,9 +10,9 @@ a budget; the ratio bound reports the largest alpha any input attains.
 
 Perturbation searches run in three steps: find one strongly-classified
 anchor, compute the cheapest class-flipping perturbation from that fixed
-anchor, then solve the full two-copy model warm-started with that witness and
-restricted to objective values no worse than the fixed-anchor optimum. Both
-presolves only speed up the final exact search; they never change its answer.
+anchor, then solve the full two-copy model warm-started with the union of
+both solutions. Both presolves only speed up the final exact search; they
+never change its answer.
 
 Arc-tangent activations are encoded by a sound outer envelope, so for nets
 containing them phi/xi are conservative (possibly lower than the true bound),
@@ -32,7 +32,7 @@ import numpy as np
 from . import encoder
 from .dataflow import IntervalBounds, lookback_config, propagate_intervals, tighten_lookback
 from .encoder import QueryKind, QuerySpec
-from .mipmodel import MipModel, RowSense
+from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
 from .solver import SolveConfig, SolveResult, SolveStatus, solve, worker_pool
 
@@ -84,7 +84,8 @@ class XiResult:
     status: SolveStatus
     per_class: dict[int, PhiResult] = field(default_factory=dict)
     weakest_class: int | None = None
-    excluded: list[int] = field(default_factory=list)  # classes with phi = inf
+    # classes proven never strongly classified (phi = inf, status INFEASIBLE)
+    excluded: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -143,11 +144,18 @@ def _witness_holds(net: Network, anchor: np.ndarray, perturbed: np.ndarray,
             and competitor_count(net, perturbed, m, tol=tol) >= k)
 
 
+def _by_name(model: MipModel, assignment: Assignment) -> dict[str, float]:
+    return {v.name: assignment[i] for i, v in enumerate(model.variables)}
+
+
 def find_strong_anchor(net: Network, m: int, alpha: float,
                        bounds: IntervalBounds, config: SolveConfig | None = None
-                       ) -> tuple[np.ndarray | None, SolveStatus]:
-    """Some in-domain input the encoding certifies as strongly classified, or
-    None when the strong region is (provably) empty."""
+                       ) -> tuple[np.ndarray | None, SolveStatus, dict[str, float] | None]:
+    """Stage 1 of compute_phi: (anchor, status, solution). The anchor is an
+    in-domain input the encoding certifies as strongly classified, None when
+    the search found none (status INFEASIBLE: the strong region is empty).
+    The solution is the solve's assignment by variable name (the inputs a<i>
+    and the "b" body copy), None with the anchor."""
     last = net.score_layer + 1
     model = MipModel(f"anchor_m{m}")
     lo = net.input_bounds[:, 0]
@@ -158,8 +166,8 @@ def find_strong_anchor(net: Network, m: int, alpha: float,
     encoder.encode_strong_classification(model, body.x_ids[last], m - 1, alpha, "SC")
     res = solve(model.freeze(), config or SolveConfig())
     if res.assignment is not None:
-        return _vals(res.assignment, a_ids), res.status
-    return None, res.status
+        return _vals(res.assignment, a_ids), res.status, _by_name(model, res.assignment)
+    return None, res.status, None
 
 
 def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
@@ -168,15 +176,18 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 bounds: IntervalBounds | None = None,
                 lookback: int | None = None,
                 presolve: bool = True) -> PhiResult:
-    """Maximum-perturbation bound for class m at ratio alpha and overlap k."""
+    """Maximum-perturbation bound for class m at ratio alpha and overlap k.
+
+    The full stage starts from stage 1's solution (the anchor inputs and the
+    "b" copy; for a_ini, its exact trace) and stage 2's (the perturbation,
+    the "q" copy and the class selectors), matched by variable name."""
     cfg = config or SolveConfig()
     spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
     encoder.validate_query(net, spec)
     bounds = prepare_bounds(net, bounds, lookback, cfg)
 
     anchor: np.ndarray | None = None
-    anchor_phi: float | None = None
-    eps_seed: np.ndarray | None = None
+    anchor_sol: dict[str, float] | None = None
     if a_ini is not None:
         anchor = np.asarray(a_ini, dtype=np.float64).reshape(-1)
         if not strongly_classifies(net, anchor, m, alpha):
@@ -184,7 +195,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 f"given anchor is not strongly classified as class {m} at alpha={alpha}"
             )
     elif presolve:
-        anchor, a_status = find_strong_anchor(net, m, alpha, bounds, cfg)
+        anchor, a_status, anchor_sol = find_strong_anchor(net, m, alpha, bounds, cfg)
         if anchor is None and a_status is SolveStatus.INFEASIBLE:
             # no input is strongly classified: the minimum ranges over an
             # empty set and the class is vacuously unbreakable
@@ -195,6 +206,8 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
         # tolerance outside the box, more than validate_query admits
         anchor = np.clip(anchor, net.input_bounds[:, 0], net.input_bounds[:, 1])
 
+    anchor_phi: float | None = None
+    fixed_sol: dict[str, float] | None = None
     if anchor is not None and presolve:
         enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor))
         res2 = solve(enc2.model, cfg)
@@ -204,16 +217,18 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                              math.inf)
         if res2.assignment is not None:
             anchor_phi = float(res2.objective)
-            eps_seed = _vals(res2.assignment, enc2.eps_ids)
+            fixed_sol = _by_name(enc2.model, res2.assignment)
 
     enc = encoder.encode_query(net, bounds, replace(spec, a=None))
-    if anchor_phi is not None:
-        enc.model.thaw()
-        enc.model.add_constraint("RESTRICT", [(f, 1.0) for f in enc.eps_abs_ids],
-                                 RowSense.LE, anchor_phi + 1e-9)
-        enc.model.freeze()
-    if anchor is not None and eps_seed is not None:
-        enc.model.set_warm_start(encoder.build_warm_start(enc, net, anchor, eps_seed))
+    if fixed_sol is not None:
+        start: Assignment = {}
+        if anchor_sol is None:  # a_ini: its exact trace fills the "b" copy
+            encoder.copy_assignment(start, enc.base, net, forward(net, anchor))
+        ids = {v.name: i for i, v in enumerate(enc.model.variables)}
+        for name, val in {**(anchor_sol or {}), **fixed_sol}.items():
+            start[ids[name]] = val
+        start.update(zip(enc.input_ids, anchor))  # the anchor stage 2 fixed
+        enc.model.set_warm_start(start)
 
     res = solve(enc.model, cfg)
     out = PhiResult(m, alpha, k, math.inf, res.status, res.dual_bound,
@@ -235,8 +250,10 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
                config: SolveConfig | None = None,
                bounds: IntervalBounds | None = None,
                lookback: int | None = None) -> XiResult:
-    """Network resilience: the worst finite phi over all classes. Classes that
-    cannot be strongly classified (phi = inf) do not constrain the minimum."""
+    """Network resilience: the worst phi over all classes. Classes proven
+    infeasible (never strongly classified: phi = inf) are excluded and do not
+    constrain the minimum; any other class whose phi is not exact sets the
+    status, so an unresolved class is never mistaken for an excluded one."""
     # every class's query shares alpha and k: check them once, before lookback
     encoder.validate_query(net, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
                                           alpha=alpha, k=k))
@@ -251,7 +268,7 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
     excluded: list[int] = []
     status = SolveStatus.OPTIMAL
     for m, r in per_class.items():
-        if math.isinf(r.phi):
+        if r.status is SolveStatus.INFEASIBLE:
             excluded.append(m)
             continue
         if r.phi < xi:

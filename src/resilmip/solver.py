@@ -36,6 +36,7 @@ import heapq
 import itertools
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,13 +78,16 @@ def worker_pool(workers: int):
     """Yield ``pmap(fn, jobs)``: the list of ``fn(job)`` over ``jobs``, in job
     order, for independent sub-solves.
 
-    At ``workers <= 1`` the jobs run in this process, one after another.
-    Otherwise they run in ``workers`` forked processes, which every ``pmap``
-    inside the ``with`` block shares; ``fn`` must then be a module-level
-    function, and each job and result must pickle. Forked workers start with
+    ``workers`` is capped at ``os.cpu_count()``, since a fork-context pool
+    starts all its processes at the first submit. At one worker the jobs run
+    in this process, one after another. Otherwise they run in forked
+    processes, which every ``pmap`` inside the ``with`` block shares; ``fn``
+    must then be a module-level function, and each job and result must
+    pickle. Forked workers start with
     numpy and resilmip already imported, which a spawned worker would import
     again; the solver starts no threads that a fork could copy mid-operation.
     """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield lambda fn, jobs: [fn(job) for job in jobs]
         return

@@ -11,7 +11,7 @@ from resilmip.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, EXIT_VIOLATED, build
 from resilmip.mipmodel import parse_mps
 from resilmip.network import save_network
 from resilmip.oracle import enumerate_mip
-from resilmip import zoo
+from resilmip import solver, zoo
 
 
 class TestEval:
@@ -148,6 +148,26 @@ class TestPhi:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_node_limit_keeps_the_seeded_bound(self, capsys):
+        # the full stage starts from stage 2's witness and reports it
+        code = main(["phi", "--net", "atan_wide", "--class", "1", "--alpha", "1",
+                     "--node-limit", "20"])
+        assert code == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert "status   limit" in out
+        phi = float(out.splitlines()[0].split()[1])
+        assert math.isfinite(phi)
+
+    def test_non_finite_alpha_fails_before_lookback(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an invalid query")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        code = main(["phi", "--net", "relu_mixed_phases", "--class", "1",
+                     "--alpha", "nan", "--lookback", "2"])
+        assert code == EXIT_ERROR
+        assert "alpha" in capsys.readouterr().err
+
     def test_json_payload_round_trips(self, tmp_path):
         j = tmp_path / "phi.json"
         main(["phi", "--net", "two_class_linear", "--class", "1",
@@ -166,6 +186,15 @@ class TestXiAndMaxAlpha:
         assert "xi       1" in out
         assert "excluded 3" in out
         assert "phi[1]" in out and "phi[3] inf" in out
+
+    def test_unresolved_xi_excludes_nothing(self, capsys):
+        # with no node solved no class is proven never strongly classified
+        code = main(["xi", "--net", "relu_deep", "--alpha", "2.718281828",
+                     "--node-limit", "0"])
+        assert code == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert "status   limit" in out
+        assert "excluded" not in out
 
     def test_max_alpha(self, capsys):
         code = main(["max-alpha", "--net", "two_class_linear", "--class", "1"])
@@ -263,6 +292,17 @@ class TestUsage:
             main(argv + ["--segments", "0"])
         assert e.value.code == 2
         assert "--segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-3"), ("--node-limit", "-1"),
+        ("--time-limit", "-1"), ("--time-limit", "inf"), ("--mip-gap", "nan"),
+        ("--mip-gap", "-0.1"),
+    ])
+    def test_solver_flags_out_of_range_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["phi", "--net", "two_class_linear", "--class", "1", flag, value])
+        assert e.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilmip import zoo
+from resilmip import resilience, zoo
 from resilmip.dataflow import Phase, propagate_intervals
 from resilmip.encoder import (
     _GATE_ABS,
@@ -19,7 +19,6 @@ from resilmip.encoder import (
     QueryKind,
     QuerySpec,
     add_gated,
-    build_warm_start,
     encode_atan,
     encode_bound_probe,
     encode_maxpool,
@@ -480,23 +479,46 @@ class TestBranchPriorities:
 
 
 class TestWarmStart:
+    """The warm start compute_phi gives its full stage: stage 1's solution
+    (or the exact trace of a user anchor) joined with stage 2's by name."""
+
+    @staticmethod
+    def _full_stage(monkeypatch, net, m, alpha, a_ini=None):
+        models = []
+        real = resilience.solve
+
+        def spy(model, config=None):
+            models.append(model)
+            return real(model, config)
+
+        monkeypatch.setattr(resilience, "solve", spy)
+        r = resilience.compute_phi(net, m, alpha=alpha, a_ini=a_ini)
+        return r, models[-1]
+
     @pytest.mark.parametrize("name,m,alpha,a,eps", [
         ("two_class_linear", 1, math.e, [1.0, 0.0], [-0.5, 0.5]),
         ("relu_mixed_phases", 1, math.e, [1.0, 1.0], [0.0, -1.0]),
         ("atan_wide", 1, 1.0, [1.0], [-1.0]),
         ("pool_pairs", 1, 1.0, [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]),
     ])
-    def test_trace_assignment_satisfies_every_row(self, name, m, alpha, a, eps):
+    def test_trace_assignment_satisfies_every_row(self, monkeypatch, name, m, alpha,
+                                                  a, eps):
         net = zoo.FIXTURES[name]()
-        enc = encode_query(net, propagate_intervals(net),
-                           QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha))
-        ws = build_warm_start(enc, net, np.array(a), np.array(eps))
-        assert check_feasible(enc.model, ws, 1e-6)
-        assert len(ws) == len(enc.model.variables)
+        for a_ini in (None, np.array(a)):
+            r, model = self._full_stage(monkeypatch, net, m, alpha, a_ini)
+            ws = model.warm_start
+            assert len(ws) == len(model.variables)
+            assert check_feasible(model, ws, 1e-6)
+            # stage 2 solves from a; (a, eps) is one flip, so no dearer one
+            cost = sum(ws[f] * c for f, c in model.objective.items())
+            assert cost == pytest.approx(r.anchor_phi)
+            if a_ini is not None:
+                assert cost <= float(np.abs(eps).sum()) + 1e-9
 
-    def test_warm_start_objective_matches_the_step(self):
+    def test_warm_start_objective_matches_the_step(self, monkeypatch):
         net = zoo.two_class_linear()
-        enc = encode_query(net, propagate_intervals(net),
-                           QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e))
-        ws = build_warm_start(enc, net, np.array([1.0, 0.0]), np.array([-0.5, 0.5]))
-        assert sum(ws[f] for f in enc.eps_abs_ids) == pytest.approx(1.0)
+        r, model = self._full_stage(monkeypatch, net, 1, math.e)
+        ws = model.warm_start
+        assert sum(ws[f] * c for f, c in model.objective.items()) == pytest.approx(
+            r.anchor_phi)
+        assert r.anchor_phi == pytest.approx(1.0)

@@ -64,8 +64,6 @@ class TestConstruction:
         with pytest.raises(ModelError):
             m.add_variable("z", 0, 1)
         m.set_warm_start({0: 1.0, 1: 0.0, 2: 0.0})  # allowed: advisory only
-        m.thaw()
-        m.add_variable("z", 0, 1)  # reopened
 
     def test_zero_coefficients_dropped(self):
         m = MipModel()

@@ -8,7 +8,8 @@ import pytest
 
 from resilmip import resilience, solver, zoo
 from resilmip.dataflow import LOOKBACK_NODE_LIMIT, propagate_intervals
-from resilmip.encoder import EncodingError
+from resilmip.encoder import EncodingError, QueryKind, QuerySpec, encode_query
+from resilmip.mipmodel import check_feasible, format_lp
 from resilmip.network import (
     LayerKind,
     LayerSpec,
@@ -117,10 +118,42 @@ class TestComputePhi:
         with pytest.raises(EncodingError):
             compute_phi(zoo.three_class_linear(), m, alpha=math.e, k=k)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_is_rejected_before_any_solve(self, monkeypatch, alpha):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an invalid query")
+
+        # lookback's windows look solve up on the solver module
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(resilience, "solve", no_solve)
+        monkeypatch.setattr(resilience, "find_strong_anchor", no_solve)
+        net = zoo.relu_mixed_phases()
+        with pytest.raises(EncodingError, match="alpha"):
+            compute_phi(net, 1, alpha=alpha, lookback=2)
+        with pytest.raises(EncodingError, match="alpha"):
+            compute_xi(net, alpha=alpha, lookback=2)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_is_rejected_before_any_solve(self, monkeypatch, delta):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an invalid query")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(resilience, "solve", no_solve)
+        with pytest.raises(EncodingError, match="delta"):
+            check_local_robustness(zoo.relu_mixed_phases(), np.array([1.0, 1.0]),
+                                   delta, lookback=2)
+
     def test_stage_one_anchor_round_off_is_clipped(self, monkeypatch):
         # the simplex lets a basic variable leave its bounds by up to 1e-8
-        monkeypatch.setattr(resilience, "find_strong_anchor", lambda *args: (
-            np.array([1.0 + 5e-9, 0.0]), SolveStatus.OPTIMAL))
+        real = resilience.find_strong_anchor
+
+        def off_the_box(net, *args):
+            anchor, status, solution = real(net, *args)
+            anchor[0] = net.input_bounds[0, 1] + 5e-9
+            return anchor, status, solution
+
+        monkeypatch.setattr(resilience, "find_strong_anchor", off_the_box)
         r = compute_phi(zoo.two_class_linear(), 1, alpha=math.e)
         assert r.status is SolveStatus.OPTIMAL
         assert r.phi == pytest.approx(1.0, abs=1e-7)
@@ -173,16 +206,62 @@ class TestComputePhi:
 class TestFindStrongAnchor:
     def test_anchor_is_strongly_classified(self):
         net = zoo.relu_mixed_phases()
-        a, status = find_strong_anchor(net, 1, math.e, propagate_intervals(net))
+        bounds = propagate_intervals(net)
+        a, status, solution = find_strong_anchor(net, 1, math.e, bounds)
         assert status is SolveStatus.OPTIMAL
         assert strongly_classifies(net, a, 1, math.e)
+        # the solution, by name: the anchor inputs and the body copy, all of
+        # them variables of the free-anchor model too
+        assert [solution[f"a{i}"] for i in range(net.input_dim)] == list(a)
+        full = encode_query(net, bounds,
+                            QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e))
+        assert len(solution) > net.input_dim
+        assert set(solution) <= {v.name for v in full.model.variables}
 
     def test_empty_strong_region_reports_infeasible(self):
         net = zoo.two_class_linear()
-        a, status = find_strong_anchor(net, 1, math.exp(2.0),
-                                       propagate_intervals(net))
+        a, status, solution = find_strong_anchor(net, 1, math.exp(2.0),
+                                                 propagate_intervals(net))
         assert a is None
+        assert solution is None
         assert status is SolveStatus.INFEASIBLE
+
+
+def _full_stage(monkeypatch, net, m, alpha, **kw):
+    """compute_phi's result and the model it solves in its full stage."""
+    models = []
+    real = resilience.solve
+
+    def spy(model, config=None):
+        models.append(model)
+        return real(model, config)
+
+    monkeypatch.setattr(resilience, "solve", spy)
+    r = compute_phi(net, m, alpha=alpha, **kw)
+    assert models[-1].name == f"max_perturbation_m{m}"
+    return r, models[-1]
+
+
+class TestFullStage:
+    @pytest.mark.parametrize("name", ["relu_mixed_phases", "atan_wide", "pool_pairs"])
+    def test_model_is_the_encoded_query_unchanged(self, monkeypatch, name):
+        net = zoo.FIXTURES[name]()
+        _, model = _full_stage(monkeypatch, net, 1, math.e)
+        fresh = encode_query(net, propagate_intervals(net),
+                             QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e))
+        assert format_lp(model) == format_lp(fresh.model)
+
+    @pytest.mark.parametrize("name", ["atan_narrow", "atan_wide"])
+    def test_arc_tangent_warm_starts_are_accepted(self, monkeypatch, name):
+        # the exact traces of stage 2's envelope-relaxed witness miss a DOM
+        # row here; the stage solutions themselves satisfy every row
+        net = zoo.FIXTURES[name]()
+        for m in range(1, net.num_classes + 1):
+            r, model = _full_stage(monkeypatch, net, m, math.e)
+            if r.status is SolveStatus.INFEASIBLE:
+                continue
+            assert model.warm_start is not None
+            assert check_feasible(model, model.warm_start, solver.INT_TOL)
 
 
 class TestComputeXi:
@@ -193,6 +272,16 @@ class TestComputeXi:
         assert r.weakest_class in (1, 2)
         assert r.excluded == []
         assert set(r.per_class) == {1, 2}
+
+    @pytest.mark.parametrize("name", ["relu_deep", "pool_pairs", "three_class_linear",
+                                      "relu_mixed_phases"])
+    def test_unresolved_class_is_not_excluded(self, name):
+        # no node is solved: no class is settled either way
+        r = compute_xi(zoo.FIXTURES[name](), alpha=math.e,
+                       config=SolveConfig(node_limit=0))
+        assert r.status is not SolveStatus.OPTIMAL
+        assert all(r.per_class[m].status is SolveStatus.INFEASIBLE
+                   for m in r.excluded)
 
     def test_unreachable_class_is_excluded_not_binding(self):
         net = zoo.three_class_linear()

@@ -1,7 +1,9 @@
 """Branch-and-bound: correctness against brute force, limits, warm starts,
 worker-count invariance."""
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from resilmip.dataflow import propagate_intervals, tighten_lookback
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
 from resilmip.oracle import enumerate_mip
 from resilmip.resilience import compute_xi
-from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
+from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp, worker_pool
 
 
 def _knapsack(values, weights, cap, name="ks") -> MipModel:
@@ -190,6 +192,31 @@ class TestParallel:
             if a.im_lo is not None:
                 assert np.array_equal(a.im_lo, b.im_lo)
                 assert np.array_equal(a.im_hi, b.im_hi)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # a stand-in: a fork-context pool would start every process at once
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        with worker_pool(5000) as pmap:
+            assert pmap(abs, [-1, 2, -3]) == [1, 2, 3]
+        with worker_pool(2) as pmap:
+            pmap(abs, [-1])
+        assert sizes == [3, 2]
 
     def test_larger_knapsack_parallel(self):
         vals = [4, 7, 2, 9, 5, 8, 3, 6, 1, 7, 5, 2]
