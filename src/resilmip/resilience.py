@@ -14,6 +14,10 @@ anchor, then solve the full two-copy model warm-started with the union of
 both solutions. Both presolves only speed up the final exact search; they
 never change its answer.
 
+A driver's time limit bounds the whole query: one deadline is fixed when the
+driver is entered, and lookback tightening, each stage and each of xi's
+per-class queries (in whichever worker process) get the time left.
+
 Arc-tangent activations are encoded by a sound outer envelope, so for nets
 containing them phi/xi are conservative (possibly lower than the true bound),
 ROBUST verdicts remain trustworthy, and apparent violations are re-validated
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -129,6 +134,19 @@ def prepare_bounds(net: Network, bounds: IntervalBounds | None,
     return bounds
 
 
+def _deadline(config: SolveConfig) -> float | None:
+    """The time.monotonic() reading at which ``config``'s time limit, counted
+    from now, runs out; None without a limit."""
+    return None if config.time_limit is None else time.monotonic() + config.time_limit
+
+
+def _time_left(config: SolveConfig, deadline: float | None) -> SolveConfig:
+    """``config`` with the time left until ``deadline`` as its time limit."""
+    if deadline is None:
+        return config
+    return replace(config, time_limit=max(0.0, deadline - time.monotonic()))
+
+
 def _vals(assignment, ids) -> np.ndarray:
     return np.array([assignment[i] for i in ids], dtype=np.float64)
 
@@ -182,9 +200,17 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
     "b" copy; for a_ini, its exact trace) and stage 2's (the perturbation,
     the "q" copy and the class selectors), matched by variable name."""
     cfg = config or SolveConfig()
+    return _phi(net, m, alpha, k, a_ini=a_ini, cfg=cfg, bounds=bounds,
+                lookback=lookback, presolve=presolve, deadline=_deadline(cfg))
+
+
+def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None,
+         cfg: SolveConfig, bounds: IntervalBounds | None, lookback: int | None,
+         presolve: bool, deadline: float | None) -> PhiResult:
+    """compute_phi under a deadline fixed by its caller."""
     spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
     encoder.validate_query(net, spec)
-    bounds = prepare_bounds(net, bounds, lookback, cfg)
+    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
 
     anchor: np.ndarray | None = None
     anchor_sol: dict[str, float] | None = None
@@ -195,7 +221,8 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 f"given anchor is not strongly classified as class {m} at alpha={alpha}"
             )
     elif presolve:
-        anchor, a_status, anchor_sol = find_strong_anchor(net, m, alpha, bounds, cfg)
+        anchor, a_status, anchor_sol = find_strong_anchor(
+            net, m, alpha, bounds, _time_left(cfg, deadline))
         if anchor is None and a_status is SolveStatus.INFEASIBLE:
             # no input is strongly classified: the minimum ranges over an
             # empty set and the class is vacuously unbreakable
@@ -210,7 +237,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
     fixed_sol: dict[str, float] | None = None
     if anchor is not None and presolve:
         enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor))
-        res2 = solve(enc2.model, cfg)
+        res2 = solve(enc2.model, _time_left(cfg, deadline))
         if res2.status is SolveStatus.INFEASIBLE:
             # the dominance region is empty regardless of the anchor
             return PhiResult(m, alpha, k, math.inf, SolveStatus.INFEASIBLE,
@@ -230,7 +257,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
         start.update(zip(enc.input_ids, anchor))  # the anchor stage 2 fixed
         enc.model.set_warm_start(start)
 
-    res = solve(enc.model, cfg)
+    res = solve(enc.model, _time_left(cfg, deadline))
     out = PhiResult(m, alpha, k, math.inf, res.status, res.dual_bound,
                     anchor_phi=anchor_phi, solve=res)
     if res.status is SolveStatus.INFEASIBLE:
@@ -254,14 +281,18 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
     infeasible (never strongly classified: phi = inf) are excluded and do not
     constrain the minimum; any other class whose phi is not exact sets the
     status, so an unresolved class is never mistaken for an excluded one."""
+    cfg = config or SolveConfig()
+    deadline = _deadline(cfg)
     # every class's query shares alpha and k: check them once, before lookback
     encoder.validate_query(net, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
                                           alpha=alpha, k=k))
-    bounds = prepare_bounds(net, bounds, lookback, config)
+    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
     classes = range(1, net.num_classes + 1)
-    phi_of = functools.partial(compute_phi, net, alpha=alpha, k=k, config=config,
-                               bounds=bounds)
-    with worker_pool(config.workers if config is not None else 1) as pmap:
+    # the monotonic clock is system-wide, so forked workers share the deadline
+    phi_of = functools.partial(_phi, net, alpha=alpha, k=k, a_ini=None, cfg=cfg,
+                               bounds=bounds, lookback=None, presolve=True,
+                               deadline=deadline)
+    with worker_pool(cfg.workers) as pmap:
         per_class = dict(zip(classes, pmap(phi_of, classes)))
     xi = math.inf
     weakest: int | None = None
@@ -289,14 +320,16 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     copy; an infeasible model proves robustness, a feasible point is
     re-validated with the exact forward pass before being called a violation.
     """
+    cfg = config or SolveConfig()
+    deadline = _deadline(cfg)
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if m is None:
         m = int(np.argmax(class_scores(net, a))) + 1
     q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=m, k=k, a=a, delta=float(delta))
     encoder.validate_query(net, q)
-    bounds = prepare_bounds(net, bounds, lookback, config)
+    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
-    res = solve(enc.model, config or SolveConfig())
+    res = solve(enc.model, _time_left(cfg, deadline))
     if res.status is SolveStatus.INFEASIBLE:
         return RobustnessResult(Verdict.ROBUST, m, delta, k, solve=res)
     if res.assignment is not None:
@@ -323,11 +356,13 @@ def compute_max_alpha(net: Network, m: int, *,
     anywhere in the domain: maximize the worst log-score margin t and report
     e^t. A proven bound t < 0 means the class never tops every rival
     simultaneously; an incumbent t >= 0 means it does somewhere."""
+    cfg = config or SolveConfig()
+    deadline = _deadline(cfg)
     q = QuerySpec(QueryKind.MAX_ALPHA, m=m)
     encoder.validate_query(net, q)
-    bounds = prepare_bounds(net, bounds, lookback, config)
+    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
-    res = solve(enc.model, config or SolveConfig())
+    res = solve(enc.model, _time_left(cfg, deadline))
     t_star = float(res.objective)
     anchor = None
     if res.assignment is not None:

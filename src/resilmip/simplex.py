@@ -11,15 +11,17 @@ reaches a feasible basis or proves that none exists:
 * The dual simplex. The leaving row is chosen by dual steepest edge with
   exact weights, the entering column by a two-pass Harris ratio test. It
   stops when the basis is primal feasible, or when a violated row's bound
-  cannot be reached over the box of the nonbasic variables (a Farkas row,
-  ``_Lp.row_is_infeasible``): the only INFEASIBLE claim this module makes.
+  cannot be reached over the box of the variables (a Farkas row): the only
+  INFEASIBLE claim this module makes.
   A warm solve starts it from a given ``Basis``: a branch-and-bound child
   differs from its parent in one bound, so the parent's optimal basis stays
   dual feasible (a boxed nonbasic variable whose reduced cost has the wrong
   sign is flipped to its other bound) and a few dual pivots restore primal
   feasibility. A cold solve (a root LP, or the fallback below) starts it from
   the slack basis, each slack holding its row's residual even outside its
-  bounds, under a zero objective, for which every basis is dual feasible.
+  bounds, under a zero objective, for which every basis is dual feasible;
+  the feasible basis this phase claims is always checked on a fresh
+  factorization.
 * The primal simplex, which takes a cold solve's first feasible basis to an
   optimum of the real costs. The ratio test caps steps by both the blocking
   basic variable and the entering variable's own opposite bound, and a step
@@ -32,12 +34,20 @@ singular warm start basis, lost dual feasibility, a numerical failure or the
 iteration cap falls back to a cold solve, and ``iterations`` counts the
 pivots of both attempts.
 
-Every claimed optimum or infeasibility is checked on a fresh factorization:
-B^-1, x_B and the duals are recomputed from scratch and every reduced cost is
-repriced, and iteration resumes if the check fails, so accumulated round-off
-can delay but never corrupt the answer. A cold solve that exhausts its
-iterations, or whose basis cannot be carried on, surfaces as an explicit
-numerical-failure status.
+A claim made on an inverse that rank-1 updates have drifted is certified
+rather than recomputed (``certified_bound``, after Neumaier & Shcherbina,
+"Safe bounds in linear and mixed-integer linear programming", 2004): the
+duals y = c_B B^-1 give a lower bound on the optimum whose every rounding
+error is bounded outward, and the leaving row of B^-1 combines the rows into
+one that no point of the box satisfies, whatever the current point. Only when
+that bound falls short of c'x, or the row's certificate fails, is B^-1
+refactorized, x_B recomputed and every reduced cost repriced; iteration
+resumes if the claim no longer holds, and an infeasibility claim then rests
+on the float Farkas row ``_Lp.row_is_infeasible``. ``LpResult.bound`` carries
+the certified bound. A warm start refactorizes an inverse that has taken
+``_REFACTOR_AFTER`` updates.
+A cold solve that exhausts its iterations, or whose basis cannot be carried
+on, surfaces as an explicit numerical-failure status.
 """
 
 from __future__ import annotations
@@ -59,6 +69,17 @@ _TOL_HARRIS = 5e-10  # dual infeasibility the Harris ratio test may accept
 _TOL_FEAS = 1e-8     # bound violation a basic variable may keep
 _MAX_COND = 1e12     # the dual simplex refuses bases conditioned worse
 _LEAST_INDEX_AFTER = 50  # degenerate pivots in a row before least-index rule
+_REFACTOR_AFTER = 100  # rank-1 updates a warm start inverse may carry
+_CERT_REL = 1e-9     # relative shortfall of a certified bound below c'x accepted
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: a float64 sum or dot product of k
+    terms is off by at most gamma_k times the sum of their magnitudes, in any
+    summation order (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, ch. 3)."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
 
 
 class LpStatus(Enum):
@@ -74,12 +95,14 @@ class Basis:
 
     ``basic[i]`` is the column basic in row position i, ``at_upper[j]`` says
     that nonbasic column j rests at its upper bound, and ``inverse``, when
-    present, is B^-1 of exactly this basis for the same A.
+    present, is B^-1 of this basis for the same A after ``updates`` rank-1
+    updates since its last factorization.
     """
 
     basic: np.ndarray
     at_upper: np.ndarray
     inverse: np.ndarray | None = None
+    updates: int = 0
 
     def lean(self) -> Basis:
         """The same basis without its O(m^2) inverse."""
@@ -88,11 +111,19 @@ class Basis:
 
 @dataclass
 class LpResult:
+    """``objective`` is c'x at the reported point. ``bound`` is a rigorous
+    bound on the optimum from the other side (below it when minimizing):
+    the certified bound of an OPTIMAL result, or its objective checked on a
+    fresh factorization where a column with an infinite bound leaves the
+    certificate open; +-inf when INFEASIBLE."""
+
     status: LpStatus
     objective: float
     x: np.ndarray | None
     iterations: int
-    basis: Basis | None = None  # the optimal basis, with its fresh inverse
+    basis: Basis | None = None  # the optimal basis, with its inverse
+    bound: float = math.nan
+    refactorizations: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,6 +139,11 @@ class LpForm:
     slack_hi: np.ndarray
     cost: np.ndarray
     b: np.ndarray
+    abs_a: np.ndarray  # |A| of the structural columns, for error bounds
+    # the range of each row's multiplier for which its slack's term in a
+    # certified bound is zero: LE rows y_i <= 0, GE rows y_i >= 0
+    y_lo: np.ndarray
+    y_hi: np.ndarray
     sign: float  # -1 when the LP maximizes
 
 
@@ -120,7 +156,9 @@ def lp_form(c: np.ndarray, a: np.ndarray, senses: list[RowSense], b: np.ndarray,
     sign = -1.0 if maximize else 1.0
     arrays = (np.hstack([a, np.eye(m)]), slack_lo, slack_hi,
               np.concatenate([sign * np.asarray(c, dtype=float), np.zeros(m)]),
-              np.array(b, dtype=float))
+              np.array(b, dtype=float), np.abs(np.asarray(a, dtype=float)),
+              np.where(np.isinf(slack_lo), 0.0, -INF),
+              np.where(np.isinf(slack_hi), 0.0, INF))
     for arr in arrays:
         arr.setflags(write=False)
     return LpForm(*arrays, sign)
@@ -142,23 +180,78 @@ def solve_bounded_lp(
     feasible basis from the slack basis, and the primal simplex optimizes
     from there. Either way INFEASIBLE is claimed only by the dual simplex's
     Farkas row. ``max_iters`` caps the pivots of each attempt, and the
-    result's ``iterations`` counts those of both.
+    result's ``iterations`` and ``refactorizations`` count those of both.
     """
     m = form.full.shape[0]
     if max_iters is None:
         max_iters = 5000 + 200 * (3 * m + lo.shape[0])
     args = (form, lo, hi, max_iters)
-    spent = 0
+    spent = refactors = 0
     if basis is not None:
         lp = _Lp(*args)
         status = lp.warm(basis)
         if status is not None:
             return lp.result(status)
-        spent = lp.iters
+        spent, refactors = lp.iters, lp.refactors
     lp = _Lp(*args)
     res = lp.result(lp.cold())
     res.iterations += spent
+    res.refactorizations += refactors
     return res
+
+
+def basic_point(form: LpForm, lo: np.ndarray, hi: np.ndarray,
+                basis: Basis) -> np.ndarray | None:
+    """The point of ``basis`` under the bounds lo <= x <= hi, computed on a
+    fresh factorization (the basis's own inverse if it has taken no updates);
+    None when B is singular, or the point breaks a bound by more than the
+    primal tolerance."""
+    lp = _Lp(form, lo, hi, 0)
+    if not lp.load(basis):
+        return None
+    if basis.inverse is not None and basis.updates == 0:
+        lp.binv = basis.inverse
+        lp.set_basic_values()
+    elif not lp.refactor():
+        return None
+    xb = lp.x[lp.basis]
+    if np.any(lp.lo[lp.basis] - xb > _TOL_FEAS) or np.any(xb - lp.hi[lp.basis] > _TOL_FEAS):
+        return None
+    return lp.x[:lp.n].copy()
+
+
+def certified_bound(form: LpForm, lo: np.ndarray, hi: np.ndarray,
+                    y: np.ndarray, cost: np.ndarray) -> float:
+    """A rigorous lower bound on min cost'x over the rows of ``form`` under
+    lo <= x <= hi (structural columns), from any row multipliers y:
+    y'b + sum_j min over [lo_j, hi_j] of (cost - A'y)_j x_j.
+
+    y is first projected onto ``form.y_lo`` <= y <= ``form.y_hi``, where
+    every slack's term is exactly zero, since slack columns are unit
+    vectors. Each reduced cost is widened by gamma_k (|y|'|A| + |cost|) and
+    the final sum by gamma_k times its terms' magnitudes, so no rounding can
+    lift the result above the true minimum. -inf when a column with an infinite bound
+    has a reduced cost of uncertain sign, or y is not finite. With cost = 0,
+    a result above 0 proves the rows infeasible over the box.
+    """
+    if not np.isfinite(y).all():
+        return -INF
+    y = np.clip(y, form.y_lo, form.y_hi)
+    g = _gamma(2 * (lo.shape[0] + y.shape[0]) + 4)
+    d = cost - y @ form.full[:, :lo.shape[0]]
+    err = g * (np.abs(y) @ form.abs_a + np.abs(cost))
+    d_lo = np.nextafter(d - err, -INF)
+    d_hi = np.nextafter(d + err, INF)
+    with np.errstate(invalid="ignore"):  # 0 * inf: that term is 0
+        t = np.minimum(np.minimum(d_lo * lo, d_lo * hi),
+                       np.minimum(d_hi * lo, d_hi * hi))
+    t[np.isnan(t)] = 0.0
+    yb = float(y @ form.b)
+    total = yb + float(t.sum())
+    if not math.isfinite(total):
+        return -INF
+    err = g * (float(np.abs(y) @ np.abs(form.b)) + abs(yb) + float(np.abs(t).sum()))
+    return float(np.nextafter(total - err, -INF))
 
 
 def _resting_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -175,6 +268,7 @@ class _Lp:
         m, n_full = form.full.shape
         n = n_full - m
         self.n, self.m = n, m
+        self.form = form
         self.full = form.full
         self.lo = np.concatenate([lo, form.slack_lo])
         self.hi = np.concatenate([hi, form.slack_hi])
@@ -188,11 +282,16 @@ class _Lp:
         self.sign = form.sign
         self.max_iters = max_iters
         self.iters = 0
+        self.updates = 0  # rank-1 updates of binv since its factorization
+        self.refactors = 0
+        self.bound: float | None = None  # certified bound of the basis, once known
 
     # -- basis bookkeeping ---------------------------------------------------
 
     def refactor(self, max_cond: float = INF) -> bool:
         """Recompute B^-1 and x_B from scratch; False if B is (near) singular."""
+        self.refactors += 1
+        self.bound = None
         if self.m:
             try:
                 binv, b_norm = self.inverse()
@@ -202,6 +301,7 @@ class _Lp:
             if not b_norm * np.abs(binv).sum(axis=0).max() <= max_cond:
                 return False
             self.binv = binv
+            self.updates = 0
         self.set_basic_values()
         return True
 
@@ -255,6 +355,8 @@ class _Lp:
         col = w.copy()
         col[r] = 0.0
         binv -= np.outer(col, binv[r])
+        self.updates += 1
+        self.bound = None
         self.is_basic[self.basis[r]] = False
         self.is_basic[q] = True
         self.basis[r] = q
@@ -274,17 +376,49 @@ class _Lp:
         self.set_basic_values()
         return True
 
+    def optimum_bound(self) -> float:
+        """The certified lower bound on the optimum from the duals
+        y = c_B B^-1 of the current basis."""
+        if self.bound is None:
+            n = self.n
+            y = self.cost[self.basis] @ self.binv
+            self.bound = certified_bound(self.form, self.lo[:n], self.hi[:n],
+                                         y, self.cost[:n])
+        return self.bound
+
+    def certifies_optimum(self) -> bool:
+        """Whether the certified bound reaches c'x up to ``_CERT_REL``."""
+        obj = float(self.cost @ self.x)
+        return self.optimum_bound() >= obj - _CERT_REL * max(1.0, abs(obj))
+
+    def certifies_infeasible(self, r: int, to_lower: bool) -> bool:
+        """Whether row r of B^-1 proves the LP infeasible over the box,
+        whatever the current point: its combination of the rows,
+        sum_j (rho' a_j) x_j = rho' b, cannot hold within the bounds."""
+        n = self.n
+        rho = self.binv[r]
+        return certified_bound(self.form, self.lo[:n], self.hi[:n],
+                               -rho if to_lower else rho, np.zeros(n)) > 0.0
+
     def result(self, status: LpStatus) -> LpResult:
+        sign = self.sign
         if status is LpStatus.OPTIMAL:
             n = self.n
             x = self.x[:n].copy()
             at_upper = ~self.is_basic & (self.x == self.hi) & (self.lo < self.hi)
-            basis = Basis(self.basis.copy(), at_upper, self.binv)
-            obj = float(self.sign * (self.cost[:n] @ x))
-            return LpResult(status, obj, x, self.iters, basis)
+            basis = Basis(self.basis.copy(), at_upper, self.binv, self.updates)
+            obj = float(self.cost[:n] @ x)
+            bound = self.optimum_bound()
+            if bound == -INF:  # open certificate: the optimum checked fresh
+                bound = obj
+            return LpResult(status, sign * obj, x, self.iters, basis,
+                            sign * bound, self.refactors)
         if status is LpStatus.UNBOUNDED:
-            return LpResult(status, -self.sign * INF, None, self.iters)
-        return LpResult(status, math.nan, None, self.iters)
+            return LpResult(status, -sign * INF, None, self.iters,
+                            bound=-sign * INF, refactorizations=self.refactors)
+        bound = sign * INF if status is LpStatus.INFEASIBLE else math.nan
+        return LpResult(status, math.nan, None, self.iters, bound=bound,
+                        refactorizations=self.refactors)
 
     # -- cold start: dual simplex to a feasible basis, then primal -------------
 
@@ -297,7 +431,7 @@ class _Lp:
         # dual simplex can drive it to a primal feasible basis
         x[n:] = self.b - self.full[:, :n] @ x[:n]
         zero = np.zeros(n + self.m)
-        status = self.dual(zero, zero.copy(), fresh=True)
+        status = self.dual(zero, zero.copy(), fresh=True, certify=False)
         if status is not LpStatus.OPTIMAL:
             return status or LpStatus.NUMERICAL
         status = self.primal()
@@ -388,30 +522,41 @@ class _Lp:
 
     # -- warm start: dual simplex --------------------------------------------
 
-    def warm(self, start: Basis):
-        """Dual simplex from ``start``; None when it cannot be used."""
+    def load(self, start: Basis) -> bool:
+        """Take the basic columns and nonbasic resting bounds of ``start``,
+        leaving B^-1 and x_B to the caller; False if they do not fit."""
         n, m = self.n, self.m
         basic = np.asarray(start.basic, dtype=np.int64)
         at_upper = np.asarray(start.at_upper, dtype=bool)
         if basic.shape != (m,) or at_upper.shape != (n + m,):
-            return None
+            return False
         if m and (basic.min() < 0 or basic.max() >= n + m
                   or np.unique(basic).size != m):
-            return None  # a repeated column makes B singular
+            return False  # a repeated column makes B singular
         self.basis = basic.copy()
         self.is_basic[:] = False
         self.is_basic[basic] = True
         lo, hi = self.lo, self.hi
         self.x = np.where(at_upper & np.isfinite(hi), hi, _resting_point(lo, hi))
-        if start.inverse is not None and start.inverse.shape == (m, m):
+        return True
+
+    def warm(self, start: Basis):
+        """Dual simplex from ``start``, on its inverse unless that has taken
+        ``_REFACTOR_AFTER`` updates; None when it cannot be used."""
+        if not self.load(start):
+            return None
+        m = self.m
+        if (start.inverse is not None and start.inverse.shape == (m, m)
+                and start.updates < _REFACTOR_AFTER):
             self.binv = start.inverse.copy()
+            self.updates = start.updates
             self.set_basic_values()
         elif not self.refactor(_MAX_COND):
             return None
         d = self.reduced_costs(self.cost)
         if not self.make_dual_feasible(d):
             return None
-        return self.dual(self.cost, d, fresh=True)
+        return self.dual(self.cost, d, fresh=self.updates == 0)
 
     def refresh(self, cost: np.ndarray) -> np.ndarray | None:
         """Refactorize and reprice: the dual feasible reduced costs of the
@@ -422,13 +567,16 @@ class _Lp:
         d = self.reduced_costs(cost)
         return d if self.make_dual_feasible(d) else None
 
-    def dual(self, cost: np.ndarray, d: np.ndarray, *, fresh: bool):
+    def dual(self, cost: np.ndarray, d: np.ndarray, *, fresh: bool,
+             certify: bool = True):
         """Dual simplex from a basis that is dual feasible for ``cost``, with
-        reduced costs ``d``.
+        reduced costs ``d``; ``fresh`` says B^-1 was just factorized.
 
-        Returns OPTIMAL (the basis is primal feasible) or INFEASIBLE, each
-        confirmed on a fresh factorization, or None when the basis cannot be
-        carried on or the iteration cap is reached.
+        Returns OPTIMAL (the basis is primal feasible) or INFEASIBLE, or None
+        when the basis cannot be carried on or the iteration cap is reached.
+        A claim is certified (``certified_bound``), or else checked on a
+        fresh factorization. With ``certify`` False an OPTIMAL claim is always
+        checked that way, since under a zero cost every basis has bound 0.
         """
         lo, hi = self.lo, self.hi
         degen_streak = 0
@@ -439,7 +587,7 @@ class _Lp:
             viol = np.maximum(below, xb - hi[basis])
             bad = np.flatnonzero(viol > _TOL_FEAS)
             if not bad.size:
-                if fresh:
+                if fresh or (certify and self.certifies_optimum()):
                     return LpStatus.OPTIMAL
                 d = self.refresh(cost)  # verify the claimed optimum
                 if d is None:
@@ -463,6 +611,8 @@ class _Lp:
             via_dn = down & (a_s < -_TOL_PIV)
             cand = np.flatnonzero(via_up | via_dn)
             if not cand.size:
+                if self.certifies_infeasible(r, to_lower):
+                    return LpStatus.INFEASIBLE
                 if not fresh:
                     d = self.refresh(cost)  # re-check the claim on fresh values
                     if d is None:

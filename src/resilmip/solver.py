@@ -16,8 +16,10 @@ by the dual simplex, since it differs from its parent in one binary bound;
 the child the search keeps also takes the parent's basis inverse, while a
 node pushed to the heap keeps only the O(n + m) basis. The simplex falls back
 to a cold solve when a warm start fails, proves every infeasible node with a
-Farkas row of the dual simplex, and verifies every optimum once on a fresh
-factorization (see ``simplex``).
+Farkas row of the dual simplex, and reports each optimum with a bound
+certified against round-off (see ``simplex``). Nodes are pruned and ordered
+on that certified bound. An integral LP point becomes an incumbent only once
+it is confirmed on a fresh factorization of its basis.
 
 The reported dual bound is the minimum over the open node bounds, the bound
 of the node being solved, the bounds of nodes pruned by cutoff, and the
@@ -44,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .mipmodel import Assignment, MipModel, check_feasible
-from .simplex import Basis, LpResult, LpStatus, lp_form, solve_bounded_lp
+from .simplex import Basis, LpResult, LpStatus, basic_point, lp_form, solve_bounded_lp
 
 log = logging.getLogger("resilmip.solver")
 
@@ -233,7 +235,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         if res.status is not LpStatus.OPTIMAL:
             node = None
             continue
-        bound = res.objective
+        bound = res.bound
         if bound >= cutoff():
             prune_floor = min(prune_floor, bound)
             node = None
@@ -242,14 +244,23 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         x = res.x
         branch_vid = pick_branch_var(x) if bin_ids.size else None
         if branch_vid is None:
-            xi, obj = _integral_solution(x, bound, node, res.basis, bin_ids, node_lp, c_int)
+            if res.objective >= best_obj - 1e-12:
+                node = None  # no strict improvement, even unconfirmed
+                continue
+            xi = _integral_solution(form, x, node, res.basis, bin_ids, node_lp)
             if xi is not None:
+                obj = float(c_int @ xi)
                 if obj < best_obj - 1e-12:  # replace only on strict improvement
                     best_obj, best_x = obj, xi
                     record()
                 node = None
                 continue
-            # exact resolve failed: force the worst binary by branching
+            if not bin_ids.size:  # nothing to branch on: a numerical failure
+                clean = False
+                prune_floor = min(prune_floor, bound)
+                node = None
+                continue
+            # the point could not be confirmed: force the worst binary by branching
             devs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
             branch_vid = int(bin_ids[int(np.argmax(devs))])
 
@@ -305,28 +316,28 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     )
 
 
-def _integral_solution(x, bound, node, basis, bin_ids, node_lp, c_int):
+def _integral_solution(form, x, node, basis, bin_ids, node_lp):
     """Turn an integral-within-tolerance LP point into an exact incumbent.
 
-    LP vertices normally park binaries exactly on 0/1; when one is merely
-    close, re-solve with all binaries fixed to their rounded values so the
-    incumbent satisfies integrality exactly. Returns (x, objective) or
-    (None, nan) when the fixed re-solve fails.
+    The point of the node's optimal basis is recomputed on a fresh
+    factorization. LP vertices normally park binaries exactly on 0/1; when
+    that point breaks a bound or leaves a binary merely close, re-solve with
+    all binaries fixed to their rounded values and confirm that optimum the
+    same way, so the incumbent satisfies integrality exactly. Returns None
+    when neither point is confirmed.
     """
-    if not bin_ids.size:
-        return x, bound
     rounded = np.round(x[bin_ids])
-    if float(np.max(np.abs(x[bin_ids] - rounded), initial=0.0)) <= 1e-12:
-        xi = x.copy()
-        xi[bin_ids] = rounded
-        return xi, float(c_int @ xi)
-    lo2 = node.lo.copy()
-    hi2 = node.hi.copy()
-    lo2[bin_ids] = rounded
-    hi2[bin_ids] = rounded
-    res = node_lp(lo2, hi2, basis)
-    if res.status is LpStatus.OPTIMAL:
-        xi = res.x.copy()
-        xi[bin_ids] = rounded
-        return xi, float(c_int @ xi)
-    return None, math.nan
+    xi = basic_point(form, node.lo, node.hi, basis)
+    if xi is None or float(np.max(np.abs(xi[bin_ids] - rounded), initial=0.0)) > 1e-12:
+        lo2 = node.lo.copy()
+        hi2 = node.hi.copy()
+        lo2[bin_ids] = rounded
+        hi2[bin_ids] = rounded
+        res = node_lp(lo2, hi2, basis)
+        if res.status is not LpStatus.OPTIMAL:
+            return None
+        xi = basic_point(form, lo2, hi2, res.basis)
+        if xi is None:
+            return None
+    xi[bin_ids] = rounded
+    return xi

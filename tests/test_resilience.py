@@ -2,6 +2,8 @@
 robustness verdicts, attainable dominance ratios."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from resilmip.network import (
     competitor_count,
     strongly_classifies,
 )
-from resilmip.oracle import grid_phi
+from resilmip.oracle import enumerate_mip, grid_phi
 from resilmip.resilience import (
     Verdict,
     check_local_robustness,
@@ -26,7 +28,7 @@ from resilmip.resilience import (
     compute_xi,
     find_strong_anchor,
 )
-from resilmip.solver import SolveConfig, SolveStatus
+from resilmip.solver import SolveConfig, SolveResult, SolveStatus
 
 
 class TestComputePhi:
@@ -361,3 +363,75 @@ class TestMaxAlpha:
         assert r.t_star == pytest.approx(0.0, abs=1e-9)
         assert r.alpha_max == pytest.approx(1.0, abs=1e-9)
         assert r.attainable
+
+
+def _ill_scaled_net(seed: int) -> Network:
+    """A random 2-4-4-3 rectifier net with each hidden neuron's incoming
+    weights and bias scaled by 10^U(-3, 3) and its outgoing weights divided
+    by the same factor: the same function, with weights spanning about 1e6
+    and more."""
+    rng = np.random.default_rng(seed)
+    net = zoo.random_relu_net(rng, input_dim=2, hidden=(4, 4), classes=3)
+    layers, scale = [], None
+    for spec in net.layers:
+        if spec.weights is None:
+            layers.append(spec)
+            continue
+        w = spec.weights.copy()
+        if scale is not None:
+            w[1:] /= scale[:, None]
+        if spec.kind is LayerKind.RELU_DENSE:
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, w.shape[1])
+            w *= scale
+        layers.append(replace(spec, weights=w))
+    return Network(net.input_dim, net.input_bounds, tuple(layers))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_max_alpha_on_ill_scaled_nets_matches_enumeration(seed):
+    net = _ill_scaled_net(seed)
+    m = seed % 3 + 1
+    r = compute_max_alpha(net, m)
+    enc = encode_query(net, propagate_intervals(net), QuerySpec(QueryKind.MAX_ALPHA, m=m))
+    ref = enumerate_mip(enc.model)
+    assert r.status is SolveStatus.OPTIMAL and ref.status == "optimal"
+    assert r.t_star == pytest.approx(ref.objective, rel=1e-6, abs=1e-6)
+
+
+class TestQueryDeadline:
+    """A driver's time limit bounds the whole query. The stand-in solve
+    sleeps through its time limit, capped at 0.2 s, as a search that never
+    finishes would: before one deadline bounded the query, every stage and
+    every lookback window took its own full limit."""
+
+    LIMIT = 0.3
+
+    @pytest.fixture
+    def limits(self, monkeypatch):
+        seen = []
+
+        def sleepy(model, config=None):
+            seen.append(config.time_limit)
+            time.sleep(min(config.time_limit, 0.2))
+            return SolveResult(SolveStatus.LIMIT, math.nan, math.nan, None, 0, 0.0, math.inf)
+
+        monkeypatch.setattr(resilience, "solve", sleepy)
+        monkeypatch.setattr(solver, "solve", sleepy)  # lookback's window MIPs
+        return seen
+
+    @pytest.mark.parametrize("query", [
+        lambda net, cfg: compute_phi(net, 1, alpha=math.e, config=cfg, lookback=2),
+        lambda net, cfg: compute_xi(net, alpha=math.e, config=cfg),
+        lambda net, cfg: check_local_robustness(net, [1.0, 1.0], 0.4, config=cfg,
+                                                lookback=2),
+        lambda net, cfg: compute_max_alpha(net, 1, config=cfg, lookback=2),
+    ], ids=["phi", "xi", "verify", "max_alpha"])
+    def test_one_deadline_per_query(self, limits, query):
+        t0 = time.monotonic()
+        query(zoo.relu_mixed_phases(), SolveConfig(time_limit=self.LIMIT))
+        elapsed = time.monotonic() - t0
+        assert len(limits) >= 2
+        assert all(0.0 <= t <= self.LIMIT for t in limits)
+        assert limits == sorted(limits, reverse=True)
+        assert limits[-1] < 0.05
+        assert elapsed < self.LIMIT + 0.15

@@ -295,3 +295,124 @@ def test_unbounded_ray_agreement(seed):
     elif ref.success:
         assert mine.status is LpStatus.OPTIMAL
         assert abs(mine.objective - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
+
+
+def _ref_min(c, a, senses, b, lo, hi, maximize):
+    """HiGHS's optimum in the minimize orientation (sign * c), or None when
+    it finds no optimum."""
+    ref, _ = _scipy_reference(c, a, senses, b, lo, hi, maximize)
+    return ref.fun if ref.success else None
+
+
+@given(seed=st.integers(0, 100_000), noise=st.sampled_from([0.0, 1e-9, 1e-4, 1e-1]))
+@settings(max_examples=120)
+def test_certified_bound_never_exceeds_scipy(seed, noise):
+    """The certified bound from the duals of the optimal basis, exact or
+    perturbed, never lies above HiGHS's optimum, and the unperturbed one
+    lies close to it."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    form = lp_form(c, a, senses, b, maximize=maximize)
+    mine = solve_bounded_lp(form, lo, hi)
+    assume(mine.status is LpStatus.OPTIMAL)
+    ref = _ref_min(c, a, senses, b, lo, hi, maximize)
+    assert ref is not None
+    scale = max(1.0, abs(ref))
+    sign = -1.0 if maximize else 1.0
+    assert sign * mine.bound <= ref + 1e-7 * scale
+    assert sign * mine.bound >= ref - 1e-6 * scale
+    y = form.cost[mine.basis.basic] @ mine.basis.inverse
+    y = y + noise * np.random.default_rng(seed).normal(size=y.shape) * (1.0 + np.abs(y))
+    assert simplex.certified_bound(form, lo, hi, y, form.cost[:len(c)]) <= ref + 1e-7 * scale
+
+
+@given(seed=st.integers(0, 100_000), var=st.integers(0, 4),
+       drift=st.sampled_from([1e-12, 1e-8, 1e-5]))
+@settings(max_examples=120)
+def test_drifted_inverse_claims_agree_with_scipy(seed, var, drift):
+    """Warm re-solves from a basis whose inverse carries noise: an INFEASIBLE
+    claim only where HiGHS finds no feasible point, and an optimum's bound
+    never above HiGHS's optimum."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    first = _solve(c, a, senses, b, lo, hi, maximize)
+    assume(first.status is LpStatus.OPTIMAL)
+    inv = first.basis.inverse
+    noisy = inv + drift * np.random.default_rng(seed).normal(size=inv.shape) * (1.0 + np.abs(inv))
+    start = Basis(first.basis.basic, first.basis.at_upper, noisy, updates=1)
+    j = var % len(c)
+    lo2, hi2 = lo.copy(), hi.copy()
+    lo2[j] = (first.x[j] + hi[j]) / 2  # cut off the optimum in one variable
+    warm = _solve(c, a, senses, b, lo2, hi2, maximize, basis=start)
+    ref, sign = _scipy_reference(c, a, senses, b, lo2, hi2, maximize)
+    if warm.status is LpStatus.INFEASIBLE:
+        assert ref.status == 2
+    if warm.status is LpStatus.OPTIMAL:
+        assert ref.success
+        assert sign * warm.bound <= ref.fun + 1e-7 * max(1.0, abs(ref.fun))
+
+
+def _tight_instance(seed, zero_cost=False):
+    """An LP with integer data whose every row is tight at one corner x* of
+    the box, and row multipliers y for which x* minimizes the Lagrangian:
+    its optimum is c'x* exactly, and the bound from y is exactly c'x* too,
+    so any upward rounding in the bound would show."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+    a = rng.integers(-9, 10, (m, n)).astype(float)
+    lo = rng.integers(-5, 1, n).astype(float)
+    hi = lo + rng.integers(1, 6, n)
+    c = np.zeros(n) if zero_cost else rng.integers(-9, 10, n).astype(float)
+    senses = [[LE, GE, EQ][int(t)] for t in rng.integers(0, 3, m)]
+    y = rng.normal(0, 3, m) * (1.0 + 1e-3 * rng.random(m))
+    y = np.array([min(v, 0.0) if s is LE else max(v, 0.0) if s is GE else v
+                  for v, s in zip(y, senses)])
+    x_star = np.where(c - y @ a > 0, lo, hi)
+    return c, a, senses, a @ x_star, lo, hi, y, x_star
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=150)
+def test_certified_bound_is_safe_where_it_is_tight(seed):
+    """Where the bound equals the optimum in exact arithmetic, the float
+    result stays at or below it, within round-off of it."""
+    c, a, senses, b, lo, hi, y, x_star = _tight_instance(seed)
+    form = lp_form(c, a, senses, b)
+    opt = float(c @ x_star)  # exact: integer data
+    ref = _ref_min(c, a, senses, b, lo, hi, False)
+    assert ref is not None and ref == pytest.approx(opt, abs=1e-7)
+    bound = simplex.certified_bound(form, lo, hi, y, c)
+    assert opt - 1e-9 * max(1.0, abs(opt)) <= bound <= opt
+    # with zero costs no multipliers can claim this feasible LP infeasible
+    zero = np.zeros(len(c))
+    for sgn in (1.0, -1.0):
+        assert simplex.certified_bound(form, lo, hi, sgn * y, zero) <= 0.0
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=150)
+def test_certified_infeasibility_is_safe_where_it_is_tight(seed):
+    """With zero costs and multipliers whose Farkas combination is exactly
+    met at x*, the LP is feasible and the bound stays at or below 0; moving
+    one row's right-hand side by 1e-6 against its multiplier makes the LP
+    infeasible, and the same multipliers prove it."""
+    c, a, senses, b, lo, hi, y, _ = _tight_instance(seed, zero_cost=True)
+    assert _ref_min(c, a, senses, b, lo, hi, False) == pytest.approx(0.0)
+    assert -1e-9 <= simplex.certified_bound(lp_form(c, a, senses, b), lo, hi, y, c) <= 0.0
+    i = int(np.argmax(np.abs(y)))
+    assume(abs(y[i]) > 1e-3)
+    b_off = b.copy()
+    b_off[i] += 1e-6 * np.sign(y[i])  # y_i > 0 on a GE row: demand more
+    assert simplex.certified_bound(lp_form(c, a, senses, b_off), lo, hi, y, c) > 0.0
+
+
+def test_update_cap_forces_a_refactorization():
+    c, a, senses, b, lo, hi, maximize = _random_instance(7)
+    first = _solve(c, a, senses, b, lo, hi, maximize)
+    assert first.status is LpStatus.OPTIMAL
+    basis = first.basis
+    for updates, refactors in ((1, 0), (simplex._REFACTOR_AFTER - 1, 0),
+                               (simplex._REFACTOR_AFTER, 1)):
+        start = Basis(basis.basic, basis.at_upper, basis.inverse, updates)
+        again = _solve(c, a, senses, b, lo, hi, maximize, basis=start)
+        assert again.status is LpStatus.OPTIMAL and again.iterations == 0
+        assert again.refactorizations == refactors
+        assert again.objective == pytest.approx(first.objective, abs=1e-9)

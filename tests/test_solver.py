@@ -1,6 +1,7 @@
 """Branch-and-bound: correctness against brute force, limits, warm starts,
 worker-count invariance."""
 
+import collections
 import concurrent.futures
 import math
 import os
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilmip import zoo
+from resilmip import simplex, solver, zoo
 from resilmip.dataflow import propagate_intervals, tighten_lookback
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
 from resilmip.oracle import enumerate_mip
-from resilmip.resilience import compute_xi
+from resilmip.resilience import compute_max_alpha, compute_xi
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp, worker_pool
 
 
@@ -144,6 +145,60 @@ class TestResultContract:
         r2 = solve(m2.freeze(), SolveConfig())
         assert r1.objective == r2.objective
         assert r1.nodes_explored == r2.nodes_explored
+
+
+class TestCertifiedNodeLps:
+    def test_r8_max_alpha_rarely_refactorizes(self, monkeypatch):
+        """Node LPs certify their claims instead of checking them on a fresh
+        factorization: max-alpha of class 1 on R8 (the second draw of
+        random_relu_net from seed 0, hidden (8, 8)) takes fewer than 0.6
+        refactorizations per LP, confirmations of incumbents included, and
+        keeps its answer."""
+        rng = np.random.default_rng(0)
+        zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
+        r8 = zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
+        counts = collections.Counter()
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(simplex._Lp, "refactor",
+                            counting("refactor", simplex._Lp.refactor))
+        monkeypatch.setattr(solver, "solve_bounded_lp",
+                            counting("lp", solver.solve_bounded_lp))
+        r = compute_max_alpha(r8, 1)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.alpha_max == pytest.approx(0.8468546779966943, rel=1e-9)
+        assert counts["lp"] >= r.solve.nodes_explored
+        assert counts["refactor"] < 0.6 * counts["lp"]
+
+    def test_incumbent_is_a_point_recomputed_fresh(self, monkeypatch):
+        """Every incumbent is the point of its node's basis recomputed on a
+        fresh factorization (binaries rounded), never the LP's own point."""
+        fresh = []
+
+        def spy(*args):
+            x = real(*args)
+            fresh.append(x)
+            return x
+
+        real = solver.basic_point
+        monkeypatch.setattr(solver, "basic_point", spy)
+        adopted = 0
+        for seed in range(20):
+            fresh.clear()
+            m = _random_mip(seed)
+            r = solve(m.freeze(), SolveConfig())
+            if r.assignment is None:
+                continue
+            x = np.array([r.assignment[i] for i in range(m.num_variables)])
+            assert any(p is not None and np.allclose(p, x, rtol=0.0, atol=1e-9)
+                       for p in fresh)
+            adopted += 1
+        assert adopted >= 10
 
 
 class TestWarmStart:
