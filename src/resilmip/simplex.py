@@ -278,7 +278,7 @@ class _Lp:
         self.basis = n + np.arange(m, dtype=np.int64)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
-        self.binv = np.eye(m)
+        self.binv = np.empty((0, 0))  # B^-1: set by cold, warm or refactor
         self.sign = form.sign
         self.max_iters = max_iters
         self.iters = 0
@@ -425,6 +425,7 @@ class _Lp:
     def cold(self) -> LpStatus:
         n = self.n
         lo, hi, x = self.lo, self.hi, self.x
+        self.binv = np.eye(self.m)
         x[:n] = _resting_point(lo[:n], hi[:n])
         # the slack basis, each slack holding its row's residual even outside
         # its own bounds; under a zero objective it is dual feasible, so the
@@ -531,7 +532,7 @@ class _Lp:
         if basic.shape != (m,) or at_upper.shape != (n + m,):
             return False
         if m and (basic.min() < 0 or basic.max() >= n + m
-                  or np.unique(basic).size != m):
+                  or np.bincount(basic, minlength=n + m).max() > 1):
             return False  # a repeated column makes B singular
         self.basis = basic.copy()
         self.is_basic[:] = False

@@ -12,14 +12,16 @@ Node LPs: the LP's fixed data is put in the simplex's layout once per solve
 (``simplex.lp_form``). The root LP is solved cold: the dual simplex finds a
 feasible basis from the slack basis, and the primal simplex optimizes from
 it. Every child carries its parent's optimal basis and is re-solved from it
-by the dual simplex, since it differs from its parent in one binary bound;
-the child the search keeps also takes the parent's basis inverse, while a
-node pushed to the heap keeps only the O(n + m) basis. The simplex falls back
-to a cold solve when a warm start fails, proves every infeasible node with a
-Farkas row of the dual simplex, and reports each optimum with a bound
-certified against round-off (see ``simplex``). Nodes are pruned and ordered
-on that certified bound. An integral LP point becomes an incumbent only once
-it is confirmed on a fresh factorization of its basis.
+by the dual simplex, since it differs from its parent in one binary bound.
+Both children share the parent's basis inverse, so a node popped off the
+heap starts without a factorization; the open nodes keep inverses up to
+``_HEAP_INVERSE_BYTES`` between them, and a node pushed beyond that keeps
+only the O(n + m) basis. The simplex falls back to a cold solve when a warm
+start fails, proves every infeasible node with a Farkas row of the dual
+simplex, and reports each optimum with a bound certified against round-off
+(see ``simplex``). Nodes are pruned and ordered on that certified bound. An
+integral LP point becomes an incumbent only once it is confirmed on a fresh
+factorization of its basis.
 
 The reported dual bound is the minimum over the open node bounds, the bound
 of the node being solved, the bounds of nodes pruned by cutoff, and the
@@ -52,6 +54,8 @@ log = logging.getLogger("resilmip.solver")
 
 INF = math.inf
 INT_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
+# bytes of basis inverses the open nodes of one solve may keep between them
+_HEAP_INVERSE_BYTES = 1 << 19
 
 
 class SolveStatus(Enum):
@@ -129,6 +133,10 @@ class _Node:
     basis: Basis | None = None  # the parent's optimal basis
 
 
+def _keeps_inverse(node: _Node) -> bool:
+    return node.basis is not None and node.basis.inverse is not None
+
+
 def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     """Branch-and-bound solve of a frozen (or finished) model."""
     cfg = config or SolveConfig()
@@ -151,9 +159,17 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     history: list[tuple[int, float, float, float]] = []
     last_log = 0.0
 
+    kept = 0  # bytes of the inverses that heap nodes keep
+
     def push(node: _Node) -> None:
-        if node.basis is not None:
-            node.basis = node.basis.lean()  # O(n + m) per pooled node, not O(m^2)
+        nonlocal kept
+        if _keeps_inverse(node):
+            # a kept inverse spares the node a factorization when it is
+            # popped; past the budget a pooled node keeps O(n + m), not O(m^2)
+            if kept + node.basis.inverse.nbytes <= _HEAP_INVERSE_BYTES:
+                kept += node.basis.inverse.nbytes
+            else:
+                node.basis = node.basis.lean()
         heapq.heappush(heap, (node.bound, next(seq), node))
 
     def dual() -> float:
@@ -202,6 +218,8 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     while node is not None or heap:
         if node is None:
             node = heapq.heappop(heap)[2]
+            if _keeps_inverse(node):
+                kept -= node.basis.inverse.nbytes
         current = node.bound
         now = time.monotonic()
         if ((cfg.node_limit is not None and nodes >= cfg.node_limit)
@@ -270,8 +288,8 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
         up = _Node(bound, node.lo.copy(), node.hi.copy())
         up.lo[branch_vid] = 1.0
         first, second = (up, down) if v >= 0.5 else (down, up)
-        # both children re-solve from this basis; the plunge child also keeps
-        # its inverse (push drops it)
+        # both children re-solve from this basis and share its inverse, which
+        # a warm start copies before pivoting
         first.basis = second.basis = res.basis
         push(second)
         node = first  # plunge

@@ -162,6 +162,7 @@ def test_warm_resolve_matches_cold_and_scipy(seed, var, frac, lean):
     first = _solve(c, a, senses, b, lo, hi, maximize)
     assume(first.status is LpStatus.OPTIMAL)
     start = first.basis.lean() if lean else first.basis
+    kept = None if lean else start.inverse.copy()
 
     # unchanged bounds: the basis is already optimal
     again = _solve(c, a, senses, b, lo, hi, maximize, basis=start)
@@ -185,6 +186,8 @@ def test_warm_resolve_matches_cold_and_scipy(seed, var, frac, lean):
     assume(lo2[j] - lo[j] > 1e-6 or hi[j] - hi2[j] > 1e-6)
 
     warm = _solve(c, a, senses, b, lo2, hi2, maximize, basis=start)
+    if kept is not None:  # pivots ran on a copy of the start's inverse
+        assert np.array_equal(start.inverse, kept)
     cold = _solve(c, a, senses, b, lo2, hi2, maximize)
     assert warm.status is cold.status
     if cold.status is LpStatus.OPTIMAL:
@@ -239,6 +242,34 @@ class TestWarmStart:
         assert r.objective == pytest.approx(cold.objective)
         assert cold.iterations > 0
         assert r.iterations == cold.iterations  # the warm attempt never pivoted
+
+    def test_repeated_basic_column_falls_back_to_cold(self):
+        # a basis naming column 0 twice is no basis, whatever inverse it
+        # carries; taken with the identity, it would claim x = (1.5, 0, 0)
+        # optimal at 1.5, where the optimum is 1
+        c, a, senses, b = [1, 3, 4], [[1, 1, 2], [3, 1, 1]], [GE, GE], [1, 1.5]
+        lo, hi = np.zeros(3), np.full(3, 2.0)
+        cold = _solve(c, a, senses, b, lo, hi)
+        start = Basis(np.array([0, 0]), np.zeros(5, dtype=bool), np.eye(2))
+        r = _solve(c, a, senses, b, lo, hi, basis=start)
+        assert r.status is cold.status is LpStatus.OPTIMAL
+        assert r.objective == cold.objective == pytest.approx(1.0)
+        assert r.iterations == cold.iterations
+        assert r.refactorizations == cold.refactorizations
+        form = lp_form(np.array(c, float), np.array(a, float), senses, np.array(b, float))
+        assert simplex.basic_point(form, lo, hi, start) is None
+
+    def test_warm_solve_leaves_the_start_inverse_alone(self):
+        # branch-and-bound nodes share their parent's inverse, so a warm
+        # solve must pivot on a copy of it
+        c = [1.8, 2.9, 0.9, 2.9, 1.3]
+        a = [[0.7, -0.8, 0.9, 0.5, 0.4], [0.0, 0.8, -1.1, -0.2, -0.7]]
+        args = (c, a, [EQ, EQ], [0, 0], [0] * 5, [1] * 5)
+        top = _solve(*args, maximize=True)
+        kept = top.basis.inverse.copy()
+        warm = _solve(*args, basis=top.basis)
+        assert warm.iterations == 2
+        assert np.array_equal(top.basis.inverse, kept)
 
     def test_dual_infeasible_basis_falls_back_to_cold(self):
         # the optimal basis of max x + y has both slacks nonbasic; for

@@ -3,16 +3,19 @@ worker-count invariance."""
 
 import collections
 import concurrent.futures
+import heapq
 import math
 import os
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilmip import simplex, solver, zoo
+from resilmip import encoder, simplex, solver, zoo
 from resilmip.dataflow import propagate_intervals, tighten_lookback
+from resilmip.encoder import QueryKind, QuerySpec
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
 from resilmip.oracle import enumerate_mip
 from resilmip.resilience import compute_max_alpha, compute_xi
@@ -53,6 +56,20 @@ def _random_mip(seed: int, n_bin=None, n_cont=None) -> MipModel:
     m.set_objective([(v, float(rng.normal(0, 2))) for v in ids],
                     ObjSense.MAXIMIZE if rng.random() < 0.5 else ObjSense.MINIMIZE)
     return m
+
+
+def _r8():
+    """R8: the second draw of random_relu_net from seed 0, hidden (8, 8)."""
+    rng = np.random.default_rng(0)
+    zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
+    return zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
+
+
+def _r8_max_alpha_model() -> MipModel:
+    """The model compute_max_alpha(R8, 1) solves."""
+    r8 = _r8()
+    return encoder.encode_query(r8, propagate_intervals(r8),
+                                QuerySpec(QueryKind.MAX_ALPHA, m=1)).model
 
 
 class TestKnownMips:
@@ -151,12 +168,11 @@ class TestCertifiedNodeLps:
     def test_r8_max_alpha_rarely_refactorizes(self, monkeypatch):
         """Node LPs certify their claims instead of checking them on a fresh
         factorization: max-alpha of class 1 on R8 (the second draw of
-        random_relu_net from seed 0, hidden (8, 8)) takes fewer than 0.6
+        random_relu_net from seed 0, hidden (8, 8)) takes fewer than 0.25
         refactorizations per LP, confirmations of incumbents included, and
-        keeps its answer."""
-        rng = np.random.default_rng(0)
-        zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
-        r8 = zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
+        keeps its answer: nodes popped off the heap warm-start on their
+        parent's inverse."""
+        r8 = _r8()
         counts = collections.Counter()
 
         def counting(key, fn):
@@ -173,7 +189,7 @@ class TestCertifiedNodeLps:
         assert r.status is SolveStatus.OPTIMAL
         assert r.alpha_max == pytest.approx(0.8468546779966943, rel=1e-9)
         assert counts["lp"] >= r.solve.nodes_explored
-        assert counts["refactor"] < 0.6 * counts["lp"]
+        assert counts["refactor"] < 0.25 * counts["lp"]
 
     def test_incumbent_is_a_point_recomputed_fresh(self, monkeypatch):
         """Every incumbent is the point of its node's basis recomputed on a
@@ -199,6 +215,49 @@ class TestCertifiedNodeLps:
                        for p in fresh)
             adopted += 1
         assert adopted >= 10
+
+
+def _rows(model: MipModel) -> int:
+    return model.dense_arrays().a.shape[0]
+
+
+class TestHeapInverseBudget:
+    def test_budget_caps_the_inverses_on_the_heap(self, monkeypatch):
+        """With room for two inverses, no push leaves more than two heap
+        nodes holding one, and the heap does fill up to two."""
+        model = _r8_max_alpha_model()
+        m = _rows(model)
+        monkeypatch.setattr(solver, "_HEAP_INVERSE_BYTES", 2 * 8 * m * m)
+        held = []
+
+        def heappush(heap, item):
+            heapq.heappush(heap, item)
+            held.append(sum(node.basis is not None and node.basis.inverse is not None
+                            for _, _, node in heap))
+
+        monkeypatch.setattr(solver, "heapq",
+                            types.SimpleNamespace(heappush=heappush,
+                                                  heappop=heapq.heappop))
+        r = solve(model)
+        assert r.status is SolveStatus.OPTIMAL
+        assert max(held) == 2
+
+    def test_answers_do_not_depend_on_the_budget(self, monkeypatch):
+        """No inverse kept, two kept, or the default budget: every solve ends
+        with the same status and objective."""
+        models = [_random_mip(seed).freeze() for seed in range(20)]
+        models.append(_r8_max_alpha_model())
+        for model in models:
+            m = _rows(model)
+            results = []
+            for budget in (0, 2 * 8 * m * m, solver._HEAP_INVERSE_BYTES):
+                with monkeypatch.context() as mp:
+                    mp.setattr(solver, "_HEAP_INVERSE_BYTES", budget)
+                    results.append(solve(model))
+            for r in results[1:]:
+                assert r.status is results[0].status
+                assert r.objective == pytest.approx(results[0].objective,
+                                                    rel=1e-9, abs=1e-9)
 
 
 class TestWarmStart:
