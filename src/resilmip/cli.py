@@ -9,6 +9,9 @@ Exit codes: 0 success (for verify: ROBUST), 10 verify found a violation,
 20 the verdict or bound could not be settled within the solver's limits,
 1 runtime failure, 2 usage error. All numbers print with 6 significant
 digits; --json-out writes the same result as a machine-readable sidecar.
+Each command takes the parsed arguments and the loaded network, prints its
+result and returns (exit code, payload); main loads the network once and
+writes the payload as the sidecar, so a command that fails leaves none.
 The RESILMIP_WORKERS environment variable sets the default --workers, the
 number of processes that run independent sub-solves side by side.
 """
@@ -140,13 +143,11 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "json_out", None):
-        Path(args.json_out).write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
+def _write_json(path: str, payload: dict) -> None:
+    Path(path).write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
-def cmd_eval(args) -> int:
-    net = _load_net(args.net)
+def cmd_eval(args, net: Network) -> tuple[int, dict]:
     point = _parse_input(args.input, net.input_dim)
     trace = forward(net, point)
     out = trace.outputs
@@ -157,13 +158,11 @@ def cmd_eval(args) -> int:
     if net.ends_in_softmax:
         print(f"probs    {_vec(out)}")
     print(f"class    {top}")
-    _emit_json(args, {"input": point, "scores": scores,
-                      "outputs": out, "top_class": top})
-    return EXIT_OK
+    return EXIT_OK, {"input": point, "scores": scores,
+                     "outputs": out, "top_class": top}
 
 
-def cmd_bounds(args) -> int:
-    net = _load_net(args.net)
+def cmd_bounds(args, net: Network) -> tuple[int, dict]:
     bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
     buf = io.StringIO()
     write_bounds_dump(net, bounds, buf)
@@ -173,17 +172,13 @@ def cmd_bounds(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    _emit_json(args, {
-        "layers": [
-            {"lo": lb.lo, "hi": lb.hi, "im_lo": lb.im_lo, "im_hi": lb.im_hi}
-            for lb in bounds.layers
-        ]
-    })
-    return EXIT_OK
+    return EXIT_OK, {"layers": [
+        {"lo": lb.lo, "hi": lb.hi, "im_lo": lb.im_lo, "im_hi": lb.im_hi}
+        for lb in bounds.layers
+    ]}
 
 
-def cmd_verify(args) -> int:
-    net = _load_net(args.net)
+def cmd_verify(args, net: Network) -> tuple[int, dict]:
     point = _parse_input(args.input, net.input_dim)
     res = check_local_robustness(
         net, point, args.delta, m=args.cls, k=args.k,
@@ -197,20 +192,15 @@ def cmd_verify(args) -> int:
         print(f"cost     {_g(float(np.sum(np.abs(res.eps))))}")
     if res.note:
         print(f"note     {res.note}")
-    payload = {"verdict": res.verdict.value, "class": res.m,
-               "delta": res.delta, "k": res.k, "eps": res.eps,
-               "perturbed": res.perturbed, "note": res.note}
-    _emit_json(args, payload)
     if args.witness_out and res.eps is not None:
-        Path(args.witness_out).write_text(
-            json.dumps(_jsonable({"eps": res.eps, "perturbed": res.perturbed,
-                                  "anchor": point}), indent=2) + "\n")
+        _write_json(args.witness_out, {"eps": res.eps, "perturbed": res.perturbed,
+                                       "anchor": point})
         print(f"witness  {args.witness_out}")
-    if res.verdict is Verdict.ROBUST:
-        return EXIT_OK
-    if res.verdict is Verdict.VIOLATED:
-        return EXIT_VIOLATED
-    return EXIT_UNKNOWN
+    code = {Verdict.ROBUST: EXIT_OK, Verdict.VIOLATED: EXIT_VIOLATED}.get(
+        res.verdict, EXIT_UNKNOWN)
+    return code, {"verdict": res.verdict.value, "class": res.m,
+                  "delta": res.delta, "k": res.k, "eps": res.eps,
+                  "perturbed": res.perturbed, "note": res.note}
 
 
 def _print_phi(res) -> None:
@@ -246,17 +236,14 @@ def _phi_payload(res) -> dict:
     }
 
 
-def cmd_phi(args) -> int:
-    net = _load_net(args.net)
+def cmd_phi(args, net: Network) -> tuple[int, dict]:
     res = compute_phi(net, args.cls, args.alpha, args.k,
                       config=_solve_config(args), lookback=args.lookback)
     _print_phi(res)
-    _emit_json(args, _phi_payload(res))
-    return EXIT_OK if res.exact else EXIT_UNKNOWN
+    return EXIT_OK if res.exact else EXIT_UNKNOWN, _phi_payload(res)
 
 
-def cmd_xi(args) -> int:
-    net = _load_net(args.net)
+def cmd_xi(args, net: Network) -> tuple[int, dict]:
     res = compute_xi(net, args.alpha, args.k, config=_solve_config(args),
                      lookback=args.lookback)
     print(f"xi       {_g(res.xi)}")
@@ -267,16 +254,14 @@ def cmd_xi(args) -> int:
         print(f"excluded {', '.join(str(m) for m in res.excluded)} (never strongly classified)")
     for m, r in sorted(res.per_class.items()):
         print(f"  phi[{m}] {_g(r.phi)} ({r.status.value})")
-    _emit_json(args, {"xi": res.xi, "status": res.status.value,
-                      "weakest_class": res.weakest_class, "excluded": res.excluded,
-                      "per_class": {str(m): _phi_payload(r)
-                                    for m, r in res.per_class.items()}})
     exact = all(r.exact for r in res.per_class.values())
-    return EXIT_OK if exact else EXIT_UNKNOWN
+    return EXIT_OK if exact else EXIT_UNKNOWN, {
+        "xi": res.xi, "status": res.status.value,
+        "weakest_class": res.weakest_class, "excluded": res.excluded,
+        "per_class": {str(m): _phi_payload(r) for m, r in res.per_class.items()}}
 
 
-def cmd_max_alpha(args) -> int:
-    net = _load_net(args.net)
+def cmd_max_alpha(args, net: Network) -> tuple[int, dict]:
     res = compute_max_alpha(net, args.cls, config=_solve_config(args),
                             lookback=args.lookback)
     print(f"alpha    {_g(res.alpha_max)}")
@@ -288,14 +273,13 @@ def cmd_max_alpha(args) -> int:
         print("note     class never tops every rival (alpha < 1)")
     if res.anchor is not None:
         print(f"anchor   {_vec(res.anchor)}")
-    _emit_json(args, {"alpha_max": res.alpha_max, "t_star": res.t_star,
-                      "attainable": res.attainable, "status": res.status.value,
-                      "upper_bound": res.upper_bound, "anchor": res.anchor})
-    return EXIT_OK if res.status is SolveStatus.OPTIMAL else EXIT_UNKNOWN
+    code = EXIT_OK if res.status is SolveStatus.OPTIMAL else EXIT_UNKNOWN
+    return code, {"alpha_max": res.alpha_max, "t_star": res.t_star,
+                  "attainable": res.attainable, "status": res.status.value,
+                  "upper_bound": res.upper_bound, "anchor": res.anchor}
 
 
-def cmd_export(args) -> int:
-    net = _load_net(args.net)
+def cmd_export(args, net: Network) -> tuple[int, dict]:
     kind = {"phi": QueryKind.MAX_PERTURBATION,
             "robustness": QueryKind.LOCAL_ROBUSTNESS,
             "max-alpha": QueryKind.MAX_ALPHA}[args.query]
@@ -318,7 +302,7 @@ def cmd_export(args) -> int:
     cols = enc.model.num_variables
     bins = len(enc.model.binary_ids)
     print(f"wrote {args.out} ({rows} rows, {cols} columns, {bins} binaries)")
-    return EXIT_OK
+    return EXIT_OK, {"out": args.out, "rows": rows, "columns": cols, "binaries": bins}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +392,10 @@ def main(argv=None) -> int:
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(name)s %(message)s")
     try:
-        return args.func(args)
+        code, payload = args.func(args, _load_net(args.net))
+        if args.json_out:
+            _write_json(args.json_out, payload)
+        return code
     except (NetworkFormatError, NetworkValidationError, EncodingError,
             ModelError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

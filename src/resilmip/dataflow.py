@@ -9,14 +9,15 @@ min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO
 
 import numpy as np
 
 from .network import DENSE_KINDS, LayerKind, Network
+from .solver import SolveConfig, SolveStatus, query_deadline, time_left, worker_pool
 
 # Slack when adopting MIP-tightened bounds, guarding against LP round-off
 # pushing a bound past the true extreme.
@@ -43,16 +44,6 @@ class LayerBounds:
     im_hi: np.ndarray | None = None
     phase: np.ndarray | None = None  # Phase codes, relu_dense layers only
 
-    def copy(self) -> "LayerBounds":
-        dup = lambda a: None if a is None else a.copy()
-        return LayerBounds(
-            lo=self.lo.copy(),
-            hi=self.hi.copy(),
-            im_lo=dup(self.im_lo),
-            im_hi=dup(self.im_hi),
-            phase=dup(self.phase),
-        )
-
 
 @dataclass
 class IntervalBounds:
@@ -68,13 +59,6 @@ class IntervalBounds:
 
     def x_hi(self, pos: int) -> np.ndarray:
         return self.input_hi if pos == 0 else self.layers[pos - 1].hi
-
-    def copy(self) -> "IntervalBounds":
-        return IntervalBounds(
-            input_lo=self.input_lo.copy(),
-            input_hi=self.input_hi.copy(),
-            layers=[lb.copy() for lb in self.layers],
-        )
 
 
 def _affine_bounds(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +123,6 @@ def lookback_config(config=None):
     """The solve config of lookback's window MIPs under a caller's config:
     its time limit (for the whole tightening) and MIP gap, and a node limit
     of LOOKBACK_NODE_LIMIT."""
-    from .solver import SolveConfig
-
     cfg = config if config is not None else SolveConfig()
     return SolveConfig(node_limit=LOOKBACK_NODE_LIMIT, time_limit=cfg.time_limit,
                        mip_gap=cfg.mip_gap)
@@ -151,14 +133,12 @@ def _probe(job) -> float | None:
     when the solve stops short of optimality or the deadline (a
     time.monotonic() reading, or None) has passed before it starts."""
     from . import encoder  # local import: encoder depends on these types
-    from .solver import SolveStatus, solve
+    from .solver import solve  # at call time, so a patched solve is used
 
     net, bounds, pos, node, depth, maximize, config, deadline = job
-    if deadline is not None:
-        left = deadline - time.monotonic()
-        if left <= 0.0:
-            return None
-        config = replace(config, time_limit=left)
+    config = time_left(config, deadline)
+    if config.time_limit == 0.0:  # the deadline has passed
+        return None
     model, _ = encoder.encode_bound_probe(net, bounds, pos, node, depth,
                                           maximize=maximize)
     res = solve(model, config)
@@ -189,15 +169,12 @@ def tighten_lookback(
     `workers` processes run the window solves of a layer side by side, with
     the same results as one (up to that deadline).
     """
-    from .solver import worker_pool
-
     if depth < 1:
         raise ValueError("lookback depth must be >= 1")
     cfg = config if config is not None else lookback_config()
-    # the monotonic clock is system-wide, so forked workers read it too
-    deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
+    deadline = query_deadline(cfg)
 
-    work = bounds.copy()
+    work = copy.deepcopy(bounds)
     with worker_pool(workers) as pmap:
         for pos, spec in enumerate(net.layers, start=1):
             lb = work.layers[pos - 1]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -39,7 +38,8 @@ from .dataflow import IntervalBounds, lookback_config, propagate_intervals, tigh
 from .encoder import QueryKind, QuerySpec
 from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
-from .solver import SolveConfig, SolveResult, SolveStatus, solve, worker_pool
+from .solver import (SolveConfig, SolveResult, SolveStatus, query_deadline, solve,
+                     time_left, worker_pool)
 
 _WITNESS_TOL = 1e-7
 
@@ -134,19 +134,6 @@ def prepare_bounds(net: Network, bounds: IntervalBounds | None,
     return bounds
 
 
-def _deadline(config: SolveConfig) -> float | None:
-    """The time.monotonic() reading at which ``config``'s time limit, counted
-    from now, runs out; None without a limit."""
-    return None if config.time_limit is None else time.monotonic() + config.time_limit
-
-
-def _time_left(config: SolveConfig, deadline: float | None) -> SolveConfig:
-    """``config`` with the time left until ``deadline`` as its time limit."""
-    if deadline is None:
-        return config
-    return replace(config, time_limit=max(0.0, deadline - time.monotonic()))
-
-
 def _vals(assignment, ids) -> np.ndarray:
     return np.array([assignment[i] for i in ids], dtype=np.float64)
 
@@ -201,7 +188,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
     the "q" copy and the class selectors), matched by variable name."""
     cfg = config or SolveConfig()
     return _phi(net, m, alpha, k, a_ini=a_ini, cfg=cfg, bounds=bounds,
-                lookback=lookback, presolve=presolve, deadline=_deadline(cfg))
+                lookback=lookback, presolve=presolve, deadline=query_deadline(cfg))
 
 
 def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None,
@@ -210,7 +197,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
     """compute_phi under a deadline fixed by its caller."""
     spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
     encoder.validate_query(net, spec)
-    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
+    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
 
     anchor: np.ndarray | None = None
     anchor_sol: dict[str, float] | None = None
@@ -222,7 +209,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
             )
     elif presolve:
         anchor, a_status, anchor_sol = find_strong_anchor(
-            net, m, alpha, bounds, _time_left(cfg, deadline))
+            net, m, alpha, bounds, time_left(cfg, deadline))
         if anchor is None and a_status is SolveStatus.INFEASIBLE:
             # no input is strongly classified: the minimum ranges over an
             # empty set and the class is vacuously unbreakable
@@ -237,7 +224,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
     fixed_sol: dict[str, float] | None = None
     if anchor is not None and presolve:
         enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor))
-        res2 = solve(enc2.model, _time_left(cfg, deadline))
+        res2 = solve(enc2.model, time_left(cfg, deadline))
         if res2.status is SolveStatus.INFEASIBLE:
             # the dominance region is empty regardless of the anchor
             return PhiResult(m, alpha, k, math.inf, SolveStatus.INFEASIBLE,
@@ -257,7 +244,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
         start.update(zip(enc.input_ids, anchor))  # the anchor stage 2 fixed
         enc.model.set_warm_start(start)
 
-    res = solve(enc.model, _time_left(cfg, deadline))
+    res = solve(enc.model, time_left(cfg, deadline))
     out = PhiResult(m, alpha, k, math.inf, res.status, res.dual_bound,
                     anchor_phi=anchor_phi, solve=res)
     if res.status is SolveStatus.INFEASIBLE:
@@ -282,13 +269,12 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
     constrain the minimum; any other class whose phi is not exact sets the
     status, so an unresolved class is never mistaken for an excluded one."""
     cfg = config or SolveConfig()
-    deadline = _deadline(cfg)
+    deadline = query_deadline(cfg)
     # every class's query shares alpha and k: check them once, before lookback
     encoder.validate_query(net, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
                                           alpha=alpha, k=k))
-    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
+    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
     classes = range(1, net.num_classes + 1)
-    # the monotonic clock is system-wide, so forked workers share the deadline
     phi_of = functools.partial(_phi, net, alpha=alpha, k=k, a_ini=None, cfg=cfg,
                                bounds=bounds, lookback=None, presolve=True,
                                deadline=deadline)
@@ -321,15 +307,15 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     re-validated with the exact forward pass before being called a violation.
     """
     cfg = config or SolveConfig()
-    deadline = _deadline(cfg)
+    deadline = query_deadline(cfg)
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if m is None:
         m = int(np.argmax(class_scores(net, a))) + 1
     q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=m, k=k, a=a, delta=float(delta))
     encoder.validate_query(net, q)
-    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
+    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
-    res = solve(enc.model, _time_left(cfg, deadline))
+    res = solve(enc.model, time_left(cfg, deadline))
     if res.status is SolveStatus.INFEASIBLE:
         return RobustnessResult(Verdict.ROBUST, m, delta, k, solve=res)
     if res.assignment is not None:
@@ -357,12 +343,12 @@ def compute_max_alpha(net: Network, m: int, *,
     e^t. A proven bound t < 0 means the class never tops every rival
     simultaneously; an incumbent t >= 0 means it does somewhere."""
     cfg = config or SolveConfig()
-    deadline = _deadline(cfg)
+    deadline = query_deadline(cfg)
     q = QuerySpec(QueryKind.MAX_ALPHA, m=m)
     encoder.validate_query(net, q)
-    bounds = prepare_bounds(net, bounds, lookback, _time_left(cfg, deadline))
+    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
-    res = solve(enc.model, _time_left(cfg, deadline))
+    res = solve(enc.model, time_left(cfg, deadline))
     t_star = float(res.objective)
     anchor = None
     if res.assignment is not None:

@@ -30,7 +30,9 @@ only at the end.
 
 Parallelism lives above single solves: ``worker_pool`` runs independent
 sub-solves (lookback's window MIPs, xi's per-class phi queries) in worker
-processes, since threads would serialize on the interpreter lock.
+processes, since threads would serialize on the interpreter lock. The query
+clock lives here too: ``query_deadline`` fixes one deadline when a query
+starts, and ``time_left`` gives each of its solves the time left.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -77,6 +79,20 @@ class SolveConfig:
     time_limit: float | None = None
     mip_gap: float = 1e-6
     log_interval: float | None = None
+
+
+def query_deadline(config: SolveConfig) -> float | None:
+    """The time.monotonic() reading at which ``config``'s time limit, counted
+    from now, runs out; None without a limit. The clock is system-wide, so
+    forked workers share the deadline."""
+    return None if config.time_limit is None else time.monotonic() + config.time_limit
+
+
+def time_left(config: SolveConfig, deadline: float | None) -> SolveConfig:
+    """``config`` with the time left until ``deadline`` as its time limit."""
+    if deadline is None:
+        return config
+    return replace(config, time_limit=max(0.0, deadline - time.monotonic()))
 
 
 @contextlib.contextmanager
@@ -185,9 +201,6 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             return INF
         return best_obj - cfg.mip_gap * max(1.0, abs(best_obj))
 
-    def node_lp(lo: np.ndarray, hi: np.ndarray, basis: Basis | None) -> LpResult:
-        return solve_bounded_lp(form, lo, hi, basis=basis)
-
     def pick_branch_var(x: np.ndarray) -> int | None:
         best_key = None
         best_vid = None
@@ -232,7 +245,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             node = None
             continue
 
-        res = node_lp(node.lo, node.hi, node.basis)
+        res = solve_bounded_lp(form, node.lo, node.hi, basis=node.basis)
         nodes += 1
         now = time.monotonic()
         if cfg.log_interval is not None and now - last_log >= cfg.log_interval:
@@ -265,7 +278,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             if res.objective >= best_obj - 1e-12:
                 node = None  # no strict improvement, even unconfirmed
                 continue
-            xi = _integral_solution(form, x, node, res.basis, bin_ids, node_lp)
+            xi = _integral_solution(form, x, node, res.basis, bin_ids)
             if xi is not None:
                 obj = float(c_int @ xi)
                 if obj < best_obj - 1e-12:  # replace only on strict improvement
@@ -273,14 +286,16 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
                     record()
                 node = None
                 continue
-            if not bin_ids.size:  # nothing to branch on: a numerical failure
+            # the point could not be confirmed: force the worst binary this
+            # node has not fixed, since a fixed one gives the node back as a child
+            free = bin_ids[node.lo[bin_ids] < node.hi[bin_ids]]
+            devs = np.abs(x[free] - np.round(x[free]))
+            if not devs.any():  # nothing to branch on: a numerical failure
                 clean = False
                 prune_floor = min(prune_floor, bound)
                 node = None
                 continue
-            # the point could not be confirmed: force the worst binary by branching
-            devs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
-            branch_vid = int(bin_ids[int(np.argmax(devs))])
+            branch_vid = int(free[int(np.argmax(devs))])
 
         v = x[branch_vid]
         down = _Node(bound, node.lo.copy(), node.hi.copy())
@@ -334,7 +349,7 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
     )
 
 
-def _integral_solution(form, x, node, basis, bin_ids, node_lp):
+def _integral_solution(form, x, node, basis, bin_ids):
     """Turn an integral-within-tolerance LP point into an exact incumbent.
 
     The point of the node's optimal basis is recomputed on a fresh
@@ -351,7 +366,7 @@ def _integral_solution(form, x, node, basis, bin_ids, node_lp):
         hi2 = node.hi.copy()
         lo2[bin_ids] = rounded
         hi2[bin_ids] = rounded
-        res = node_lp(lo2, hi2, basis)
+        res = solve_bounded_lp(form, lo2, hi2, basis=basis)
         if res.status is not LpStatus.OPTIMAL:
             return None
         xi = basic_point(form, lo2, hi2, res.basis)

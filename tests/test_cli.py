@@ -270,6 +270,74 @@ class TestExport:
         assert not f.exists()
 
 
+_PHI_KEYS = ["m", "alpha", "k", "phi", "status", "exact", "witness_exact",
+             "lower_bound", "anchor", "eps", "perturbed", "nodes", "wall_time"]
+
+
+class TestSidecar:
+    """main writes the one --json-out sidecar from the payload a command
+    returns; the keys below are the sidecars' documented layout."""
+
+    COMMANDS = {
+        "eval": (["--net", "identity3", "--input=-1,2,3"],
+                 ["input", "scores", "outputs", "top_class"]),
+        "bounds": (["--net", "relu_mixed_phases", "--lookback"], ["layers"]),
+        "verify": (["--net", "two_class_linear", "--input", "1,0", "--delta", "1.1"],
+                   ["verdict", "class", "delta", "k", "eps", "perturbed", "note"]),
+        "phi": (["--net", "pool_duel", "--class", "1", "--alpha", "2.718281828"],
+                _PHI_KEYS),
+        "xi": (["--net", "three_class_linear", "--alpha", "2.718281828"],
+               ["xi", "status", "weakest_class", "excluded", "per_class"]),
+        "max-alpha": (["--net", "two_class_linear", "--class", "1"],
+                      ["alpha_max", "t_star", "attainable", "status",
+                       "upper_bound", "anchor"]),
+        "export": (["--net", "pool_duel", "--query", "phi", "--class", "1",
+                    "--out", "duel.mps"], ["out", "rows", "columns", "binaries"]),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_writes_one_sidecar(self, command, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, keys = self.COMMANDS[command]
+        code = main([command, *argv, "--json-out", "side.json"])
+        assert code in (EXIT_OK, EXIT_VIOLATED)
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == ["side.json"]
+        doc = json.loads((tmp_path / "side.json").read_text())
+        assert list(doc) == keys
+        if command == "xi":
+            assert all(list(r) == _PHI_KEYS for r in doc["per_class"].values())
+        if command == "export":
+            out = capsys.readouterr().out
+            assert f"({doc['rows']} rows, {doc['columns']} columns, " \
+                   f"{doc['binaries']} binaries)" in out
+            assert doc["out"] == "duel.mps" and (tmp_path / "duel.mps").exists()
+
+    def test_failing_command_leaves_no_sidecar(self, tmp_path, capsys):
+        j = tmp_path / "side.json"
+        code = main(["eval", "--net", "identity3", "--input", "1,2",
+                     "--json-out", str(j)])
+        assert code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not j.exists()
+
+    def test_witness_file_layout(self, tmp_path, capsys):
+        w = tmp_path / "witness.json"
+        j = tmp_path / "side.json"
+        code = main(["verify", "--net", "two_class_linear", "--input", "1,0",
+                     "--delta", "1.1", "--witness-out", str(w), "--json-out", str(j)])
+        assert code == EXIT_VIOLATED
+        text = w.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert list(doc) == ["eps", "perturbed", "anchor"]
+        assert doc["eps"] == pytest.approx([-1.0, 0.0], abs=1e-9)
+        assert doc["perturbed"] == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert doc["anchor"] == [1.0, 0.0]
+        side = json.loads(j.read_text())
+        assert side["eps"] == doc["eps"] and side["perturbed"] == doc["perturbed"]
+
+
 class TestUsage:
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as e:

@@ -217,6 +217,24 @@ class TestCertifiedNodeLps:
         assert adopted >= 10
 
 
+class TestUnconfirmedIntegralPoint:
+    def test_unconfirmed_point_does_not_rebranch(self, monkeypatch):
+        """A node whose integral LP point cannot be confirmed branches only on
+        a binary it has not fixed. With no point ever confirmed, the whole
+        tree of 1 continuous variable and 2 binaries has at most 7 nodes; a
+        fixed binary chosen again gave the node back as its own child, and
+        the plunge ran on to the node limit."""
+        monkeypatch.setattr(solver, "basic_point", lambda *args: None)
+        m = MipModel("unconfirmed")
+        b0, b1 = m.add_binary("b0"), m.add_binary("b1")
+        x = m.add_variable("x", 0.0, 4.0)
+        m.add_constraint("cap", [(x, 1.0), (b0, -2.0), (b1, -1.0)], RowSense.LE, 0.0)
+        m.set_objective([(x, 1.0), (b0, 1.0), (b1, 1.0)], ObjSense.MAXIMIZE)
+        r = solve(m.freeze(), SolveConfig(node_limit=2000))
+        assert r.nodes_explored <= 7
+        assert r.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+
+
 def _rows(model: MipModel) -> int:
     return model.dense_arrays().a.shape[0]
 
