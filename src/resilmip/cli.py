@@ -12,6 +12,9 @@ digits; --json-out writes the same result as a machine-readable sidecar.
 Each command takes the parsed arguments and the loaded network, prints its
 result and returns (exit code, payload); main loads the network once and
 writes the payload as the sidecar, so a command that fails leaves none.
+COMMANDS maps each command to its help, handler and flag groups; main
+builds only the invoked command's parser from it, and the full tree only
+for -h, a missing or unknown command, or to report unrecognized arguments.
 The RESILMIP_WORKERS environment variable sets the default --workers, the
 number of processes that run independent sub-solves side by side.
 """
@@ -116,6 +119,8 @@ def _check_dim(vals, dim: int, src: str) -> np.ndarray:
     if len(vals) != dim:
         raise NetworkFormatError(
             f"input point {src!r} has {len(vals)} values, expected {dim}")
+    if not all(map(math.isfinite, vals)):
+        raise NetworkFormatError(f"input point {src!r} has a non-finite value")
     return np.array(vals, dtype=np.float64)
 
 
@@ -305,94 +310,97 @@ def cmd_export(args, net: Network) -> tuple[int, dict]:
     return EXIT_OK, {"out": args.out, "rows": rows, "columns": cols, "binaries": bins}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, flag groups in the order its help lists them)
+COMMANDS = {
+    "eval": ("exact forward pass at a point", cmd_eval, "common eval"),
+    "bounds": ("per-node activation intervals", cmd_bounds, "common solver bounds"),
+    "verify": ("local robustness at a point (exit 0 robust, 10 violated, 20 unknown)",
+               cmd_verify, "common solver k verify"),
+    "phi": ("maximum-perturbation bound of one class", cmd_phi, "common solver cls alpha k"),
+    "xi": ("network resilience (worst finite phi)", cmd_xi, "common solver alpha k"),
+    "max-alpha": ("largest attainable dominance ratio", cmd_max_alpha, "common solver cls"),
+    "export": ("write a query model as fixed-format MPS", cmd_export,
+               "common solver cls alpha k export"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, groups: str) -> None:
+    """Add the named flag groups to p, in order; every flag is defined here once."""
+    for group in groups.split():
+        if group == "common":
+            p.add_argument("--net", required=True,
+                           help="network JSON file or built-in fixture name")
+            p.add_argument("--json-out", default=None, metavar="FILE",
+                           help="also write the result as JSON")
+            p.add_argument("--verbose", action="store_true", help="log solver progress")
+        elif group == "solver":
+            p.add_argument("--workers", type=_at_least(int, 1), default=_default_workers(),
+                           help="processes for independent sub-solves: lookback's "
+                           "window MIPs and xi's classes, at most the CPU count "
+                           "(default from RESILMIP_WORKERS)")
+            p.add_argument("--node-limit", type=_at_least(int, 0), default=None)
+            p.add_argument("--time-limit", type=_at_least(float, 0.0), default=None,
+                           help="seconds")
+            p.add_argument("--mip-gap", type=_at_least(float, 0.0), default=1e-6)
+            p.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
+                           metavar="DEPTH", help="tighten bounds with window models "
+                           "of this depth before encoding (default depth 2)")
+        elif group == "cls":
+            p.add_argument("--class", dest="cls", type=int, required=True,
+                           help="1-based class")
+        elif group == "alpha":
+            p.add_argument("--alpha", type=float, default=1.0, help="dominance ratio (>= 1)")
+        elif group == "k":
+            p.add_argument("--k", "-k", type=int, default=1,
+                           help="how many rivals must reach the class's score")
+        elif group == "eval":
+            p.add_argument("--input", required=True,
+                           help="input point: inline values or a file")
+        elif group == "bounds":
+            p.add_argument("--out", default=None, metavar="FILE", help="write TSV here")
+        elif group == "verify":
+            p.add_argument("--input", required=True, help="anchor point: inline or file")
+            p.add_argument("--delta", type=float, required=True, help="1-norm budget")
+            p.add_argument("--class", dest="cls", type=int, default=None,
+                           help="1-based class to protect (default: the anchor's top class)")
+            p.add_argument("--witness-out", default=None, metavar="FILE",
+                           help="write the violating perturbation as JSON")
+        elif group == "export":
+            p.add_argument("--out", required=True, help="output .mps path")
+            p.add_argument("--query", choices=("phi", "robustness", "max-alpha"),
+                           default="phi")
+            p.add_argument("--input", default=None,
+                           help="anchor point, fixed in the phi or robustness model")
+            p.add_argument("--delta", type=float, default=0.0)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with no command the full tree of all seven."""
+    if command is not None:
+        p = argparse.ArgumentParser(prog=f"resilmip {command}")
+        _add_flags(p, COMMANDS[command][2])
+        return p
     ap = argparse.ArgumentParser(
         prog="resilmip",
         description="perturbation-resilience analysis of small feed-forward "
                     "networks by mixed-integer programming")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    # each flag shared by subcommands lives in one parent parser (parents=)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--net", required=True,
-                        help="network JSON file or built-in fixture name")
-    common.add_argument("--json-out", default=None, metavar="FILE",
-                        help="also write the result as JSON")
-    common.add_argument("--verbose", action="store_true", help="log solver progress")
-
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--workers", type=_at_least(int, 1), default=_default_workers(),
-                        help="processes for independent sub-solves: lookback's "
-                        "window MIPs and xi's classes, at most the CPU count "
-                        "(default from RESILMIP_WORKERS)")
-    solver.add_argument("--node-limit", type=_at_least(int, 0), default=None)
-    solver.add_argument("--time-limit", type=_at_least(float, 0.0), default=None,
-                        help="seconds")
-    solver.add_argument("--mip-gap", type=_at_least(float, 0.0), default=1e-6)
-    solver.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
-                        metavar="DEPTH", help="tighten bounds with window models "
-                        "of this depth before encoding (default depth 2)")
-
-    cls = argparse.ArgumentParser(add_help=False)
-    cls.add_argument("--class", dest="cls", type=int, required=True,
-                     help="1-based class")
-    alpha = argparse.ArgumentParser(add_help=False)
-    alpha.add_argument("--alpha", type=float, default=1.0, help="dominance ratio (>= 1)")
-    k = argparse.ArgumentParser(add_help=False)
-    k.add_argument("--k", "-k", type=int, default=1,
-                   help="how many rivals must reach the class's score")
-
-    p = sub.add_parser("eval", parents=[common], help="exact forward pass at a point")
-    p.add_argument("--input", required=True,
-                   help="input point: inline values or a file")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bounds", parents=[common, solver],
-                       help="per-node activation intervals")
-    p.add_argument("--out", default=None, metavar="FILE", help="write TSV here")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("verify", parents=[common, solver, k],
-                       help="local robustness at a point "
-                       "(exit 0 robust, 10 violated, 20 unknown)")
-    p.add_argument("--input", required=True, help="anchor point: inline or file")
-    p.add_argument("--delta", type=float, required=True, help="1-norm budget")
-    p.add_argument("--class", dest="cls", type=int, default=None,
-                   help="1-based class to protect (default: the anchor's top class)")
-    p.add_argument("--witness-out", default=None, metavar="FILE",
-                   help="write the violating perturbation as JSON")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("phi", parents=[common, solver, cls, alpha, k],
-                       help="maximum-perturbation bound of one class")
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("xi", parents=[common, solver, alpha, k],
-                       help="network resilience (worst finite phi)")
-    p.set_defaults(func=cmd_xi)
-
-    p = sub.add_parser("max-alpha", parents=[common, solver, cls],
-                       help="largest attainable dominance ratio")
-    p.set_defaults(func=cmd_max_alpha)
-
-    p = sub.add_parser("export", parents=[common, solver, cls, alpha, k],
-                       help="write a query model as fixed-format MPS")
-    p.add_argument("--out", required=True, help="output .mps path")
-    p.add_argument("--query", choices=("phi", "robustness", "max-alpha"),
-                   default="phi")
-    p.add_argument("--input", default=None,
-                   help="anchor point, fixed in the phi or robustness model")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.set_defaults(func=cmd_export)
+    for name, (summary, _, groups) in COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=summary), groups)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cmd = argv[0] if argv and argv[0] in COMMANDS else None
+    args, extra = build_parser(cmd).parse_known_args(argv[1:] if cmd else argv)
+    if cmd is None or extra:  # -h, no known command or a stray argument: the full tree reports it
+        args = build_parser().parse_args(argv)
+        cmd = args.command
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(name)s %(message)s")
     try:
-        code, payload = args.func(args, _load_net(args.net))
+        code, payload = COMMANDS[cmd][1](args, _load_net(args.net))
         if args.json_out:
             _write_json(args.json_out, payload)
         return code

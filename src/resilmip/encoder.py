@@ -597,6 +597,8 @@ def validate_query(net: Network, q: QuerySpec) -> int:
         a = np.asarray(q.a, dtype=np.float64).reshape(-1)
         if a.shape[0] != net.input_dim:
             raise EncodingError("anchor input has the wrong dimension")
+        if not np.all(np.isfinite(a)):
+            raise EncodingError("anchor input has a non-finite value")
         if (np.any(a < net.input_bounds[:, 0] - 1e-9)
                 or np.any(a > net.input_bounds[:, 1] + 1e-9)):
             raise EncodingError("anchor input lies outside the input domain")

@@ -309,10 +309,12 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     cfg = config or SolveConfig()
     deadline = query_deadline(cfg)
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    if m is None:
+    q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1 if m is None else m, k=k, a=a,
+                  delta=float(delta))
+    encoder.validate_query(net, q)  # the anchor, before class_scores reads it
+    if m is None:  # the top class is in range, so q stays valid
         m = int(np.argmax(class_scores(net, a))) + 1
-    q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=m, k=k, a=a, delta=float(delta))
-    encoder.validate_query(net, q)
+        q = replace(q, m=m)
     bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
     res = solve(enc.model, time_left(cfg, deadline))

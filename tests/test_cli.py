@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, sidecar files."""
 
+import argparse
 import json
 import logging
 import math
@@ -7,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from resilmip.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, EXIT_VIOLATED, build_parser, main
+from resilmip.cli import (
+    COMMANDS, EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, EXIT_VIOLATED, build_parser, main,
+)
 from resilmip.mipmodel import parse_mps
 from resilmip.network import save_network
 from resilmip.oracle import enumerate_mip
@@ -46,6 +49,21 @@ class TestEval:
         assert main(["eval", "--net", "no_such_net", "--input", "1"]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "no_such_net" in err
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_input_is_a_runtime_error(self, command, point, capsys):
+        argv = [command, "--net", "two_class_linear", "--input", point]
+        assert main(argv + (["--delta", "0.1"] if command == "verify" else [])) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: input point {point!r} has a non-finite value\n"
+
+    def test_non_finite_input_file_is_a_runtime_error(self, tmp_path, capsys):
+        f = tmp_path / "point.json"
+        f.write_text("[NaN, 0.0]")
+        assert main(["eval", "--net", "two_class_linear", "--input", str(f)]) == EXIT_ERROR
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestBounds:
@@ -389,3 +407,79 @@ class TestUsage:
         args = build_parser().parse_args(
             ["verify", "--net", "x", "--input", "0", "--delta", "1", "-k", "2"])
         assert args.k == 2
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits, as argparse does
+    for --help and for a usage error."""
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return e.value.code, out, err
+
+
+class TestSingleCommandParser:
+    """main builds only the invoked command's parser; what it prints and how
+    it exits must match the full tree's."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("tail,code", [
+        (["--help"], 0), (["-h"], 0), (["--bogus"], 2), ([], 2),
+        (["--net", "two_class_linear", "--bogus", "1"], 2),
+        (["--net", "two_class_linear", "--input", "1,0", "--delta", "x"], 2),
+        (["--ne", "two_class_linear", "--input", "1,0", "--class", "1", "--out", "x",
+          "--delta", "0", "--workers", "0"], 2),
+    ])
+    def test_output_and_exit_code_match_the_full_tree(self, command, tail, code, capsys):
+        argv = [command, *tail]
+        full = _outcome(build_parser().parse_args, argv, capsys)
+        assert full[0] == code and full[1] + full[2]
+        assert _outcome(main, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["frobnicate"],
+                                      ["--bogus", "phi"], ["-k", "1"]])
+    def test_no_known_command_goes_to_the_full_tree(self, argv, capsys):
+        full = _outcome(build_parser().parse_args, argv, capsys)
+        assert _outcome(main, argv, capsys) == full
+        if argv in ([], ["frobnicate"]):
+            assert full[0] == 2 and full[2].startswith("usage: resilmip [-h] {eval,")
+
+    def test_a_known_command_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["eval", "--net", "two_class_linear", "--input", "1,0"]) == EXIT_OK
+        assert built == ["resilmip eval"]
+        built.clear()
+        build_parser()
+        assert len(built) == 1 + len(COMMANDS)
+
+    def _seen_args(self, monkeypatch, argv):
+        seen = []
+
+        def record(args, net):
+            seen.append(args)
+            return EXIT_OK, {}
+
+        summary, _, groups = COMMANDS[argv[0]]
+        monkeypatch.setitem(COMMANDS, argv[0], (summary, record, groups))
+        assert main(argv) == EXIT_OK
+        return seen[0]
+
+    def test_worker_default_comes_from_the_environment(self, monkeypatch):
+        argv = ["phi", "--net", "two_class_linear", "--class", "1"]
+        monkeypatch.setenv("RESILMIP_WORKERS", "3")
+        assert self._seen_args(monkeypatch, argv).workers == 3
+        monkeypatch.setenv("RESILMIP_WORKERS", "not-a-number")
+        assert self._seen_args(monkeypatch, argv).workers == 1
+        assert self._seen_args(monkeypatch, argv + ["--workers", "2"]).workers == 2
+
+    def test_short_k_alias(self, monkeypatch):
+        args = self._seen_args(monkeypatch, ["verify", "--net", "three_class_linear",
+                                             "--input", "1,0", "--delta", "1", "-k", "2"])
+        assert args.k == 2 and args.cls is None

@@ -110,6 +110,11 @@ class TestComputePhi:
         with pytest.raises(EncodingError):
             compute_phi(zoo.two_class_linear(), 1, a_ini=np.array([1.5, 0.0]))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_user_anchor_is_rejected(self, x):
+        with pytest.raises(EncodingError, match="non-finite"):
+            compute_phi(zoo.two_class_linear(), 1, a_ini=np.array([x, 0.0]))
+
     @pytest.mark.parametrize("m,k", [(1, 3), (0, 1), (4, 1)])
     def test_invalid_query_is_rejected_before_any_solve(self, monkeypatch, m, k):
         def no_solve(*args, **kwargs):
@@ -329,6 +334,17 @@ class TestLocalRobustness:
         r = check_local_robustness(net, np.array([1.0, 0.0]), 1.1, k=2)
         assert r.verdict is Verdict.VIOLATED
         assert competitor_count(net, r.perturbed, 1, tol=1e-6) >= 2
+
+    @pytest.mark.parametrize("m", [None, 1])
+    @pytest.mark.parametrize("anchor,match", [
+        ([math.nan, 0.0], "non-finite"), ([math.inf, 0.0], "non-finite"),
+        ([-math.inf, 0.0], "non-finite"), ([1.0, 0.0, 0.0], "dimension"),
+    ])
+    def test_bad_anchor_is_rejected_before_the_top_class(self, anchor, match, m):
+        # the default class comes from the anchor's scores, so the anchor is
+        # checked first: no RuntimeWarning and no model-construction error
+        with pytest.raises(EncodingError, match=match):
+            check_local_robustness(zoo.two_class_linear(), np.array(anchor), 0.1, m=m)
 
 
 class TestMaxAlpha:
