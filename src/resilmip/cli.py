@@ -103,7 +103,7 @@ def _parse_input(text: str, dim: int) -> np.ndarray:
     JSON array or whitespace-separated numbers."""
     raw = text
     path = Path(text)
-    if path.exists():
+    if path.is_file():
         raw = path.read_text().strip()
         if raw.startswith("["):
             vals = [float(t) for t in json.loads(raw)]

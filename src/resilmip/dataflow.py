@@ -16,6 +16,7 @@ from typing import IO
 
 import numpy as np
 
+from .mipmodel import ObjSense
 from .network import DENSE_KINDS, LayerKind, Network
 from .solver import SolveConfig, SolveStatus, query_deadline, time_left, worker_pool
 
@@ -129,24 +130,23 @@ def lookback_config(config=None):
 
 
 def _probe(job) -> float | None:
-    """The proven extreme of one pre-activation over its window MIP, or None
-    when the solve stops short of optimality or the deadline (a
+    """The proven extreme of one pre-activation over its layer's window, or
+    None when the solve stops short of optimality or the deadline (a
     time.monotonic() reading, or None) has passed before it starts."""
-    from . import encoder  # local import: encoder depends on these types
     from .solver import solve  # at call time, so a patched solve is used
 
-    net, bounds, pos, node, depth, maximize, config, deadline = job
+    window, input_ids, w_col, maximize, start, config, deadline = job
     config = time_left(config, deadline)
     if config.time_limit == 0.0:  # the deadline has passed
         return None
-    model, _ = encoder.encode_bound_probe(net, bounds, pos, node, depth,
-                                          maximize=maximize)
-    res = solve(model, config)
+    model = window.with_objective(zip(input_ids, w_col[1:]),
+                                  ObjSense.MAXIMIZE if maximize else ObjSense.MINIMIZE)
+    res = solve(model, config, start=start)
     if res.status is not SolveStatus.OPTIMAL:
         return None
     # the dual bound, not the incumbent: within the MIP gap the incumbent
     # may fall short of the true extreme
-    return res.dual_bound
+    return float(w_col[0]) + res.dual_bound
 
 
 def tighten_lookback(
@@ -159,16 +159,19 @@ def tighten_lookback(
     """Tighten pre-activation intervals with per-node window MIPs.
 
     For each dense node at layer position l >= 2, maximizes and minimizes its
-    pre-activation over an exact encoding of the `depth` preceding layers,
-    boxing everything older at the current bounds. A solve's proven bound is
-    adopted only when it is Optimal; budget exhaustion keeps the old bound.
-    Results are always pointwise contained in the inputs. `config` configures
-    each window solve (default `lookback_config()`), except that its time
-    limit bounds the whole call: one deadline is fixed on entry, each window
-    solve gets the time left, and windows reached after it keep their bounds.
-    `workers` processes run the window solves of a layer side by side, with
-    the same results as one (up to that deadline).
+    pre-activation over the layer's window (`encoder.encode_window`): the
+    `depth - 1` preceding layers encoded exactly, everything older boxed at
+    the current bounds. Each window is encoded, and its LP solved under a
+    zero objective, once; every probe's root LP starts from that feasible
+    basis. A probe's proven bound is adopted only when it is Optimal; budget
+    exhaustion keeps the old bound. Results are always pointwise contained in
+    the inputs. `config` configures each probe (default `lookback_config()`),
+    except that its time limit bounds the whole call: one deadline is fixed
+    on entry, each probe gets the time left, and layers and probes reached
+    after it keep their bounds. `workers` processes run a layer's probes side
+    by side, with the same results as one (up to that deadline).
     """
+    from . import encoder, solver  # at call time: encoder imports this module
     if depth < 1:
         raise ValueError("lookback depth must be >= 1")
     cfg = config if config is not None else lookback_config()
@@ -186,11 +189,14 @@ def tighten_lookback(
                     lb.hi = np.minimum(lb.hi, fresh.hi)
                     np.minimum(lb.lo, lb.hi, out=lb.lo)  # guard numeric crossings
                 continue
-            if pos == 1:
-                continue  # window over the input box reproduces the plain bounds
+            if pos == 1 or time_left(cfg, deadline).time_limit == 0.0:
+                continue  # at pos 1 the window is the input box: plain bounds
 
+            window, input_ids = encoder.encode_window(net, work, pos, depth)
+            start = solver.solve_lp(window).basis  # feasible, or None
             n_nodes = lb.im_lo.shape[0]
-            jobs = [(net, work, pos, node, depth, sense_max, cfg, deadline)
+            jobs = [(window, input_ids, spec.weights[:, node], sense_max, start,
+                     cfg, deadline)
                     for node in range(n_nodes) for sense_max in (False, True)]
             extremes = pmap(_probe, jobs)
             for node in range(n_nodes):

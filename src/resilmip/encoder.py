@@ -500,34 +500,28 @@ def encode_network_eval(net: Network, bounds: IntervalBounds) -> tuple[MipModel,
     return model, copy
 
 
-def encode_bound_probe(net: Network, bounds: IntervalBounds, layer_pos: int,
-                       node: int, depth: int, *, maximize: bool) -> tuple[MipModel, int]:
-    """Window model for one pre-activation: the `depth - 1` preceding layers
-    are encoded exactly, everything older is boxed at its current bounds, and
-    the objective is the node's own affine pre-activation."""
-    spec = net.layers[layer_pos - 1]
-    if spec.kind not in DENSE_KINDS:
-        raise EncodingError("bound probes target dense nodes only")
+def encode_window(net: Network, bounds: IntervalBounds, layer_pos: int,
+                  depth: int) -> tuple[MipModel, list[int]]:
+    """Lookback's window for the dense layer at `layer_pos`, without an
+    objective: the `depth - 1` preceding layers are encoded exactly, and
+    everything older is boxed at its current bounds. Returns the frozen
+    model and the ids of the layer's inputs; node i's pre-activation over
+    them is w[0, i] + w[1:, i] . x."""
+    if net.layers[layer_pos - 1].kind not in DENSE_KINDS:
+        raise EncodingError("lookback windows end at dense layers only")
     box_pos = max(0, layer_pos - depth)
-    model = MipModel(f"probe{layer_pos}_{node}")
+    model = MipModel(f"window{layer_pos}")
     box_lo = bounds.x_lo(box_pos)
     box_hi = bounds.x_hi(box_pos)
-    box_ids = [
+    ids = [
         model.add_variable(f"z{i}", float(box_lo[i]), float(box_hi[i]))
         for i in range(box_lo.shape[0])
     ]
-    if layer_pos - 1 >= box_pos + 1:
+    if layer_pos - 1 > box_pos:
         copy = encode_network_copy(model, net, bounds, box_pos + 1, layer_pos - 1,
-                                   box_ids, "w")
-        prev = copy.x_ids[layer_pos - 1]
-    else:
-        prev = box_ids
-    lb = bounds.layers[layer_pos - 1]
-    im_id = model.add_variable(f"im", float(lb.im_lo[node]), float(lb.im_hi[node]))
-    encode_affine(model, im_id, prev, spec.weights[:, node], "Aprobe")
-    model.set_objective([(im_id, 1.0)],
-                        ObjSense.MAXIMIZE if maximize else ObjSense.MINIMIZE)
-    return model.freeze(), im_id
+                                   ids, "w")
+        ids = copy.x_ids[layer_pos - 1]
+    return model.freeze(), ids
 
 
 # -- queries -----------------------------------------------------------------

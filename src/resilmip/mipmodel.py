@@ -8,6 +8,7 @@ every downstream artifact (MPS text, solver traces) deterministic.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass, field
@@ -153,6 +154,13 @@ class MipModel:
     def set_warm_start(self, assignment: Assignment) -> None:
         # a warm start is advisory, not structural, so frozen models accept it
         self.warm_start = dict(assignment)
+
+    def with_objective(self, coefs, sense: ObjSense = ObjSense.MINIMIZE) -> "MipModel":
+        """A frozen copy under another objective, sharing the variables and rows."""
+        other = copy.copy(self)
+        other.frozen = False
+        other.set_objective(coefs, sense)
+        return other.freeze()
 
     def freeze(self) -> "MipModel":
         self.frozen = True

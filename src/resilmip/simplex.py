@@ -17,9 +17,10 @@ reaches a feasible basis or proves that none exists:
   differs from its parent in one bound, so the parent's optimal basis stays
   dual feasible (a boxed nonbasic variable whose reduced cost has the wrong
   sign is flipped to its other bound) and a few dual pivots restore primal
-  feasibility. A cold solve (a root LP, or the fallback below) starts it from
-  the slack basis, each slack holding its row's residual even outside its
-  bounds, under a zero objective, for which every basis is dual feasible;
+  feasibility. A cold solve (a root LP, or the fallback below) runs it under
+  a zero objective, for which every basis is dual feasible, from the slack
+  basis, each slack holding its row's residual even outside its bounds, or
+  from a given start basis, where a feasible start ends this phase at once;
   the feasible basis this phase claims is always checked on a fresh
   factorization.
 * The primal simplex, which takes a cold solve's first feasible basis to an
@@ -171,16 +172,20 @@ def solve_bounded_lp(
     *,
     max_iters: int | None = None,
     basis: Basis | None = None,
+    start: Basis | None = None,
 ) -> LpResult:
     """Solve the LP ``form`` under the variable bounds lo <= x <= hi.
 
     With ``basis`` (typically the optimal basis of an LP that differs only in
     bounds) the dual simplex starts from it; otherwise, or when that fails,
     the solve starts cold: the dual simplex under a zero objective finds a
-    feasible basis from the slack basis, and the primal simplex optimizes
-    from there. Either way INFEASIBLE is claimed only by the dual simplex's
-    Farkas row. ``max_iters`` caps the pivots of each attempt, and the
-    result's ``iterations`` and ``refactorizations`` count those of both.
+    feasible basis, and the primal simplex optimizes from there. A cold solve
+    begins at ``start`` (typically a feasible basis of an LP that differs only
+    in costs, where that phase ends at once), or at the slack basis when
+    there is none or it does not fit. Either way INFEASIBLE is claimed only
+    by the dual simplex's Farkas row. ``max_iters`` caps the pivots of each
+    attempt, and the result's ``iterations`` and ``refactorizations`` count
+    those of both.
     """
     m = form.full.shape[0]
     if max_iters is None:
@@ -194,7 +199,10 @@ def solve_bounded_lp(
             return lp.result(status)
         spent, refactors = lp.iters, lp.refactors
     lp = _Lp(*args)
-    res = lp.result(lp.cold())
+    started = start is not None and lp.begin(start, _REFACTOR_AFTER - 1)
+    if start is not None and not started:
+        lp = _Lp(*args)  # a start that does not fit leaves the slack basis
+    res = lp.result(lp.cold(started))
     res.iterations += spent
     res.refactorizations += refactors
     return res
@@ -207,12 +215,7 @@ def basic_point(form: LpForm, lo: np.ndarray, hi: np.ndarray,
     None when B is singular, or the point breaks a bound by more than the
     primal tolerance."""
     lp = _Lp(form, lo, hi, 0)
-    if not lp.load(basis):
-        return None
-    if basis.inverse is not None and basis.updates == 0:
-        lp.binv = basis.inverse
-        lp.set_basic_values()
-    elif not lp.refactor():
+    if not lp.begin(basis, 0, INF):
         return None
     xb = lp.x[lp.basis]
     if np.any(lp.lo[lp.basis] - xb > _TOL_FEAS) or np.any(xb - lp.hi[lp.basis] > _TOL_FEAS):
@@ -422,17 +425,20 @@ class _Lp:
 
     # -- cold start: dual simplex to a feasible basis, then primal -------------
 
-    def cold(self) -> LpStatus:
+    def cold(self, started: bool) -> LpStatus:
+        """Dual simplex to a feasible basis, then primal; from the basis that
+        ``begin`` loaded when ``started``, else from the slack basis."""
         n = self.n
-        lo, hi, x = self.lo, self.hi, self.x
-        self.binv = np.eye(self.m)
-        x[:n] = _resting_point(lo[:n], hi[:n])
-        # the slack basis, each slack holding its row's residual even outside
-        # its own bounds; under a zero objective it is dual feasible, so the
-        # dual simplex can drive it to a primal feasible basis
-        x[n:] = self.b - self.full[:, :n] @ x[:n]
+        if not started:
+            lo, hi, x = self.lo, self.hi, self.x
+            self.binv = np.eye(self.m)
+            x[:n] = _resting_point(lo[:n], hi[:n])
+            # each slack holds its row's residual even outside its own bounds
+            x[n:] = self.b - self.full[:, :n] @ x[:n]
+        # under a zero objective every basis is dual feasible, so the dual
+        # simplex can drive it to a primal feasible one
         zero = np.zeros(n + self.m)
-        status = self.dual(zero, zero.copy(), fresh=True, certify=False)
+        status = self.dual(zero, zero.copy(), fresh=self.updates == 0, certify=False)
         if status is not LpStatus.OPTIMAL:
             return status or LpStatus.NUMERICAL
         status = self.primal()
@@ -541,18 +547,24 @@ class _Lp:
         self.x = np.where(at_upper & np.isfinite(hi), hi, _resting_point(lo, hi))
         return True
 
+    def begin(self, start: Basis, max_updates: int, max_cond: float = _MAX_COND) -> bool:
+        """Take ``start`` with B^-1 and x_B: a copy of its inverse if that has
+        taken at most ``max_updates`` updates, else a fresh factorization
+        conditioned at most ``max_cond``; False when it cannot be used."""
+        if not self.load(start):
+            return False
+        inv = start.inverse
+        if inv is not None and inv.shape == (self.m, self.m) and start.updates <= max_updates:
+            self.binv = inv.copy()
+            self.updates = start.updates
+            self.set_basic_values()
+            return True
+        return self.refactor(max_cond)
+
     def warm(self, start: Basis):
         """Dual simplex from ``start``, on its inverse unless that has taken
         ``_REFACTOR_AFTER`` updates; None when it cannot be used."""
-        if not self.load(start):
-            return None
-        m = self.m
-        if (start.inverse is not None and start.inverse.shape == (m, m)
-                and start.updates < _REFACTOR_AFTER):
-            self.binv = start.inverse.copy()
-            self.updates = start.updates
-            self.set_basic_values()
-        elif not self.refactor(_MAX_COND):
+        if not self.begin(start, _REFACTOR_AFTER - 1):
             return None
         d = self.reduced_costs(self.cost)
         if not self.make_dual_feasible(d):

@@ -10,9 +10,11 @@ search is deterministic: the same model and limits give the same nodes.
 
 Node LPs: the LP's fixed data is put in the simplex's layout once per solve
 (``simplex.lp_form``). The root LP is solved cold: the dual simplex finds a
-feasible basis from the slack basis, and the primal simplex optimizes from
-it. Every child carries its parent's optimal basis and is re-solved from it
-by the dual simplex, since it differs from its parent in one binary bound.
+feasible basis from the slack basis, or from a caller's ``start`` basis
+(lookback's probes share their window's feasible basis), and the primal
+simplex optimizes from it. Every child carries its parent's optimal basis and
+is re-solved from it by the dual simplex, since it differs from its parent in
+one binary bound.
 Both children share the parent's basis inverse, so a node popped off the
 heap starts without a factorization; the open nodes keep inverses up to
 ``_HEAP_INVERSE_BYTES`` between them, and a node pushed beyond that keeps
@@ -153,8 +155,10 @@ def _keeps_inverse(node: _Node) -> bool:
     return node.basis is not None and node.basis.inverse is not None
 
 
-def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
-    """Branch-and-bound solve of a frozen (or finished) model."""
+def solve(model: MipModel, config: SolveConfig | None = None,
+          start: Basis | None = None) -> SolveResult:
+    """Branch-and-bound solve of a frozen (or finished) model; its root LP
+    starts cold from ``start`` (see ``simplex.solve_bounded_lp``)."""
     cfg = config or SolveConfig()
     t0 = time.monotonic()
     d = model.dense_arrays()
@@ -245,7 +249,8 @@ def solve(model: MipModel, config: SolveConfig | None = None) -> SolveResult:
             node = None
             continue
 
-        res = solve_bounded_lp(form, node.lo, node.hi, basis=node.basis)
+        res = solve_bounded_lp(form, node.lo, node.hi, basis=node.basis,
+                               start=start if nodes == 0 else None)
         nodes += 1
         now = time.monotonic()
         if cfg.log_interval is not None and now - last_log >= cfg.log_interval:

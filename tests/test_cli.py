@@ -65,6 +65,19 @@ class TestEval:
         assert main(["eval", "--net", "two_class_linear", "--input", str(f)]) == EXIT_ERROR
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_directory_input_is_not_read_as_a_file(self, command, tmp_path, capsys):
+        """'' names the current directory; neither it nor any other directory
+        is read as an input file, so each is parsed as an inline point."""
+        extra = ["--delta", "0.1"] if command == "verify" else []
+        for point, msg in (("", "has 0 values, expected 2"),
+                           (str(tmp_path), "could not convert string to float")):
+            argv = [command, "--net", "two_class_linear", "--input", point]
+            assert main(argv + extra) == EXIT_ERROR
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error:") and msg in err and "Errno" not in err
+
 
 class TestBounds:
     def test_dump_to_stdout(self, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from resilmip import solver, zoo
 from resilmip.dataflow import (
+    ADOPT_SLACK,
     Phase,
     domain_samples,
     lookback_config,
@@ -17,7 +18,10 @@ from resilmip.dataflow import (
     tighten_lookback,
     write_bounds_dump,
 )
-from resilmip.network import forward
+from resilmip.encoder import encode_window
+from resilmip.mipmodel import ObjSense
+from resilmip.network import DENSE_KINDS, forward
+from resilmip.oracle import enumerate_mip
 from resilmip.solver import SolveConfig, SolveStatus
 
 
@@ -78,6 +82,19 @@ class TestSoundness:
                 _assert_trace_in_bounds(net, bounds, point)
 
 
+def _count_layer_lps(monkeypatch) -> list:
+    """Record the model of every layer LP that lookback solves."""
+    models = []
+    real = solver.solve_lp
+
+    def counting(model):
+        models.append(model)
+        return real(model)
+
+    monkeypatch.setattr(solver, "solve_lp", counting)
+    return models
+
+
 class TestLookback:
     def test_fixture_tightens_to_exact_range(self):
         """z = x - max(0, x) on [-1, 1]: plain bounds [-2, 1], exact [-1, 0]."""
@@ -125,6 +142,43 @@ class TestLookback:
             assert np.allclose(a.im_lo, b.im_lo, atol=1e-9)
             assert np.allclose(a.im_hi, b.im_hi, atol=1e-9)
 
+    @pytest.mark.parametrize("name", ["lookback_chain", "relu_mixed_phases", "R6"])
+    def test_bounds_are_the_window_extremes(self, name):
+        """Every tightened bound lies within ADOPT_SLACK outside the node's
+        extreme over its window, found by binary enumeration in scipy."""
+        net = (zoo.random_relu_net(np.random.default_rng(0), input_dim=3,
+                                   hidden=(6,), classes=3)
+               if name == "R6" else zoo.FIXTURES[name]())
+        tight = tighten_lookback(net, propagate_intervals(net), depth=2)
+        probed = 0
+        for pos, spec in enumerate(net.layers[1:], start=2):
+            if spec.kind not in DENSE_KINDS:
+                continue
+            # earlier layers are final, so this is the window lookback solved
+            window, input_ids = encode_window(net, tight, pos, 2)
+            lb = tight.layers[pos - 1]
+            for node in range(spec.weights.shape[1]):
+                w = spec.weights[:, node]
+                for sense, got, out in ((ObjSense.MINIMIZE, lb.im_lo[node], -1.0),
+                                        (ObjSense.MAXIMIZE, lb.im_hi[node], 1.0)):
+                    model = window.with_objective(zip(input_ids, w[1:]), sense)
+                    ext = w[0] + enumerate_mip(model).objective
+                    assert 0.0 <= out * (got - ext) <= ADOPT_SLACK * max(1.0, abs(ext)) + 1e-9
+                    probed += 1
+        assert probed > 0
+
+    def test_worker_counts_give_identical_bounds(self):
+        """Every probe of a layer starts from the same basis, so the bounds do
+        not depend on the worker count at all."""
+        net = zoo.random_relu_net(np.random.default_rng(0), input_dim=3,
+                                  hidden=(8, 8), classes=3)
+        plain = propagate_intervals(net)
+        one, two = (tighten_lookback(net, plain, depth=2, workers=w) for w in (1, 2))
+        for a, b in zip(one.layers, two.layers):
+            if a.im_lo is not None:
+                assert np.array_equal(a.im_lo, b.im_lo)
+                assert np.array_equal(a.im_hi, b.im_hi)
+
     def test_coarse_gap_adopts_the_proven_bound(self, rng):
         """At mip_gap 0.1 a probe's incumbent can fall short of the true
         extreme; the adopted bound must still contain every forward pass."""
@@ -140,19 +194,41 @@ class TestLookback:
         windows reached after it are skipped with their bounds kept."""
         seen = []
 
-        def slow_limit(model, config=None):
+        def slow_limit(model, config=None, start=None):
             seen.append(config.time_limit)
             time.sleep(0.1)
             return SimpleNamespace(status=SolveStatus.LIMIT)
 
         monkeypatch.setattr(solver, "solve", slow_limit)
+        layer_lps = _count_layer_lps(monkeypatch)
         net = zoo.relu_mixed_phases()  # 4 windows: 2 nodes, 2 senses
         plain = propagate_intervals(net)
         cfg = lookback_config(SolveConfig(time_limit=0.15))
         tight = tighten_lookback(net, plain, depth=2, config=cfg, workers=1)
+        assert len(layer_lps) == 1  # the one probed layer, before the deadline
         assert 1 <= len(seen) <= 2
         assert all(0.0 < t <= 0.15 for t in seen)
         assert seen == sorted(seen, reverse=True)
+        for a, b in zip(plain.layers, tight.layers):
+            if a.im_lo is not None:
+                assert np.array_equal(a.im_lo, b.im_lo)
+                assert np.array_equal(a.im_hi, b.im_hi)
+
+    def test_no_layer_lp_after_the_deadline(self, monkeypatch):
+        """The first probed layer's probes use up the time; the second layer
+        is neither encoded nor solved."""
+        def slow_limit(model, config=None, start=None):
+            time.sleep(config.time_limit)
+            return SimpleNamespace(status=SolveStatus.LIMIT)
+
+        monkeypatch.setattr(solver, "solve", slow_limit)
+        layer_lps = _count_layer_lps(monkeypatch)
+        net = zoo.random_relu_net(np.random.default_rng(0), input_dim=2,
+                                  hidden=(2, 2), classes=2)
+        plain = propagate_intervals(net)
+        cfg = lookback_config(SolveConfig(time_limit=0.2))
+        tight = tighten_lookback(net, plain, depth=2, config=cfg, workers=1)
+        assert [m.name for m in layer_lps] == ["window2"]
         for a, b in zip(plain.layers, tight.layers):
             if a.im_lo is not None:
                 assert np.array_equal(a.im_lo, b.im_lo)

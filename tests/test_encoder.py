@@ -20,12 +20,12 @@ from resilmip.encoder import (
     QuerySpec,
     add_gated,
     encode_atan,
-    encode_bound_probe,
     encode_maxpool,
     encode_network_eval,
     encode_query,
     encode_relu,
     encode_strong_classification,
+    encode_window,
 )
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
 from resilmip.network import forward
@@ -314,20 +314,29 @@ class TestBoundProbe:
     def test_window_recovers_the_exact_output_range(self):
         net = zoo.lookback_chain()
         bounds = propagate_intervals(net)
+        window, input_ids = encode_window(net, bounds, 2, 2)
+        assert window.frozen and not window.objective
+        w = net.layers[1].weights[:, 0]
         vals = {}
-        for maximize in (False, True):
-            model, _ = encode_bound_probe(net, bounds, 2, 0, 2, maximize=maximize)
-            r = solve(model, SolveConfig())
+        for sense in (ObjSense.MINIMIZE, ObjSense.MAXIMIZE):
+            r = solve(window.with_objective(zip(input_ids, w[1:]), sense), SolveConfig())
             assert r.status is SolveStatus.OPTIMAL
-            vals[maximize] = r.objective
-        assert vals[False] == pytest.approx(-1.0, abs=1e-7)
-        assert vals[True] == pytest.approx(0.0, abs=1e-7)
+            vals[sense] = w[0] + r.objective
+        assert vals[ObjSense.MINIMIZE] == pytest.approx(-1.0, abs=1e-7)
+        assert vals[ObjSense.MAXIMIZE] == pytest.approx(0.0, abs=1e-7)
+
+    def test_depth_one_window_is_the_box(self):
+        net = zoo.lookback_chain()
+        bounds = propagate_intervals(net)
+        window, input_ids = encode_window(net, bounds, 2, 1)
+        assert window.num_constraints == 0
+        assert input_ids == list(range(window.num_variables))
 
     def test_probe_rejects_pool_targets(self):
         net = zoo.pool_pairs()
         bounds = propagate_intervals(net)
         with pytest.raises(EncodingError):
-            encode_bound_probe(net, bounds, 1, 0, 1, maximize=True)
+            encode_window(net, bounds, 1, 1)
 
 
 class TestQueryModels:

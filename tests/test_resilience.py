@@ -183,9 +183,9 @@ class TestComputePhi:
         seen = []
         real = solver.solve
 
-        def spy(model, config=None):
+        def spy(model, config=None, start=None):
             seen.append(config)
-            return real(model, config)
+            return real(model, config, start=start)
 
         monkeypatch.setattr(solver, "solve", spy)
         cfg = SolveConfig(time_limit=30.0, mip_gap=1e-3)
@@ -426,7 +426,7 @@ class TestQueryDeadline:
     def limits(self, monkeypatch):
         seen = []
 
-        def sleepy(model, config=None):
+        def sleepy(model, config=None, start=None):
             seen.append(config.time_limit)
             time.sleep(min(config.time_limit, 0.2))
             return SolveResult(SolveStatus.LIMIT, math.nan, math.nan, None, 0, 0.0, math.inf)

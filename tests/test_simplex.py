@@ -221,6 +221,59 @@ def test_least_index_rule_matches_scipy(seed):
         _assert_matches_scipy(warm, c, a, senses, b, lo2, hi2, maximize)
 
 
+@given(seed=st.integers(0, 100_000), lean=st.booleans())
+@settings(max_examples=120)
+def test_cold_start_from_a_feasible_basis_matches_slack_and_scipy(seed, lean):
+    """A cold solve that begins at a feasible basis of the same rows and
+    bounds (the zero-objective optimum) agrees with the slack-basis solve and
+    with HiGHS, with or without the basis inverse at hand."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    feasible = _solve(np.zeros(len(c)), a, senses, b, lo, hi)
+    assume(feasible.status is LpStatus.OPTIMAL)
+    start = feasible.basis.lean() if lean else feasible.basis
+    kept = None if lean else start.inverse.copy()
+    again = _solve(np.zeros(len(c)), a, senses, b, lo, hi, start=start)
+    assert again.status is LpStatus.OPTIMAL and again.iterations == 0
+    r = _solve(c, a, senses, b, lo, hi, maximize, start=start)
+    if kept is not None:  # pivots ran on a copy of the start's inverse
+        assert np.array_equal(start.inverse, kept)
+    slack = _solve(c, a, senses, b, lo, hi, maximize)
+    assert r.status is slack.status
+    if slack.status is LpStatus.OPTIMAL:
+        scale = max(1.0, abs(slack.objective))
+        assert abs(r.objective - slack.objective) <= 1e-7 * scale
+    _assert_matches_scipy(r, c, a, senses, b, lo, hi, maximize)
+
+
+class TestColdStart:
+    """A start that does not fit leaves the cold solve at the slack basis:
+    the same result, pivots and refactorizations."""
+
+    ARGS = ([1, 2, -1], [[1, 1, 2], [3, 3, 1]], [GE, LE], [1, 6],
+            [0, 0, 0], [2, 2, 2])
+
+    @pytest.mark.parametrize("start", [
+        Basis(np.array([0, 2, 1]), np.zeros(5, dtype=bool)),       # wrong shape
+        Basis(np.array([2, 2]), np.zeros(5, dtype=bool), np.eye(2)),  # repeated column
+        Basis(np.array([0, 1]), np.zeros(5, dtype=bool)),          # singular B
+    ], ids=["shape", "repeated", "singular"])
+    def test_unfit_start_falls_back_to_the_slack_basis(self, start):
+        slack = _solve(*self.ARGS)
+        r = _solve(*self.ARGS, start=start)
+        assert r.status is slack.status is LpStatus.OPTIMAL
+        assert r.objective == slack.objective
+        assert slack.iterations > 0
+        assert r.iterations == slack.iterations
+        assert r.refactorizations == slack.refactorizations
+
+    def test_warm_basis_comes_first(self):
+        # with both, a usable warm basis is taken and the start never used
+        first = _solve(*self.ARGS)
+        junk = Basis(np.array([0, 1]), np.zeros(5, dtype=bool))
+        r = _solve(*self.ARGS, basis=first.basis, start=junk)
+        assert r.status is LpStatus.OPTIMAL and r.iterations == 0
+
+
 class TestWarmStart:
     def test_dual_simplex_proves_infeasibility(self):
         # max x st x + y <= 1, y >= 0.5: x = 0.5; then x >= 0.8 is infeasible
