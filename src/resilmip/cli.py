@@ -51,6 +51,7 @@ from .resilience import (
     compute_phi,
     compute_xi,
     prepare_bounds,
+    robustness_bounds,
 )
 from .solver import SolveConfig, SolveStatus
 
@@ -299,7 +300,11 @@ def cmd_export(args, net: Network) -> tuple[int, dict]:
     q = QuerySpec(kind, m=args.cls, alpha=args.alpha, k=args.k,
                   a=anchor, delta=args.delta)
     validate_query(net, q)  # before lookback solves anything
-    bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
+    if kind is QueryKind.LOCAL_ROBUSTNESS:  # the model verify solves
+        bounds = robustness_bounds(net, anchor, args.delta, None, args.lookback,
+                                   _solve_config(args))
+    else:
+        bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
     enc = encode_query(net, bounds, q)
     text = export_mps(enc.model)
     Path(args.out).write_text(text)

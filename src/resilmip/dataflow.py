@@ -2,8 +2,9 @@
 phases, plus an exact MIP-backed bound tightener. The encoder sizes every
 gadget from these bounds.
 
-Bounds are sound: every exact forward trace of an in-domain input lies inside
-them. Pre-activation bounds of a dense node sum the per-predecessor extremes
+Bounds are sound: every exact forward trace of an input in the propagated box
+(the input domain, or a query's budget box inside it) lies inside them.
+Pre-activation bounds of a dense node sum the per-predecessor extremes
 min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 """
 
@@ -106,11 +107,15 @@ def _layer_bounds(spec, lo: np.ndarray, hi: np.ndarray) -> LayerBounds:
     return LayerBounds(lo=np.zeros(n), hi=np.ones(n))
 
 
-def propagate_intervals(net: Network) -> IntervalBounds:
-    """Push the input box through every layer."""
+def propagate_intervals(net: Network,
+                        box: tuple[np.ndarray, np.ndarray] | None = None) -> IntervalBounds:
+    """Push an input box (lo, hi) through every layer: by default the
+    network's input domain, else a box inside it, such as a query's budget
+    box, whose bounds then enclose every trace from that box only."""
+    lo, hi = box if box is not None else (net.input_bounds[:, 0], net.input_bounds[:, 1])
     bounds = IntervalBounds(
-        input_lo=net.input_bounds[:, 0].copy(),
-        input_hi=net.input_bounds[:, 1].copy(),
+        input_lo=np.array(lo, dtype=np.float64),
+        input_hi=np.array(hi, dtype=np.float64),
     )
     lo, hi = bounds.input_lo, bounds.input_hi
     for spec in net.layers:
@@ -118,6 +123,27 @@ def propagate_intervals(net: Network) -> IntervalBounds:
         bounds.layers.append(lb)
         lo, hi = lb.lo, lb.hi
     return bounds
+
+
+def intersect_bounds(net: Network, a: IntervalBounds, b: IntervalBounds) -> IntervalBounds:
+    """Layer by layer, the intersection of two bounds of `net`; it encloses
+    every trace that both enclose. Phases are recomputed from the
+    intersected pre-activation bounds."""
+    def meet(lo1, hi1, lo2, hi2):
+        lo = np.maximum(lo1, lo2)
+        hi = np.minimum(hi1, hi2)
+        return np.minimum(lo, hi), hi  # guard numeric crossings
+
+    out = IntervalBounds(*meet(a.input_lo, a.input_hi, b.input_lo, b.input_hi))
+    for spec, la, lb in zip(net.layers, a.layers, b.layers):
+        if spec.kind in DENSE_KINDS:
+            im_lo, im_hi = meet(la.im_lo, la.im_hi, lb.im_lo, lb.im_hi)
+            layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
+            _refresh_outputs(spec, layer)
+        else:
+            layer = LayerBounds(*meet(la.lo, la.hi, lb.lo, lb.hi))
+        out.layers.append(layer)
+    return out
 
 
 def lookback_config(config=None):

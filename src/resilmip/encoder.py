@@ -527,17 +527,18 @@ def encode_window(net: Network, bounds: IntervalBounds, layer_pos: int,
 # -- queries -----------------------------------------------------------------
 
 
-def _perturbation_vars(model: MipModel, net: Network, anchor: np.ndarray | None):
+def _perturbation_vars(model: MipModel, bounds: IntervalBounds, anchor: np.ndarray | None):
     """eps, |eps| and perturbed-input variables with their coupling rows.
 
     With a fixed anchor the perturbed input p = a + eps keeps rows
     p - eps = a; with a variable anchor the rows are p - a - eps = 0. The
-    perturbed input is always confined to the declared input domain.
+    perturbed input is always confined to the bounds' input box: the input
+    domain, or inside it a fixed-anchor query's budget box.
     """
-    lo = net.input_bounds[:, 0]
-    hi = net.input_bounds[:, 1]
+    lo = bounds.input_lo
+    hi = bounds.input_hi
     e_ids, f_ids, p_ids = [], [], []
-    for i in range(net.input_dim):
+    for i in range(lo.shape[0]):
         if anchor is None:
             e_lo, e_hi = lo[i] - hi[i], hi[i] - lo[i]
         else:
@@ -609,8 +610,10 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
     both MAX_PERTURBATION and LOCAL_ROBUSTNESS fold a into constants and keep
     only the perturbed copy: the former, phi's fixed-anchor stage
     "fixed_min_m<m>", minimizes sum |eps_i|; the latter has no objective and
-    adds sum |eps_i| <= delta. MAX_ALPHA maximizes t with s_m - s_j >= t
-    over one copy; alpha_max = e^t.
+    adds sum |eps_i| <= delta. The perturbed input ranges over the bounds'
+    input box: verify encodes over the bounds of its budget box
+    (resilience.robustness_bounds), every other query over the domain's.
+    MAX_ALPHA maximizes t with s_m - s_j >= t over one copy; alpha_max = e^t.
     """
     last = validate_query(net, q)
     m0 = q.m - 1
@@ -639,7 +642,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
         model = MipModel(f"{q.kind.value}_m{q.m}")
         a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
                  for i in range(net.input_dim)]
-        e_ids, f_ids, p_ids = _perturbation_vars(model, net, None)
+        e_ids, f_ids, p_ids = _perturbation_vars(model, bounds, None)
         for i in range(net.input_dim):
             model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (a_ids[i], -1.0), (e_ids[i], -1.0)],
                                  RowSense.EQ, 0.0)
@@ -654,7 +657,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
     fixed_min = q.kind is QueryKind.MAX_PERTURBATION
     model = MipModel(f"fixed_min_m{q.m}" if fixed_min else f"{q.kind.value}_m{q.m}")
     a = np.clip(np.asarray(q.a, dtype=np.float64).reshape(-1), lo, hi)
-    e_ids, f_ids, p_ids = _perturbation_vars(model, net, a)
+    e_ids, f_ids, p_ids = _perturbation_vars(model, bounds, a)
     for i in range(net.input_dim):
         model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (e_ids[i], -1.0)],
                              RowSense.EQ, float(a[i]))

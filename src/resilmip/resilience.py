@@ -34,7 +34,8 @@ from enum import Enum
 import numpy as np
 
 from . import encoder
-from .dataflow import IntervalBounds, lookback_config, propagate_intervals, tighten_lookback
+from .dataflow import (IntervalBounds, intersect_bounds, lookback_config,
+                       propagate_intervals, tighten_lookback)
 from .encoder import QueryKind, QuerySpec
 from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
@@ -132,6 +133,23 @@ def prepare_bounds(net: Network, bounds: IntervalBounds | None,
         bounds = tighten_lookback(net, bounds, depth=lookback,
                                   config=lookback_config(config), workers=workers)
     return bounds
+
+
+def robustness_bounds(net: Network, a: np.ndarray, delta: float,
+                      bounds: IntervalBounds | None, lookback: int | None,
+                      config: SolveConfig | None) -> IntervalBounds:
+    """The bounds a local-robustness query at anchor a, budget delta, is
+    encoded over. Every point it admits lies in the budget box
+    B = [max(lo, a - delta), min(hi, a + delta)] around the anchor clipped
+    into the domain (as encode_query clips it), so the intervals are
+    propagated from B; given `bounds` also enclose every trace from B and
+    are intersected with them. Lookback then tightens as in prepare_bounds."""
+    lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+    a = np.clip(np.asarray(a, dtype=np.float64).reshape(-1), lo, hi)
+    box = propagate_intervals(net, (np.maximum(lo, a - delta), np.minimum(hi, a + delta)))
+    if bounds is not None:
+        box = intersect_bounds(net, box, bounds)
+    return prepare_bounds(net, box, lookback, config)
 
 
 def _vals(assignment, ids) -> np.ndarray:
@@ -303,8 +321,9 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
                            lookback: int | None = None) -> RobustnessResult:
     """Is class m's verdict at anchor a stable against every perturbation of
     1-norm at most delta? Decided by a feasibility model over the perturbed
-    copy; an infeasible model proves robustness, a feasible point is
-    re-validated with the exact forward pass before being called a violation.
+    copy, encoded over the bounds of its budget box (robustness_bounds); an
+    infeasible model proves robustness, a feasible point is re-validated
+    with the exact forward pass before being called a violation.
     """
     cfg = config or SolveConfig()
     deadline = query_deadline(cfg)
@@ -315,7 +334,8 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     if m is None:  # the top class is in range, so q stays valid
         m = int(np.argmax(class_scores(net, a))) + 1
         q = replace(q, m=m)
-    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
+    bounds = robustness_bounds(net, a, q.delta, bounds, lookback,
+                               time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
     res = solve(enc.model, time_left(cfg, deadline))
     if res.status is SolveStatus.INFEASIBLE:

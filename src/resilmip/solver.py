@@ -151,6 +151,24 @@ class _Node:
     basis: Basis | None = None  # the parent's optimal basis
 
 
+def pick_branch_var(x: np.ndarray, bin_ids: np.ndarray,
+                    priority: np.ndarray) -> int | None:
+    """The binary to branch on at LP point x: among binaries more than
+    INT_TOL from an integer, the highest priority (priority[i] belongs to
+    bin_ids[i]), then the farthest from an integer, then the lowest id;
+    None when every binary is integral."""
+    v = x[bin_ids]
+    # the difference to the nearer integer is exact in float64, so this is
+    # |v - round(v)| bit for bit
+    dist = np.minimum(v - np.floor(v), np.ceil(v) - v)
+    best = dist > INT_TOL
+    if not best.any():
+        return None
+    best &= priority == priority[best].max()
+    best &= dist == dist[best].max()
+    return int(bin_ids[best].min())
+
+
 def _keeps_inverse(node: _Node) -> bool:
     return node.basis is not None and node.basis.inverse is not None
 
@@ -166,6 +184,8 @@ def solve(model: MipModel, config: SolveConfig | None = None,
     c_int = sign * d.c
     form = lp_form(c_int, d.a, d.senses, d.rhs)
     bin_ids = np.array(d.binary_ids, dtype=np.int64)
+    priority = np.array([model.variables[v].branch_priority for v in d.binary_ids],
+                        dtype=np.int64)
     ext = lambda v: sign * v  # internal minimize value -> model orientation
 
     heap: list[tuple[float, int, _Node]] = []
@@ -204,21 +224,6 @@ def solve(model: MipModel, config: SolveConfig | None = None,
         if best_x is None:
             return INF
         return best_obj - cfg.mip_gap * max(1.0, abs(best_obj))
-
-    def pick_branch_var(x: np.ndarray) -> int | None:
-        best_key = None
-        best_vid = None
-        for vid in bin_ids:
-            v = x[vid]
-            frac = abs(v - round(v))
-            if frac <= INT_TOL:
-                continue
-            prio = model.variables[vid].branch_priority
-            key = (-prio, -min(v - math.floor(v), math.ceil(v) - v), vid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_vid = int(vid)
-        return best_vid
 
     # optional warm start becomes the initial incumbent
     if model.warm_start is not None and check_feasible(model, model.warm_start, INT_TOL):
@@ -278,7 +283,7 @@ def solve(model: MipModel, config: SolveConfig | None = None,
             continue
 
         x = res.x
-        branch_vid = pick_branch_var(x) if bin_ids.size else None
+        branch_vid = pick_branch_var(x, bin_ids, priority)
         if branch_vid is None:
             if res.objective >= best_obj - 1e-12:
                 node = None  # no strict improvement, even unconfirmed

@@ -11,9 +11,12 @@ import pytest
 from resilmip.cli import (
     COMMANDS, EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, EXIT_VIOLATED, build_parser, main,
 )
-from resilmip.mipmodel import parse_mps
+from resilmip.dataflow import propagate_intervals
+from resilmip.encoder import QueryKind, QuerySpec, encode_query
+from resilmip.mipmodel import export_mps, parse_mps
 from resilmip.network import save_network
 from resilmip.oracle import enumerate_mip
+from resilmip.resilience import robustness_bounds
 from resilmip import solver, zoo
 
 
@@ -113,10 +116,15 @@ class TestVerify:
         assert float(np.abs(eps).sum()) <= 1.1 + 1e-6
 
     def test_unverifiable_slack_exits_twenty(self, capsys):
-        code = main(["verify", "--net", "atan_narrow",
-                     "--input", "1.0", "--delta", "0.998"])
+        code = main(["verify", "--net", "atan_wide",
+                     "--input=-0.995", "--delta", "1.2"])
         assert code == EXIT_UNKNOWN
         assert "envelope" in capsys.readouterr().out
+        # the budget box settles this one: the true answer is ROBUST
+        code = main(["verify", "--net", "atan_narrow",
+                     "--input", "1.0", "--delta", "0.998"])
+        assert code == EXIT_OK
+        assert "ROBUST" in capsys.readouterr().out
 
     def test_json_sidecar(self, tmp_path):
         j = tmp_path / "res.json"
@@ -267,6 +275,21 @@ class TestExport:
                      "--delta", "0.5", "--out", str(f)])
         assert code == EXIT_OK
         assert f.exists()
+
+    def test_robustness_export_is_the_model_verify_solves(self, tmp_path):
+        f, j = tmp_path / "q.mps", tmp_path / "q.json"
+        assert main(["export", "--net", "relu_deep", "--class", "1",
+                     "--query", "robustness", "--input", "0.5,0.5", "--delta", "0.2",
+                     "--out", str(f), "--json-out", str(j)]) == EXIT_OK
+        net, a = zoo.relu_deep(), np.array([0.5, 0.5])
+        q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=a, delta=0.2)
+        model = encode_query(net, robustness_bounds(net, a, 0.2, None, None, None), q).model
+        assert f.read_text() == export_mps(model)
+        doc = json.loads(j.read_text())
+        assert (doc["rows"], doc["columns"], doc["binaries"]) == (
+            model.num_constraints, model.num_variables, len(model.binary_ids))
+        whole = encode_query(net, propagate_intervals(net), q).model
+        assert doc["binaries"] < len(whole.binary_ids)
 
     def test_max_alpha_export(self, tmp_path):
         f = tmp_path / "ma.mps"

@@ -6,12 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resilmip import solver, zoo
 from resilmip.dataflow import (
     ADOPT_SLACK,
     Phase,
     domain_samples,
+    intersect_bounds,
     lookback_config,
     propagate_intervals,
     relu_phases,
@@ -238,6 +241,67 @@ class TestLookback:
         net = zoo.lookback_chain()
         with pytest.raises(ValueError):
             tighten_lookback(net, propagate_intervals(net), depth=0)
+
+
+def _budget_box(net, a, delta):
+    lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+    return np.maximum(lo, a - delta), np.minimum(hi, a + delta)
+
+
+def _seeded_case(seed):
+    """A seeded random rectifier net, an anchor in its domain and a budget."""
+    rng = np.random.default_rng(seed)
+    net = zoo.random_relu_net(rng, input_dim=int(rng.integers(1, 4)),
+                              hidden=tuple(int(rng.integers(2, 6))
+                                           for _ in range(int(rng.integers(1, 3)))),
+                              classes=int(rng.integers(2, 4)), scale=2.0)
+    a = rng.uniform(-1.0, 1.0, size=net.input_dim)
+    return net, a, float(rng.uniform(0.0, 1.5)), rng
+
+
+class TestBudgetBox:
+    @given(seed=st.integers(0, 100_000))
+    def test_box_bounds_enclose_every_trace_from_the_box(self, seed):
+        net, a, delta, rng = _seeded_case(seed)
+        lo, hi = _budget_box(net, a, delta)
+        bounds = propagate_intervals(net, (lo, hi))
+        np.testing.assert_array_equal(bounds.input_lo, lo)
+        np.testing.assert_array_equal(bounds.input_hi, hi)
+        points = lo + rng.random((50, net.input_dim)) * (hi - lo)
+        for point in np.vstack([points, lo, hi, a]):
+            _assert_trace_in_bounds(net, bounds, point)
+
+    @given(seed=st.integers(0, 100_000))
+    def test_box_bounds_are_never_looser_than_the_domain_bounds(self, seed):
+        net, a, delta, _ = _seeded_case(seed)
+        box = propagate_intervals(net, _budget_box(net, a, delta))
+        plain = propagate_intervals(net)
+        for lb, pb in zip(box.layers, plain.layers):
+            assert np.all(lb.lo >= pb.lo - 1e-12) and np.all(lb.hi <= pb.hi + 1e-12)
+
+    def test_the_domain_as_a_box_gives_the_plain_bounds(self):
+        net = zoo.relu_deep()
+        box = propagate_intervals(net, (net.input_bounds[:, 0], net.input_bounds[:, 1]))
+        for lb, pb in zip(box.layers, propagate_intervals(net).layers):
+            np.testing.assert_array_equal(lb.lo, pb.lo)
+            np.testing.assert_array_equal(lb.hi, pb.hi)
+
+    def test_intersection_keeps_the_tighter_side_and_recomputes_phases(self):
+        net = zoo.relu_mixed_phases()
+        plain = propagate_intervals(net)
+        tight = tighten_lookback(net, plain, depth=2)
+        box = propagate_intervals(net, _budget_box(net, np.array([1.0, 1.0]), 0.4))
+        both = intersect_bounds(net, box, tight)
+        for lb, lt, lx in zip(both.layers, tight.layers, box.layers):
+            np.testing.assert_array_equal(lb.lo, np.maximum(lt.lo, lx.lo))
+            np.testing.assert_array_equal(lb.hi, np.minimum(lt.hi, lx.hi))
+            if lb.phase is not None:
+                np.testing.assert_array_equal(lb.phase, relu_phases(lb.im_lo, lb.im_hi))
+        # a budget box inside the domain leaves the domain's bounds nothing to add
+        same = intersect_bounds(net, box, plain)
+        for lb, lx in zip(same.layers, box.layers):
+            np.testing.assert_array_equal(lb.lo, lx.lo)
+            np.testing.assert_array_equal(lb.hi, lx.hi)
 
 
 class TestDump:

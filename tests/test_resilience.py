@@ -313,12 +313,16 @@ class TestLocalRobustness:
         assert competitor_count(net, r.perturbed, 1, tol=1e-6) >= 1
 
     def test_envelope_slack_is_reported_not_trusted(self):
-        # at x = 1 the true flip distance is exactly 1; a budget a hair under
-        # leaves room inside the arc-tangent envelope but not in the function
-        net = zoo.atan_narrow()
-        r = check_local_robustness(net, np.array([1.0]), 0.998)
+        # from x = -0.995 the budget box [-1, 0.205] still leaves room inside
+        # the arc-tangent envelope of atan_wide but not in the function
+        r = check_local_robustness(zoo.atan_wide(), np.array([-0.995]), 1.2)
         assert r.verdict is Verdict.UNKNOWN
         assert "envelope" in r.note
+        # at x = 1 the true flip distance of atan_narrow is exactly 1: over
+        # its budget box [0.002, 1] the envelope is tight enough to prove a
+        # budget a hair under it
+        r = check_local_robustness(zoo.atan_narrow(), np.array([1.0]), 0.998)
+        assert r.verdict is Verdict.ROBUST
 
     def test_clear_arc_tangent_violation_validates(self):
         net = zoo.atan_narrow()
@@ -345,6 +349,47 @@ class TestLocalRobustness:
         # checked first: no RuntimeWarning and no model-construction error
         with pytest.raises(EncodingError, match=match):
             check_local_robustness(zoo.two_class_linear(), np.array(anchor), 0.1, m=m)
+
+
+def _seeded_robustness_case(seed: int):
+    """A seeded random rectifier net, an anchor in its domain and a budget."""
+    rng = np.random.default_rng(seed)
+    net = zoo.random_relu_net(rng, input_dim=2,
+                              hidden=tuple(int(rng.integers(2, 4))
+                                           for _ in range(int(rng.integers(1, 3)))),
+                              classes=int(rng.integers(2, 4)), scale=2.0)
+    return net, rng.uniform(-1.0, 1.0, size=2), float(rng.uniform(0.05, 1.0))
+
+
+class TestBudgetBoxBounds:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_verdict_matches_enumeration_over_the_domain(self, seed):
+        net, a, delta = _seeded_robustness_case(seed)
+        r = check_local_robustness(net, a, delta)
+        q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=r.m, a=a, delta=delta)
+        ref = enumerate_mip(encode_query(net, propagate_intervals(net), q).model)
+        assert r.verdict is (Verdict.ROBUST if ref.status == "infeasible"
+                             else Verdict.VIOLATED)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_given_domain_bounds_add_no_nodes(self, seed):
+        net, a, delta = _seeded_robustness_case(seed)
+        r = check_local_robustness(net, a, delta)
+        given = check_local_robustness(net, a, delta, bounds=propagate_intervals(net))
+        assert given.verdict is r.verdict
+        assert given.solve.nodes_explored <= r.solve.nodes_explored
+
+    def test_a_stable_relu_loses_its_binary(self):
+        net = zoo.relu_deep()
+        a = np.array([0.5, 0.5])
+        q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=a, delta=0.2)
+        box = resilience.robustness_bounds(net, a, 0.2, None, None, None)
+        whole = encode_query(net, propagate_intervals(net), q).model
+        model = encode_query(net, box, q).model
+        assert len(model.binary_ids) < len(whole.binary_ids)
+        # the perturbed inputs are declared over the budget box
+        p = [v for v in model.variables if v.name in ("p0", "p1")]
+        assert [(v.lo, v.hi) for v in p] == [(0.3, 0.7), (0.3, 0.7)]
 
 
 class TestMaxAlpha:

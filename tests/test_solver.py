@@ -235,6 +235,46 @@ class TestUnconfirmedIntegralPoint:
         assert r.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
 
 
+def _pick_by_loop(x, bin_ids, priority):
+    """The branching rule as a per-binary loop over (priority, distance to
+    integrality, id) keys."""
+    best_key = best_vid = None
+    for vid, prio in zip(bin_ids, priority):
+        v = x[vid]
+        if abs(v - round(v)) <= solver.INT_TOL:
+            continue
+        key = (-prio, -min(v - math.floor(v), math.ceil(v) - v), vid)
+        if best_key is None or key < best_key:
+            best_key, best_vid = key, int(vid)
+    return best_vid
+
+
+class TestPickBranchVar:
+    # values with exact ties in distance (0.25/0.75, 0.5), near misses
+    # (0.3 against 0.7) and integral ones within and just past INT_TOL
+    VALUES = [0.0, 1.0, 0.25, 0.75, 0.5, 0.3, 0.7, 5e-7, 1 - 5e-7, 2e-6, 1 - 2e-6, 0.1]
+
+    @given(picks=st.lists(st.tuples(st.sampled_from(VALUES), st.integers(0, 2)),
+                          min_size=1, max_size=12),
+           order=st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_matches_the_per_binary_rule_on_ties(self, picks, order):
+        x = np.array([v for v, _ in picks] + [3.7])  # a continuous column last
+        bin_ids = list(range(len(picks)))
+        order.shuffle(bin_ids)
+        priority = np.array([picks[i][1] for i in bin_ids], dtype=np.int64)
+        bin_ids = np.array(bin_ids, dtype=np.int64)
+        assert (solver.pick_branch_var(x, bin_ids, priority)
+                == _pick_by_loop(x, bin_ids, priority))
+
+    def test_priority_then_distance_then_id(self):
+        x = np.array([0.5, 0.25, 0.75, 0.5, 1.0])
+        ids = np.arange(5)
+        assert solver.pick_branch_var(x, ids, np.zeros(5, dtype=np.int64)) == 0
+        assert solver.pick_branch_var(x, ids, np.array([0, 1, 1, 0, 2])) == 1
+        assert solver.pick_branch_var(x, ids[[4]], np.array([0])) is None
+
+
 def _rows(model: MipModel) -> int:
     return model.dense_arrays().a.shape[0]
 
