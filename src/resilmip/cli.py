@@ -34,7 +34,7 @@ import numpy as np
 
 from . import zoo
 from .dataflow import write_bounds_dump
-from .encoder import EncodingError, QueryKind, QuerySpec, encode_query, validate_query
+from .encoder import EncodingError, QueryKind, QuerySpec, encode_query
 from .mipmodel import ModelError, export_mps
 from .network import (
     Network,
@@ -51,7 +51,7 @@ from .resilience import (
     compute_phi,
     compute_xi,
     prepare_bounds,
-    robustness_bounds,
+    query_bounds,
 )
 from .solver import SolveConfig, SolveStatus
 
@@ -299,13 +299,9 @@ def cmd_export(args, net: Network) -> tuple[int, dict]:
         raise EncodingError("--query robustness needs --input")
     q = QuerySpec(kind, m=args.cls, alpha=args.alpha, k=args.k,
                   a=anchor, delta=args.delta)
-    validate_query(net, q)  # before lookback solves anything
-    if kind is QueryKind.LOCAL_ROBUSTNESS:  # the model verify solves
-        bounds = robustness_bounds(net, anchor, args.delta, None, args.lookback,
-                                   _solve_config(args))
-    else:
-        bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
-    enc = encode_query(net, bounds, q)
+    # the bounds the query's solver would encode it over
+    enc = encode_query(net, query_bounds(net, q, None, args.lookback,
+                                         _solve_config(args)), q)
     text = export_mps(enc.model)
     Path(args.out).write_text(text)
     rows = enc.model.num_constraints

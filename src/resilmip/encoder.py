@@ -45,10 +45,11 @@ class EncodingError(ValueError):
     """Raised for queries or bounds an encoding cannot represent."""
 
 
-class QueryKind(Enum):
+class QueryKind(Enum):  # each value prefixes its model's name
     MAX_PERTURBATION = "max_perturbation"
     LOCAL_ROBUSTNESS = "local_robustness"
     MAX_ALPHA = "max_alpha"
+    STRONG_ANCHOR = "anchor"  # phi's stage 1: a strongly classified input
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,8 @@ class QuerySpec:
 
     Local robustness needs a. A MAX_PERTURBATION query with a fixes phi's
     anchor at a (the fixed-anchor stage of compute_phi); without a the
-    anchor is free. MAX_ALPHA ignores a."""
+    anchor is free. MAX_ALPHA and STRONG_ANCHOR ignore a, and only
+    MAX_PERTURBATION and LOCAL_ROBUSTNESS read k."""
 
     kind: QueryKind
     m: int
@@ -527,13 +529,15 @@ def encode_window(net: Network, bounds: IntervalBounds, layer_pos: int,
 # -- queries -----------------------------------------------------------------
 
 
-def _perturbation_vars(model: MipModel, bounds: IntervalBounds, anchor: np.ndarray | None):
+def _perturbation_vars(model: MipModel, bounds: IntervalBounds, anchor: np.ndarray | None,
+                       a_ids: list[int] | None):
     """eps, |eps| and perturbed-input variables with their coupling rows.
 
     With a fixed anchor the perturbed input p = a + eps keeps rows
-    p - eps = a; with a variable anchor the rows are p - a - eps = 0. The
-    perturbed input is always confined to the bounds' input box: the input
-    domain, or inside it a fixed-anchor query's budget box.
+    p - eps = a; with the anchor variables a_ids the rows are
+    p - a - eps = 0. The perturbed input is always confined to the bounds'
+    input box: the input domain, or inside it a fixed-anchor query's budget
+    box.
     """
     lo = bounds.input_lo
     hi = bounds.input_hi
@@ -551,6 +555,12 @@ def _perturbation_vars(model: MipModel, bounds: IntervalBounds, anchor: np.ndarr
         e_ids.append(e)
         f_ids.append(f)
         p_ids.append(p)
+    for i, (p, e) in enumerate(zip(p_ids, e_ids)):
+        if anchor is None:
+            model.add_constraint(f"PE{i}", [(p, 1.0), (a_ids[i], -1.0), (e, -1.0)],
+                                 RowSense.EQ, 0.0)
+        else:
+            model.add_constraint(f"PE{i}", [(p, 1.0), (e, -1.0)], RowSense.EQ, float(anchor[i]))
     return e_ids, f_ids, p_ids
 
 
@@ -581,6 +591,8 @@ def validate_query(net: Network, q: QuerySpec) -> int:
         return net.score_layer + 1
     if not (math.isfinite(q.alpha) and q.alpha >= 1.0):
         raise EncodingError("alpha must be a finite number >= 1")
+    if q.kind is QueryKind.STRONG_ANCHOR:
+        return net.score_layer + 1
     if not 1 <= q.k <= n_cls - 1:
         raise EncodingError(f"k must sit in 1..{n_cls - 1}")
     if q.kind is QueryKind.LOCAL_ROBUSTNESS:
@@ -603,71 +615,60 @@ def validate_query(net: Network, q: QuerySpec) -> int:
 def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQuery:
     """Build the MIP for one query (checked first by validate_query).
 
-    MAX_PERTURBATION without an anchor instantiates two copies of the body —
-    one at the free anchor a, one at a + eps — with strong-classification
-    rows on the first, k-of-n dominance selectors on the second, and
-    objective min sum |eps_i|. With an anchor (clipped into the input box)
-    both MAX_PERTURBATION and LOCAL_ROBUSTNESS fold a into constants and keep
-    only the perturbed copy: the former, phi's fixed-anchor stage
-    "fixed_min_m<m>", minimizes sum |eps_i|; the latter has no objective and
-    adds sum |eps_i| <= delta. The perturbed input ranges over the bounds'
-    input box: verify encodes over the bounds of its budget box
-    (resilience.robustness_bounds), every other query over the domain's.
-    MAX_ALPHA maximizes t with s_m - s_j >= t over one copy; alpha_max = e^t.
+    A query over a free anchor declares inputs a<i> over the domain and
+    encodes the body at them as copy "b": STRONG_ANCHOR, phi's stage 1
+    "anchor_m<m>", adds only strong-classification rows and has no
+    objective; MAX_ALPHA maximizes t with s_m - s_j >= t (alpha_max = e^t);
+    MAX_PERTURBATION adds a second copy "q" at a + eps, k-of-n dominance
+    selectors on it and the objective min sum |eps_i|. With an anchor
+    (clipped into the input box) MAX_PERTURBATION and LOCAL_ROBUSTNESS fold
+    a into constants and keep only the perturbed copy: the former, phi's
+    fixed-anchor stage "fixed_min_m<m>", minimizes sum |eps_i|; the latter
+    has no objective and adds sum |eps_i| <= delta. The perturbed input
+    ranges over the bounds' input box, which resilience.query_bounds makes
+    the budget box for LOCAL_ROBUSTNESS and the domain otherwise.
     """
     last = validate_query(net, q)
     m0 = q.m - 1
-    lo = net.input_bounds[:, 0]
-    hi = net.input_bounds[:, 1]
-
-    if q.kind is QueryKind.MAX_ALPHA:
-        model = MipModel(f"{q.kind.value}_m{q.m}")
+    lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+    perturbs = q.kind in (QueryKind.MAX_PERTURBATION, QueryKind.LOCAL_ROBUSTNESS)
+    fixed = None if not perturbs or q.a is None else np.clip(
+        np.asarray(q.a, dtype=np.float64).reshape(-1), lo, hi)
+    fixed_min = fixed is not None and q.kind is QueryKind.MAX_PERTURBATION
+    model = MipModel(f"{'fixed_min' if fixed_min else q.kind.value}_m{q.m}")
+    a_ids = e_ids = f_ids = p_ids = base = pert = None
+    sel: dict[int, int] = {}
+    if fixed is None:
         a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
                  for i in range(net.input_dim)]
+    if perturbs:
+        e_ids, f_ids, p_ids = _perturbation_vars(model, bounds, fixed, a_ids)
+    if a_ids is not None:
         base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b")
+    if perturbs:
+        pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q")
+    if q.kind is QueryKind.MAX_ALPHA:
         scores = base.x_ids[last]
-        s_lo = bounds.layers[last - 1].lo
-        s_hi = bounds.layers[last - 1].hi
-        t_lo = float(min(s_lo[m0] - s_hi[j] for j in range(len(scores)) if j != m0)) - 1.0
-        t_hi = float(max(s_hi[m0] - s_lo[j] for j in range(len(scores)) if j != m0)) + 1.0
+        s_lo, s_hi = bounds.layers[last - 1].lo, bounds.layers[last - 1].hi
+        # the bounds of s_m - max_j s_j, widened by 1
+        t_lo = float(s_lo[m0] - np.delete(s_hi, m0).max()) - 1.0
+        t_hi = float(s_hi[m0] - np.delete(s_lo, m0).min()) + 1.0
         t_id = model.add_variable("t", t_lo, t_hi)
         for j, sid in enumerate(scores):
             if j != m0:
                 model.add_constraint(f"MA{j}", [(scores[m0], 1.0), (sid, -1.0), (t_id, -1.0)],
                                      RowSense.GE, 0.0)
         model.set_objective([(t_id, 1.0)], ObjSense.MAXIMIZE)
-        return EncodedQuery(model.freeze(), q, a_ids, None, None, None, base, None, {})
-
-    if q.a is None:  # MAX_PERTURBATION over a free anchor
-        model = MipModel(f"{q.kind.value}_m{q.m}")
-        a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
-                 for i in range(net.input_dim)]
-        e_ids, f_ids, p_ids = _perturbation_vars(model, bounds, None)
-        for i in range(net.input_dim):
-            model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (a_ids[i], -1.0), (e_ids[i], -1.0)],
-                                 RowSense.EQ, 0.0)
-        base = encode_network_copy(model, net, bounds, 1, last, a_ids, "b")
-        pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q")
+    elif base is not None:
         encode_strong_classification(model, base.x_ids[last], m0, q.alpha, "SC")
+    if perturbs:
         sel = _dominance_rows(model, pert.x_ids[last], m0, q.k, "DOM")
-        model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
-        return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel)
-
-    # a fixed anchor folded into constants
-    fixed_min = q.kind is QueryKind.MAX_PERTURBATION
-    model = MipModel(f"fixed_min_m{q.m}" if fixed_min else f"{q.kind.value}_m{q.m}")
-    a = np.clip(np.asarray(q.a, dtype=np.float64).reshape(-1), lo, hi)
-    e_ids, f_ids, p_ids = _perturbation_vars(model, bounds, a)
-    for i in range(net.input_dim):
-        model.add_constraint(f"PE{i}", [(p_ids[i], 1.0), (e_ids[i], -1.0)],
-                             RowSense.EQ, float(a[i]))
-    pert = encode_network_copy(model, net, bounds, 1, last, p_ids, "q")
-    sel = _dominance_rows(model, pert.x_ids[last], m0, q.k, "DOM")
-    if fixed_min:
-        model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
-    else:
-        model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE, float(q.delta))
-    return EncodedQuery(model.freeze(), q, None, e_ids, f_ids, p_ids, None, pert, sel)
+        if q.kind is QueryKind.MAX_PERTURBATION:
+            model.set_objective([(f, 1.0) for f in f_ids], ObjSense.MINIMIZE)
+        else:
+            model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE,
+                                 float(q.delta))
+    return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel)
 
 
 # -- assignments from exact traces --------------------------------------------

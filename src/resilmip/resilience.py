@@ -8,10 +8,12 @@ worst phi over classes that can be strongly classified at all; local
 robustness asks whether a specific anchor survives every perturbation within
 a budget; the ratio bound reports the largest alpha any input attains.
 
-Perturbation searches run in three steps: find one strongly-classified
-anchor, compute the cheapest class-flipping perturbation from that fixed
-anchor, then solve the full two-copy model warm-started with the union of
-both solutions. Both presolves only speed up the final exact search; they
+Every driver encodes its queries with encoder.encode_query, over the
+bounds query_bounds picks. Perturbation searches run in three steps: find
+one strongly-classified anchor (a STRONG_ANCHOR query), compute the
+cheapest class-flipping perturbation from that fixed anchor, then solve the
+full two-copy model warm-started with the union of both solutions, matched
+by variable name. Both presolves only speed up the final exact search; they
 never change its answer.
 
 A driver's time limit bounds the whole query: one deadline is fixed when the
@@ -122,8 +124,8 @@ class MaxAlphaResult:
 
 def prepare_bounds(net: Network, bounds: IntervalBounds | None,
                    lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
-    """The bounds a query is encoded over: the given ones or the plain
-    intervals, tightened by lookback windows of depth `lookback` if set."""
+    """The given bounds or the plain intervals, tightened by lookback
+    windows of depth `lookback` if set."""
     if bounds is None:
         bounds = propagate_intervals(net)
     # depth 1 boxes each node's predecessors, which reproduces the plain
@@ -135,21 +137,22 @@ def prepare_bounds(net: Network, bounds: IntervalBounds | None,
     return bounds
 
 
-def robustness_bounds(net: Network, a: np.ndarray, delta: float,
-                      bounds: IntervalBounds | None, lookback: int | None,
-                      config: SolveConfig | None) -> IntervalBounds:
-    """The bounds a local-robustness query at anchor a, budget delta, is
-    encoded over. Every point it admits lies in the budget box
+def query_bounds(net: Network, spec: QuerySpec, bounds: IntervalBounds | None,
+                 lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
+    """The bounds `spec` is encoded over, once validate_query accepts it.
+    A LOCAL_ROBUSTNESS query admits only points of its budget box
     B = [max(lo, a - delta), min(hi, a + delta)] around the anchor clipped
-    into the domain (as encode_query clips it), so the intervals are
-    propagated from B; given `bounds` also enclose every trace from B and
-    are intersected with them. Lookback then tightens as in prepare_bounds."""
-    lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
-    a = np.clip(np.asarray(a, dtype=np.float64).reshape(-1), lo, hi)
-    box = propagate_intervals(net, (np.maximum(lo, a - delta), np.minimum(hi, a + delta)))
-    if bounds is not None:
-        box = intersect_bounds(net, box, bounds)
-    return prepare_bounds(net, box, lookback, config)
+    into the domain (as encode_query clips it), so it takes the intervals
+    propagated from B, met with any given `bounds`. Lookback then tightens
+    them, or any other query's bounds, in prepare_bounds."""
+    encoder.validate_query(net, spec)
+    if spec.kind is QueryKind.LOCAL_ROBUSTNESS:
+        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+        a = np.clip(np.asarray(spec.a, dtype=np.float64).reshape(-1), lo, hi)
+        box = propagate_intervals(
+            net, (np.maximum(lo, a - spec.delta), np.minimum(hi, a + spec.delta)))
+        bounds = box if bounds is None else intersect_bounds(net, box, bounds)
+    return prepare_bounds(net, bounds, lookback, config)
 
 
 def _vals(assignment, ids) -> np.ndarray:
@@ -179,17 +182,12 @@ def find_strong_anchor(net: Network, m: int, alpha: float,
     the search found none (status INFEASIBLE: the strong region is empty).
     The solution is the solve's assignment by variable name (the inputs a<i>
     and the "b" body copy), None with the anchor."""
-    last = net.score_layer + 1
-    model = MipModel(f"anchor_m{m}")
-    lo = net.input_bounds[:, 0]
-    hi = net.input_bounds[:, 1]
-    a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
-             for i in range(net.input_dim)]
-    body = encoder.encode_network_copy(model, net, bounds, 1, last, a_ids, "b")
-    encoder.encode_strong_classification(model, body.x_ids[last], m - 1, alpha, "SC")
-    res = solve(model.freeze(), config or SolveConfig())
+    enc = encoder.encode_query(net, bounds,
+                               QuerySpec(QueryKind.STRONG_ANCHOR, m=m, alpha=alpha))
+    res = solve(enc.model, config or SolveConfig())
     if res.assignment is not None:
-        return _vals(res.assignment, a_ids), res.status, _by_name(model, res.assignment)
+        return (_vals(res.assignment, enc.input_ids), res.status,
+                _by_name(enc.model, res.assignment))
     return None, res.status, None
 
 
@@ -214,8 +212,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
          presolve: bool, deadline: float | None) -> PhiResult:
     """compute_phi under a deadline fixed by its caller."""
     spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
-    encoder.validate_query(net, spec)
-    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
+    bounds = query_bounds(net, spec, bounds, lookback, time_left(cfg, deadline))
 
     anchor: np.ndarray | None = None
     anchor_sol: dict[str, float] | None = None
@@ -288,10 +285,10 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
     status, so an unresolved class is never mistaken for an excluded one."""
     cfg = config or SolveConfig()
     deadline = query_deadline(cfg)
-    # every class's query shares alpha and k: check them once, before lookback
-    encoder.validate_query(net, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
-                                          alpha=alpha, k=k))
-    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
+    # every class's query shares alpha, k and bounds: check and tighten once
+    bounds = query_bounds(net, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
+                                         alpha=alpha, k=k),
+                          bounds, lookback, time_left(cfg, deadline))
     classes = range(1, net.num_classes + 1)
     phi_of = functools.partial(_phi, net, alpha=alpha, k=k, a_ini=None, cfg=cfg,
                                bounds=bounds, lookback=None, presolve=True,
@@ -321,7 +318,7 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
                            lookback: int | None = None) -> RobustnessResult:
     """Is class m's verdict at anchor a stable against every perturbation of
     1-norm at most delta? Decided by a feasibility model over the perturbed
-    copy, encoded over the bounds of its budget box (robustness_bounds); an
+    copy, encoded over the bounds of its budget box (query_bounds); an
     infeasible model proves robustness, a feasible point is re-validated
     with the exact forward pass before being called a violation.
     """
@@ -334,8 +331,7 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     if m is None:  # the top class is in range, so q stays valid
         m = int(np.argmax(class_scores(net, a))) + 1
         q = replace(q, m=m)
-    bounds = robustness_bounds(net, a, q.delta, bounds, lookback,
-                               time_left(cfg, deadline))
+    bounds = query_bounds(net, q, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
     res = solve(enc.model, time_left(cfg, deadline))
     if res.status is SolveStatus.INFEASIBLE:
@@ -367,8 +363,7 @@ def compute_max_alpha(net: Network, m: int, *,
     cfg = config or SolveConfig()
     deadline = query_deadline(cfg)
     q = QuerySpec(QueryKind.MAX_ALPHA, m=m)
-    encoder.validate_query(net, q)
-    bounds = prepare_bounds(net, bounds, lookback, time_left(cfg, deadline))
+    bounds = query_bounds(net, q, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
     res = solve(enc.model, time_left(cfg, deadline))
     t_star = float(res.objective)

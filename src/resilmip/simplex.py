@@ -1,6 +1,7 @@
 """Bounded-variable simplex on a dense explicit basis inverse.
 
-This is the LP core under the branch-and-bound solver. Row i gets a slack
+This is the LP core under the branch-and-bound solver. It only minimizes:
+a caller that maximizes negates its costs and its result. Row i gets a slack
 s_i with A x + s = b, the row sense folded into the slack's bounds, and every
 variable carries individual (possibly infinite) bounds handled directly in the
 basis logic: nonbasic variables rest at a finite bound (free ones at zero).
@@ -113,10 +114,9 @@ class Basis:
 @dataclass
 class LpResult:
     """``objective`` is c'x at the reported point. ``bound`` is a rigorous
-    bound on the optimum from the other side (below it when minimizing):
-    the certified bound of an OPTIMAL result, or its objective checked on a
-    fresh factorization where a column with an infinite bound leaves the
-    certificate open; +-inf when INFEASIBLE."""
+    lower bound on the optimum: the certified bound of an OPTIMAL result, or
+    its objective checked on a fresh factorization where a column with an
+    infinite bound leaves the certificate open; inf when INFEASIBLE."""
 
     status: LpStatus
     objective: float
@@ -131,7 +131,7 @@ class LpResult:
 class LpForm:
     """The parts of an LP that a branch-and-bound solve never changes, in the
     simplex's layout: the columns [A | I], the slacks' bounds (each row's
-    sense folded in), the minimize-orientation costs and the right-hand side.
+    sense folded in), the costs and the right-hand side.
     Build it once with ``lp_form`` and re-solve under any variable bounds;
     its arrays are read-only, since every solve shares them."""
 
@@ -145,24 +145,21 @@ class LpForm:
     # certified bound is zero: LE rows y_i <= 0, GE rows y_i >= 0
     y_lo: np.ndarray
     y_hi: np.ndarray
-    sign: float  # -1 when the LP maximizes
 
 
-def lp_form(c: np.ndarray, a: np.ndarray, senses: list[RowSense], b: np.ndarray,
-            *, maximize: bool = False) -> LpForm:
-    """Minimize (or maximize) c'x subject to the rows a x (sense) b."""
+def lp_form(c: np.ndarray, a: np.ndarray, senses: list[RowSense], b: np.ndarray) -> LpForm:
+    """Minimize c'x subject to the rows a x (sense) b."""
     m = a.shape[0]
     slack_lo = np.array([-INF if s is RowSense.GE else 0.0 for s in senses])
     slack_hi = np.array([INF if s is RowSense.LE else 0.0 for s in senses])
-    sign = -1.0 if maximize else 1.0
     arrays = (np.hstack([a, np.eye(m)]), slack_lo, slack_hi,
-              np.concatenate([sign * np.asarray(c, dtype=float), np.zeros(m)]),
+              np.concatenate([np.asarray(c, dtype=float), np.zeros(m)]),
               np.array(b, dtype=float), np.abs(np.asarray(a, dtype=float)),
               np.where(np.isinf(slack_lo), 0.0, -INF),
               np.where(np.isinf(slack_hi), 0.0, INF))
     for arr in arrays:
         arr.setflags(write=False)
-    return LpForm(*arrays, sign)
+    return LpForm(*arrays)
 
 
 def solve_bounded_lp(
@@ -282,7 +279,6 @@ class _Lp:
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.binv = np.empty((0, 0))  # B^-1: set by cold, warm or refactor
-        self.sign = form.sign
         self.max_iters = max_iters
         self.iters = 0
         self.updates = 0  # rank-1 updates of binv since its factorization
@@ -404,7 +400,6 @@ class _Lp:
                                -rho if to_lower else rho, np.zeros(n)) > 0.0
 
     def result(self, status: LpStatus) -> LpResult:
-        sign = self.sign
         if status is LpStatus.OPTIMAL:
             n = self.n
             x = self.x[:n].copy()
@@ -414,12 +409,11 @@ class _Lp:
             bound = self.optimum_bound()
             if bound == -INF:  # open certificate: the optimum checked fresh
                 bound = obj
-            return LpResult(status, sign * obj, x, self.iters, basis,
-                            sign * bound, self.refactors)
+            return LpResult(status, obj, x, self.iters, basis, bound, self.refactors)
         if status is LpStatus.UNBOUNDED:
-            return LpResult(status, -sign * INF, None, self.iters,
-                            bound=-sign * INF, refactorizations=self.refactors)
-        bound = sign * INF if status is LpStatus.INFEASIBLE else math.nan
+            return LpResult(status, -INF, None, self.iters, bound=-INF,
+                            refactorizations=self.refactors)
+        bound = INF if status is LpStatus.INFEASIBLE else math.nan
         return LpResult(status, math.nan, None, self.iters, bound=bound,
                         refactorizations=self.refactors)
 

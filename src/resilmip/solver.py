@@ -9,12 +9,13 @@ variable id. An incumbent is replaced only by a strictly better one. The
 search is deterministic: the same model and limits give the same nodes.
 
 Node LPs: the LP's fixed data is put in the simplex's layout once per solve
-(``simplex.lp_form``). The root LP is solved cold: the dual simplex finds a
-feasible basis from the slack basis, or from a caller's ``start`` basis
-(lookback's probes share their window's feasible basis), and the primal
-simplex optimizes from it. Every child carries its parent's optimal basis and
-is re-solved from it by the dual simplex, since it differs from its parent in
-one binary bound.
+(``simplex.lp_form``), which only minimizes: a maximizing model's costs are
+negated, and values are reported back in the model's orientation. The root
+LP is solved cold: the dual simplex finds a feasible basis from the slack
+basis, or from a caller's ``start`` basis (lookback's probes share their
+window's feasible basis), and the primal simplex optimizes from it. Every
+child carries its parent's optimal basis and is re-solved from it by the dual
+simplex, since it differs from its parent in one binary bound.
 Both children share the parent's basis inverse, so a node popped off the
 heap starts without a factorization; the open nodes keep inverses up to
 ``_HEAP_INVERSE_BYTES`` between them, and a node pushed beyond that keeps
@@ -51,8 +52,9 @@ from enum import Enum
 
 import numpy as np
 
-from .mipmodel import Assignment, MipModel, check_feasible
-from .simplex import Basis, LpResult, LpStatus, basic_point, lp_form, solve_bounded_lp
+from .mipmodel import Assignment, DenseLp, MipModel, check_feasible
+from .simplex import (Basis, LpForm, LpResult, LpStatus, basic_point, lp_form,
+                      solve_bounded_lp)
 
 log = logging.getLogger("resilmip.solver")
 
@@ -136,11 +138,22 @@ class SolveResult:
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def solve_lp(model: MipModel) -> LpResult:
-    """Solve the LP relaxation (binaries kept only as [0, 1] bounds)."""
+def _min_form(model: MipModel) -> tuple[DenseLp, LpForm, float]:
+    """The model's dense arrays, its LP as the simplex's minimization, and
+    the sign (-1 when the model maximizes) that orients the form's values."""
     d = model.dense_arrays()
-    form = lp_form(d.c, d.a, d.senses, d.rhs, maximize=d.maximize)
-    return solve_bounded_lp(form, d.lo, d.hi)
+    sign = -1.0 if d.maximize else 1.0
+    return d, lp_form(sign * d.c, d.a, d.senses, d.rhs), sign
+
+
+def solve_lp(model: MipModel) -> LpResult:
+    """Solve the LP relaxation (binaries kept only as [0, 1] bounds); the
+    objective and bound are in the model's orientation."""
+    d, form, sign = _min_form(model)
+    res = solve_bounded_lp(form, d.lo, d.hi)
+    res.objective *= sign
+    res.bound *= sign
+    return res
 
 
 @dataclass
@@ -179,10 +192,8 @@ def solve(model: MipModel, config: SolveConfig | None = None,
     starts cold from ``start`` (see ``simplex.solve_bounded_lp``)."""
     cfg = config or SolveConfig()
     t0 = time.monotonic()
-    d = model.dense_arrays()
-    sign = -1.0 if d.maximize else 1.0
+    d, form, sign = _min_form(model)
     c_int = sign * d.c
-    form = lp_form(c_int, d.a, d.senses, d.rhs)
     bin_ids = np.array(d.binary_ids, dtype=np.int64)
     priority = np.array([model.variables[v].branch_priority for v in d.binary_ids],
                         dtype=np.int64)

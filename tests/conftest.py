@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from resilmip.network import LayerKind, LayerSpec, Network
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -15,3 +17,18 @@ settings.load_profile("default")
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def always_first() -> Network:
+    """Scores (x1 + 2, x2) on [0, 1]^2 with a softmax head: class 1 leads
+    everywhere, so its dominance region is empty."""
+    return Network(
+        input_dim=2,
+        input_bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        layers=(
+            LayerSpec(LayerKind.LINEAR_OUTPUT,
+                      weights=np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+            LayerSpec(LayerKind.SOFTMAX),
+        ),
+    )

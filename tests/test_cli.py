@@ -14,9 +14,9 @@ from resilmip.cli import (
 from resilmip.dataflow import propagate_intervals
 from resilmip.encoder import QueryKind, QuerySpec, encode_query
 from resilmip.mipmodel import export_mps, parse_mps
-from resilmip.network import save_network
+from resilmip.network import LayerKind, LayerSpec, Network, save_network
 from resilmip.oracle import enumerate_mip
-from resilmip.resilience import robustness_bounds
+from resilmip.resilience import query_bounds
 from resilmip import solver, zoo
 
 
@@ -161,6 +161,16 @@ class TestPhi:
         assert "phi      inf" in out
         assert "infeasible at alpha=8" in out
 
+    def test_empty_dominance_region_prints_the_note(self, always_first, tmp_path, capsys):
+        # stage 2 proves that no rival ever reaches class 1's score
+        path = tmp_path / "first.json"
+        save_network(always_first, path)
+        assert main(["phi", "--net", str(path), "--class", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "phi      inf" in out
+        assert "status   infeasible" in out
+        assert "vacuously infinite" in out
+
     def test_solver_limit_exits_twenty_with_partial_output(self, tmp_path, capsys):
         j = tmp_path / "phi.json"
         code = main(["phi", "--net", "relu_mixed_phases", "--class", "1",
@@ -242,6 +252,39 @@ class TestXiAndMaxAlpha:
         assert "alpha    2.71828" in out
         assert "log      1" in out
 
+    def test_node_limit_prints_the_bound(self, capsys):
+        # the root LP bounds the ratio; the limit stops before an incumbent
+        code = main(["max-alpha", "--net", "relu_deep", "--class", "2",
+                     "--node-limit", "1"])
+        assert code == EXIT_UNKNOWN
+        out = capsys.readouterr().out
+        assert "status   limit" in out
+        bound = [line for line in out.splitlines() if line.startswith("bound")]
+        assert len(bound) == 1 and math.isfinite(float(bound[0].split()[1]))
+
+    def test_class_below_a_constant_rival_never_tops(self, tmp_path, capsys):
+        # scores (x1, x2, -1) on [0, 1]^2: class 3 trails by at least 1
+        net = Network(
+            input_dim=2,
+            input_bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+            layers=(
+                LayerSpec(LayerKind.LINEAR_OUTPUT,
+                          weights=np.array([[0.0, 0.0, -1.0],
+                                            [1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 0.0]])),
+                LayerSpec(LayerKind.SOFTMAX),
+            ),
+        )
+        path = tmp_path / "trailing.json"
+        save_network(net, path)
+        j = tmp_path / "ma.json"
+        assert main(["max-alpha", "--net", str(path), "--class", "3",
+                     "--json-out", str(j)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "log      -1" in out
+        assert "note     class never tops every rival (alpha < 1)" in out
+        assert json.loads(j.read_text())["attainable"] is False
+
     def test_unsettled_max_alpha_claims_nothing(self, tmp_path, capsys):
         # no node is solved, so there is no incumbent and no proof either way
         f = tmp_path / "ma.json"
@@ -283,7 +326,7 @@ class TestExport:
                      "--out", str(f), "--json-out", str(j)]) == EXIT_OK
         net, a = zoo.relu_deep(), np.array([0.5, 0.5])
         q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=a, delta=0.2)
-        model = encode_query(net, robustness_bounds(net, a, 0.2, None, None, None), q).model
+        model = encode_query(net, query_bounds(net, q, None, None, None), q).model
         assert f.read_text() == export_mps(model)
         doc = json.loads(j.read_text())
         assert (doc["rows"], doc["columns"], doc["binaries"]) == (

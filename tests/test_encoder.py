@@ -13,6 +13,7 @@ from resilmip.dataflow import Phase, propagate_intervals
 from resilmip.encoder import (
     _GATE_ABS,
     _GATE_REL,
+    _atan_regions,
     ATAN_APPROX_ERR,
     ATAN_SEGMENTS,
     EncodingError,
@@ -28,7 +29,8 @@ from resilmip.encoder import (
     encode_window,
 )
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
-from resilmip.network import forward
+from resilmip.network import LayerKind, LayerSpec, Network, forward
+from resilmip.oracle import encoding_consistency
 from resilmip.simplex import LpStatus
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
 
@@ -259,6 +261,33 @@ class TestAtanEnvelope:
         with pytest.raises(EncodingError):
             encode_atan(m, x, im, 0.0, math.inf, "T")
 
+    def test_slivers_merge_into_their_neighbour(self):
+        # a cut at -1 or 1 within 1e-9 of an interval end leaves a sliver:
+        # a leading one widens the next region, a trailing one the last
+        net = Network(
+            input_dim=2,
+            input_bounds=np.array([[-1.0 - 5e-10, 0.5], [-0.5, 1.0 + 5e-10]]),
+            layers=(
+                LayerSpec(LayerKind.ATAN_DENSE, weights=np.vstack([np.zeros(2), np.eye(2)])),
+                LayerSpec(LayerKind.LINEAR_OUTPUT, weights=np.vstack([np.zeros(2), np.eye(2)])),
+                LayerSpec(LayerKind.SOFTMAX),
+            ),
+        )
+        bounds = propagate_intervals(net)
+        _, copy = encode_network_eval(net, bounds)
+        lb = bounds.layers[0]
+        for i, (lo, hi) in enumerate(zip(lb.im_lo, lb.im_hi)):
+            cuts = [c for c in (-1.0, 1.0) if lo < c < hi]
+            assert len(cuts) == 1  # two spans before merging
+            spans = _atan_regions(float(lo), float(hi))
+            assert spans == [("mid", float(lo), float(hi))]
+            regions = copy.atan[1][i].regions
+            assert len(regions) == 1 and regions[0].gate_id is None
+        ends = np.array(np.meshgrid(*net.input_bounds)).reshape(2, -1).T
+        samples = np.vstack([ends, np.random.default_rng(0).uniform(
+            net.input_bounds[:, 0], net.input_bounds[:, 1], size=(16, 2))])
+        assert encoding_consistency(net, samples).ok
+
 
 class TestAddGated:
     def test_no_gate_is_a_plain_row(self):
@@ -404,6 +433,30 @@ class TestQueryModels:
         assert enc.model.name == "fixed_min_m1"
         assert (rhs["PE0"], rhs["PE1"]) == (1.0, 0.0)
 
+    def test_strong_anchor_model_is_the_free_anchor_body(self):
+        # phi's stage 1: the anchor inputs, the "b" copy and the strong
+        # classification rows of the free-anchor model, with no objective;
+        # it reads no k
+        net = zoo.relu_mixed_phases()
+        bounds = propagate_intervals(net)
+        anchor = encode_query(net, bounds, QuerySpec(QueryKind.STRONG_ANCHOR, m=1,
+                                                     alpha=math.e, k=5))
+        full = encode_query(net, bounds, QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
+                                                   alpha=math.e)).model
+        model = anchor.model
+        assert model.name == "anchor_m1" and not model.objective
+        assert [model.variables[i].name for i in anchor.input_ids] == ["a0", "a1"]
+
+        def rows(m):
+            return {r.name: ({m.variables[i].name: c for i, c in r.coefs}, r.sense, r.rhs)
+                    for r in m.constraints}
+
+        full_rows = rows(full)
+        assert all(full_rows[name] == row for name, row in rows(model).items())
+        full_vars = {v.name: v for v in full.variables}
+        assert all(full_vars[v.name] == v for v in model.variables)
+        assert any(name.startswith("SC") for name in rows(model))
+
     def test_validation_errors(self):
         net = zoo.two_class_linear()
         bounds = propagate_intervals(net)
@@ -422,6 +475,8 @@ class TestQueryModels:
             QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.5, 0.0])),
             QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.0 + 2e-9, 0.0])),
             QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([1.0])),
+            QuerySpec(QueryKind.STRONG_ANCHOR, m=3),
+            QuerySpec(QueryKind.STRONG_ANCHOR, m=1, alpha=0.5),
         ]
         for q in bad:
             with pytest.raises(EncodingError):

@@ -87,6 +87,24 @@ class TestComputePhi:
         assert math.isinf(r.phi)
         assert r.exact
 
+    def test_empty_dominance_region_ends_after_stage_two(self, monkeypatch, always_first):
+        # stage 1 finds an anchor, and stage 2 proves that no point lets the
+        # rival catch up
+        net = always_first
+        models = []
+        real = resilience.solve
+
+        def spy(model, config=None):
+            models.append(model.name)
+            return real(model, config)
+
+        monkeypatch.setattr(resilience, "solve", spy)
+        r = compute_phi(net, 1)
+        assert r.status is SolveStatus.INFEASIBLE
+        assert math.isinf(r.phi) and math.isinf(r.lower_bound)
+        assert models == ["anchor_m1", "fixed_min_m1"]
+        assert math.isinf(grid_phi(net, 1).phi)
+
     def test_monotone_in_alpha_and_overlap(self):
         net = zoo.three_class_linear()
         phis = [compute_phi(net, 1, alpha=a).phi for a in (1.0, 1.5, math.e)]
@@ -379,11 +397,22 @@ class TestBudgetBoxBounds:
         assert given.verdict is r.verdict
         assert given.solve.nodes_explored <= r.solve.nodes_explored
 
+    def test_other_queries_keep_the_domain_bounds(self):
+        net = zoo.relu_deep()
+        plain = propagate_intervals(net)
+        for q in (QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([0.5, 0.5])),
+                  QuerySpec(QueryKind.MAX_ALPHA, m=1)):
+            got = resilience.query_bounds(net, q, None, None, None)
+            for g, p in zip(got.layers, plain.layers):
+                assert np.array_equal(g.lo, p.lo) and np.array_equal(g.hi, p.hi)
+        with pytest.raises(EncodingError):  # checked before any bound is built
+            resilience.query_bounds(net, QuerySpec(QueryKind.MAX_ALPHA, m=9), None, 2, None)
+
     def test_a_stable_relu_loses_its_binary(self):
         net = zoo.relu_deep()
         a = np.array([0.5, 0.5])
         q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=a, delta=0.2)
-        box = resilience.robustness_bounds(net, a, 0.2, None, None, None)
+        box = resilience.query_bounds(net, q, None, None, None)
         whole = encode_query(net, propagate_intervals(net), q).model
         model = encode_query(net, box, q).model
         assert len(model.binary_ids) < len(whole.binary_ids)

@@ -16,9 +16,15 @@ LE, GE, EQ = RowSense.LE, RowSense.GE, RowSense.EQ
 
 
 def _solve(c, a, senses, b, lo, hi, maximize=False, **kw):
-    form = lp_form(np.asarray(c, float), np.asarray(a, float), list(senses),
-                   np.asarray(b, float), maximize=maximize)
-    return solve_bounded_lp(form, np.asarray(lo, float), np.asarray(hi, float), **kw)
+    """Minimize c'x, or maximize it as min -c'x with the objective and bound
+    negated back."""
+    sign = -1.0 if maximize else 1.0
+    form = lp_form(sign * np.asarray(c, float), np.asarray(a, float), list(senses),
+                   np.asarray(b, float))
+    r = solve_bounded_lp(form, np.asarray(lo, float), np.asarray(hi, float), **kw)
+    r.objective *= sign
+    r.bound *= sign
+    return r
 
 
 class TestKnownInstances:
@@ -395,15 +401,15 @@ def test_certified_bound_never_exceeds_scipy(seed, noise):
     perturbed, never lies above HiGHS's optimum, and the unperturbed one
     lies close to it."""
     c, a, senses, b, lo, hi, maximize = _random_instance(seed)
-    form = lp_form(c, a, senses, b, maximize=maximize)
+    sign = -1.0 if maximize else 1.0
+    form = lp_form(sign * c, a, senses, b)  # the bound is in this orientation
     mine = solve_bounded_lp(form, lo, hi)
     assume(mine.status is LpStatus.OPTIMAL)
     ref = _ref_min(c, a, senses, b, lo, hi, maximize)
     assert ref is not None
     scale = max(1.0, abs(ref))
-    sign = -1.0 if maximize else 1.0
-    assert sign * mine.bound <= ref + 1e-7 * scale
-    assert sign * mine.bound >= ref - 1e-6 * scale
+    assert mine.bound <= ref + 1e-7 * scale
+    assert mine.bound >= ref - 1e-6 * scale
     y = form.cost[mine.basis.basic] @ mine.basis.inverse
     y = y + noise * np.random.default_rng(seed).normal(size=y.shape) * (1.0 + np.abs(y))
     assert simplex.certified_bound(form, lo, hi, y, form.cost[:len(c)]) <= ref + 1e-7 * scale
