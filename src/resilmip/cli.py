@@ -153,6 +153,18 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
+def _print_solve(solve) -> None:
+    """The nodes and time lines of a result's solve record, if it has one."""
+    if solve is not None:
+        print(f"nodes    {solve.nodes_explored}")
+        print(f"time     {_g(solve.wall_time)}s")
+
+
+def _solve_payload(solve) -> dict:
+    return {"nodes": solve.nodes_explored if solve else 0,
+            "wall_time": solve.wall_time if solve else 0.0}
+
+
 def cmd_eval(args, net: Network) -> tuple[int, dict]:
     point = _parse_input(args.input, net.input_dim)
     trace = forward(net, point)
@@ -202,11 +214,13 @@ def cmd_verify(args, net: Network) -> tuple[int, dict]:
         _write_json(args.witness_out, {"eps": res.eps, "perturbed": res.perturbed,
                                        "anchor": point})
         print(f"witness  {args.witness_out}")
+    _print_solve(res.solve)
     code = {Verdict.ROBUST: EXIT_OK, Verdict.VIOLATED: EXIT_VIOLATED}.get(
         res.verdict, EXIT_UNKNOWN)
     return code, {"verdict": res.verdict.value, "class": res.m,
                   "delta": res.delta, "k": res.k, "eps": res.eps,
-                  "perturbed": res.perturbed, "note": res.note}
+                  "perturbed": res.perturbed, "note": res.note,
+                  **_solve_payload(res.solve)}
 
 
 def _print_phi(res) -> None:
@@ -225,9 +239,7 @@ def _print_phi(res) -> None:
         print(f"point    {_vec(res.perturbed)}")
     if res.witness_exact is not None:
         print(f"witness  {'validated' if res.witness_exact else 'envelope-relaxed'}")
-    if res.solve is not None:
-        print(f"nodes    {res.solve.nodes_explored}")
-        print(f"time     {_g(res.solve.wall_time)}s")
+    _print_solve(res.solve)
 
 
 def _phi_payload(res) -> dict:
@@ -237,8 +249,7 @@ def _phi_payload(res) -> dict:
         "witness_exact": res.witness_exact,
         "lower_bound": res.lower_bound,
         "anchor": res.anchor, "eps": res.eps, "perturbed": res.perturbed,
-        "nodes": res.solve.nodes_explored if res.solve else 0,
-        "wall_time": res.solve.wall_time if res.solve else 0.0,
+        **_solve_payload(res.solve),
     }
 
 
@@ -279,10 +290,12 @@ def cmd_max_alpha(args, net: Network) -> tuple[int, dict]:
         print("note     class never tops every rival (alpha < 1)")
     if res.anchor is not None:
         print(f"anchor   {_vec(res.anchor)}")
+    _print_solve(res.solve)
     code = EXIT_OK if res.status is SolveStatus.OPTIMAL else EXIT_UNKNOWN
     return code, {"alpha_max": res.alpha_max, "t_star": res.t_star,
                   "attainable": res.attainable, "status": res.status.value,
-                  "upper_bound": res.upper_bound, "anchor": res.anchor}
+                  "upper_bound": res.upper_bound, "anchor": res.anchor,
+                  **_solve_payload(res.solve)}
 
 
 def cmd_export(args, net: Network) -> tuple[int, dict]:

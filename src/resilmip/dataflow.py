@@ -1,6 +1,7 @@
 """Interval analysis over a network: per-node value bounds and activation
-phases, plus an exact MIP-backed bound tightener. The encoder sizes every
-gadget from these bounds.
+phases, plus an exact MIP-backed bound tightener (lookback), whose window
+MIPs are solved to MIP gap 0 whatever gap a query asks for. The encoder
+sizes every gadget from these bounds.
 
 Bounds are sound: every exact forward trace of an input in the propagated box
 (the input domain, or a query's budget box inside it) lies inside them.
@@ -11,7 +12,7 @@ min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import IO
 
@@ -148,11 +149,11 @@ def intersect_bounds(net: Network, a: IntervalBounds, b: IntervalBounds) -> Inte
 
 def lookback_config(config=None):
     """The solve config of lookback's window MIPs under a caller's config:
-    its time limit (for the whole tightening) and MIP gap, and a node limit
-    of LOOKBACK_NODE_LIMIT."""
+    its time limit (for the whole tightening) and a node limit of
+    LOOKBACK_NODE_LIMIT. The caller's MIP gap is not passed on, since the
+    probes are solved exactly (tighten_lookback)."""
     cfg = config if config is not None else SolveConfig()
-    return SolveConfig(node_limit=LOOKBACK_NODE_LIMIT, time_limit=cfg.time_limit,
-                       mip_gap=cfg.mip_gap)
+    return SolveConfig(node_limit=LOOKBACK_NODE_LIMIT, time_limit=cfg.time_limit)
 
 
 def _probe(job) -> float | None:
@@ -161,17 +162,17 @@ def _probe(job) -> float | None:
     time.monotonic() reading, or None) has passed before it starts."""
     from .solver import solve  # at call time, so a patched solve is used
 
-    window, input_ids, w_col, maximize, start, config, deadline = job
+    window, input_ids, repair, w_col, maximize, start, config, deadline = job
     config = time_left(config, deadline)
     if config.time_limit == 0.0:  # the deadline has passed
         return None
     model = window.with_objective(zip(input_ids, w_col[1:]),
                                   ObjSense.MAXIMIZE if maximize else ObjSense.MINIMIZE)
-    res = solve(model, config, start=start)
+    res = solve(model, config, start=start, repair=repair)
     if res.status is not SolveStatus.OPTIMAL:
         return None
-    # the dual bound, not the incumbent: within the MIP gap the incumbent
-    # may fall short of the true extreme
+    # the dual bound, not the incumbent, which may fall short of the true
+    # extreme by up to the MIP gap
     return float(w_col[0]) + res.dual_bound
 
 
@@ -189,18 +190,22 @@ def tighten_lookback(
     `depth - 1` preceding layers encoded exactly, everything older boxed at
     the current bounds. Each window is encoded, and its LP solved under a
     zero objective, once; every probe's root LP starts from that feasible
-    basis. A probe's proven bound is adopted only when it is Optimal; budget
-    exhaustion keeps the old bound. Results are always pointwise contained in
-    the inputs. `config` configures each probe (default `lookback_config()`),
-    except that its time limit bounds the whole call: one deadline is fixed
-    on entry, each probe gets the time left, and layers and probes reached
-    after it keep their bounds. `workers` processes run a layer's probes side
-    by side, with the same results as one (up to that deadline).
+    basis, and the window's forward-pass repair (`encoder.ForwardRepair`)
+    completes the root LP's box point into an exact incumbent. A probe's
+    proven bound is adopted only when it is Optimal; budget exhaustion keeps
+    the old bound. Results are always pointwise contained in the inputs.
+    `config` configures each probe (default `lookback_config()`), except
+    that probes are solved at MIP gap 0, since an early incumbent would
+    otherwise let a probe stop up to one gap short of the window extreme,
+    and that its time limit bounds the whole call: one deadline is fixed on
+    entry, each probe gets the time left, and layers and probes reached
+    after it keep their bounds. `workers` processes run a layer's probes
+    side by side, with the same results as one (up to that deadline).
     """
     from . import encoder, solver  # at call time: encoder imports this module
     if depth < 1:
         raise ValueError("lookback depth must be >= 1")
-    cfg = config if config is not None else lookback_config()
+    cfg = replace(config if config is not None else lookback_config(), mip_gap=0.0)
     deadline = query_deadline(cfg)
 
     work = copy.deepcopy(bounds)
@@ -218,11 +223,11 @@ def tighten_lookback(
             if pos == 1 or time_left(cfg, deadline).time_limit == 0.0:
                 continue  # at pos 1 the window is the input box: plain bounds
 
-            window, input_ids = encoder.encode_window(net, work, pos, depth)
+            window, input_ids, repair = encoder.encode_window(net, work, pos, depth)
             start = solver.solve_lp(window).basis  # feasible, or None
             n_nodes = lb.im_lo.shape[0]
-            jobs = [(window, input_ids, spec.weights[:, node], sense_max, start,
-                     cfg, deadline)
+            jobs = [(window, input_ids, repair, spec.weights[:, node], sense_max,
+                     start, cfg, deadline)
                     for node in range(n_nodes) for sense_max in (False, True)]
             extremes = pmap(_probe, jobs)
             for node in range(n_nodes):
@@ -264,10 +269,3 @@ def write_bounds_dump(net: Network, bounds: IntervalBounds, out: IO[str]) -> Non
                 f"{pos}\t{i + 1}\t{spec.kind.value}\t{im_lo}\t{im_hi}\t"
                 f"{fmt(lb.lo[i])}\t{fmt(lb.hi[i])}\t{phase}\n"
             )
-
-
-def domain_samples(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples from the input box, shape (n, input_dim)."""
-    lo = net.input_bounds[:, 0]
-    hi = net.input_bounds[:, 1]
-    return lo + rng.random((n, net.input_dim)) * (hi - lo)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataflow import IntervalBounds, Phase
 from .mipmodel import Assignment, MipModel, RowSense, ObjSense, VarType
-from .network import DENSE_KINDS, ForwardTrace, LayerKind, Network
+from .network import DENSE_KINDS, ForwardTrace, LayerKind, Network, forward
 
 ATAN_APPROX_ERR = 0.0038  # worst-case |atan(t) - q(t)| on [-1, 1]
 ATAN_SEGMENTS = 8         # envelope segments per arc-tangent region
@@ -115,9 +115,42 @@ class NetworkCopy:
     atan: dict[int, dict[int, AtanGadget]] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class ForwardRepair:
+    """The root repair (solver.solve's ``repair``) of a model in which the
+    inputs of one exact network copy fix every other variable: a MAX_ALPHA
+    query, or a lookback window. It clips the LP point's copy inputs into
+    the box (lo, hi), evaluates the copy's layers from them with
+    network.forward, fills the copy by copy_assignment and, for MAX_ALPHA,
+    sets t to the exact margin s_m - max_j s_j (margin: t's id and the
+    0-based class m). The result is an exact trace, which the solver adopts
+    if it meets every row. Plain data, so that lookback's probe jobs pickle."""
+
+    net: Network
+    copy: NetworkCopy
+    lo: np.ndarray
+    hi: np.ndarray
+    margin: tuple[int, int] | None = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        first = self.copy.first_pos - 1
+        z = np.clip(x[self.copy.x_ids[first]], self.lo, self.hi)
+        trace = forward(self.net, z, first=first)
+        asg: Assignment = {}
+        copy_assignment(asg, self.copy, self.net, trace)
+        out = x.copy()
+        out[list(asg)] = list(asg.values())
+        if self.margin is not None:
+            t_id, m0 = self.margin
+            s = trace.x[self.copy.last_pos - 1 - first]
+            out[t_id] = s[m0] - np.delete(s, m0).max()
+        return out
+
+
 @dataclass
 class EncodedQuery:
-    """A query model plus the variable maps needed to read solutions back."""
+    """A query model plus the variable maps needed to read solutions back,
+    and for MAX_ALPHA the model's root repair."""
 
     model: MipModel
     query: QuerySpec
@@ -128,6 +161,7 @@ class EncodedQuery:
     base: NetworkCopy | None
     pert: NetworkCopy | None
     class_sel: dict[int, int]     # 0-based class -> selector binary id
+    repair: ForwardRepair | None = None
 
 
 # -- gating helper ---------------------------------------------------------
@@ -502,13 +536,14 @@ def encode_network_eval(net: Network, bounds: IntervalBounds) -> tuple[MipModel,
     return model, copy
 
 
-def encode_window(net: Network, bounds: IntervalBounds, layer_pos: int,
-                  depth: int) -> tuple[MipModel, list[int]]:
+def encode_window(net: Network, bounds: IntervalBounds, layer_pos: int, depth: int
+                  ) -> tuple[MipModel, list[int], ForwardRepair | None]:
     """Lookback's window for the dense layer at `layer_pos`, without an
     objective: the `depth - 1` preceding layers are encoded exactly, and
     everything older is boxed at its current bounds. Returns the frozen
-    model and the ids of the layer's inputs; node i's pre-activation over
-    them is w[0, i] + w[1:, i] . x."""
+    model, the ids of the layer's inputs (node i's pre-activation over them
+    is w[0, i] + w[1:, i] . x) and the window's root repair, which evaluates
+    the exact layers from the box point (None at depth 1, which has none)."""
     if net.layers[layer_pos - 1].kind not in DENSE_KINDS:
         raise EncodingError("lookback windows end at dense layers only")
     box_pos = max(0, layer_pos - depth)
@@ -519,11 +554,13 @@ def encode_window(net: Network, bounds: IntervalBounds, layer_pos: int,
         model.add_variable(f"z{i}", float(box_lo[i]), float(box_hi[i]))
         for i in range(box_lo.shape[0])
     ]
+    repair = None
     if layer_pos - 1 > box_pos:
         copy = encode_network_copy(model, net, bounds, box_pos + 1, layer_pos - 1,
                                    ids, "w")
         ids = copy.x_ids[layer_pos - 1]
-    return model.freeze(), ids
+        repair = ForwardRepair(net, copy, box_lo, box_hi)
+    return model.freeze(), ids, repair
 
 
 # -- queries -----------------------------------------------------------------
@@ -636,7 +673,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
         np.asarray(q.a, dtype=np.float64).reshape(-1), lo, hi)
     fixed_min = fixed is not None and q.kind is QueryKind.MAX_PERTURBATION
     model = MipModel(f"{'fixed_min' if fixed_min else q.kind.value}_m{q.m}")
-    a_ids = e_ids = f_ids = p_ids = base = pert = None
+    a_ids = e_ids = f_ids = p_ids = base = pert = repair = None
     sel: dict[int, int] = {}
     if fixed is None:
         a_ids = [model.add_variable(f"a{i}", float(lo[i]), float(hi[i]))
@@ -659,6 +696,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
                 model.add_constraint(f"MA{j}", [(scores[m0], 1.0), (sid, -1.0), (t_id, -1.0)],
                                      RowSense.GE, 0.0)
         model.set_objective([(t_id, 1.0)], ObjSense.MAXIMIZE)
+        repair = ForwardRepair(net, base, lo, hi, margin=(t_id, m0))
     elif base is not None:
         encode_strong_classification(model, base.x_ids[last], m0, q.alpha, "SC")
     if perturbs:
@@ -668,7 +706,8 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
         else:
             model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE,
                                  float(q.delta))
-    return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel)
+    return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel,
+                        repair)
 
 
 # -- assignments from exact traces --------------------------------------------
@@ -715,14 +754,17 @@ def _assign_atan(asg: Assignment, gadget: AtanGadget, im_val: float) -> None:
 def copy_assignment(asg: Assignment, copy: NetworkCopy, net: Network,
                     trace: ForwardTrace) -> None:
     """Fill asg with exact trace values for every variable of the copy,
-    choosing gadget binaries consistently with the realized activations."""
+    choosing gadget binaries consistently with the realized activations.
+    The trace starts at or before the copy's inputs."""
+    off = trace.first
     first_in = copy.x_ids[copy.first_pos - 1]
-    in_vals = trace.inputs if copy.first_pos == 1 else trace.x[copy.first_pos - 2]
+    in_vals = (trace.inputs if copy.first_pos - 1 == off
+               else trace.x[copy.first_pos - 2 - off])
     for vid, v in zip(first_in, in_vals):
         asg[vid] = float(v)
     for pos in range(copy.first_pos, copy.last_pos + 1):
-        xv = trace.x[pos - 1]
-        imv = trace.im[pos - 1]
+        xv = trace.x[pos - 1 - off]
+        imv = trace.im[pos - 1 - off]
         if pos in copy.im_ids:
             for vid, v in zip(copy.im_ids[pos], imv):
                 asg[vid] = float(v)

@@ -71,6 +71,18 @@ class DenseLp:
     binary_ids: list[int]
     maximize: bool
 
+    def feasible(self, x: np.ndarray, tol: float) -> bool:
+        """True when the point x (one value per variable) satisfies the
+        bounds, integrality and rows within the absolute tolerance tol, as
+        check_feasible does; a NaN anywhere fails."""
+        b = x[self.binary_ids]
+        resid = self.a @ x - self.rhs
+        le = np.array([s is not RowSense.GE for s in self.senses], dtype=bool)
+        ge = np.array([s is not RowSense.LE for s in self.senses], dtype=bool)
+        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol)
+                    and np.all(np.abs(b - np.round(b)) <= tol)
+                    and np.all(resid[le] <= tol) and np.all(resid[ge] >= -tol))
+
 
 class MipModel:
     def __init__(self, name: str = "model") -> None:

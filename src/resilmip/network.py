@@ -270,29 +270,35 @@ def save_network(net: Network, path: str | Path) -> None:
 class ForwardTrace:
     """All intermediate values of one exact evaluation.
 
-    im[l] is the pre-activation vector of layer l+1 (None for max_pool and
-    softmax layers, which have no weights); x[l] the layer's output vector.
+    inputs are the outputs of layer position first (0: the network's input);
+    im[l] is the pre-activation vector of layer first + l + 1 (None for
+    max_pool and softmax layers, which have no weights); x[l] the layer's
+    output vector.
     """
 
     inputs: np.ndarray
     im: tuple[np.ndarray | None, ...]
     x: tuple[np.ndarray, ...]
+    first: int = 0
 
     @property
     def outputs(self) -> np.ndarray:
         return self.x[-1]
 
 
-def forward(net: Network, inputs: np.ndarray) -> ForwardTrace:
-    """Evaluate the network exactly in float64 and record every node value."""
+def forward(net: Network, inputs: np.ndarray, first: int = 0) -> ForwardTrace:
+    """Evaluate the network exactly in float64 and record every node value.
+    With first > 0 the inputs are the outputs of layer position first, and
+    only the layers after it are evaluated."""
     a = np.asarray(inputs, dtype=np.float64).reshape(-1)
-    if a.shape[0] != net.input_dim:
-        raise ValueError(f"input has dimension {a.shape[0]}, expected {net.input_dim}")
+    dim = net.layer_dims()[first] if first else net.input_dim
+    if a.shape[0] != dim:
+        raise ValueError(f"input has dimension {a.shape[0]}, expected {dim}")
 
     ims: list[np.ndarray | None] = []
     xs: list[np.ndarray] = []
     cur = a
-    for spec in net.layers:
+    for spec in net.layers[first:]:
         if spec.kind in DENSE_KINDS:
             w = spec.weights
             im = w[0] + cur @ w[1:]
@@ -311,7 +317,7 @@ def forward(net: Network, inputs: np.ndarray) -> ForwardTrace:
             shifted = np.exp(cur - np.max(cur))
             cur = shifted / np.sum(shifted)
         xs.append(cur)
-    return ForwardTrace(inputs=_freeze(a), im=tuple(ims), x=tuple(xs))
+    return ForwardTrace(inputs=_freeze(a), im=tuple(ims), x=tuple(xs), first=first)
 
 
 def class_scores(net: Network, inputs: np.ndarray) -> np.ndarray:

@@ -74,6 +74,8 @@ class PhiResult:
     eps: np.ndarray | None = None
     perturbed: np.ndarray | None = None
     anchor_phi: float | None = None          # the step-2 fixed-anchor optimum
+    # the last stage's solve: the full stage's, or that of the stage whose
+    # INFEASIBLE proof ended the query
     solve: SolveResult | None = None
     # True when the witness pair re-validates through the exact forward pass
     # (anchor strongly classified, perturbed point k-dominated, both within
@@ -176,19 +178,19 @@ def _by_name(model: MipModel, assignment: Assignment) -> dict[str, float]:
 
 def find_strong_anchor(net: Network, m: int, alpha: float,
                        bounds: IntervalBounds, config: SolveConfig | None = None
-                       ) -> tuple[np.ndarray | None, SolveStatus, dict[str, float] | None]:
-    """Stage 1 of compute_phi: (anchor, status, solution). The anchor is an
-    in-domain input the encoding certifies as strongly classified, None when
-    the search found none (status INFEASIBLE: the strong region is empty).
-    The solution is the solve's assignment by variable name (the inputs a<i>
-    and the "b" body copy), None with the anchor."""
+                       ) -> tuple[np.ndarray | None, SolveResult, dict[str, float] | None]:
+    """Stage 1 of compute_phi: (anchor, solve result, solution). The anchor
+    is an in-domain input the encoding certifies as strongly classified, None
+    when the search found none (status INFEASIBLE: the strong region is
+    empty). The solution is the solve's assignment by variable name (the
+    inputs a<i> and the "b" body copy), None with the anchor."""
     enc = encoder.encode_query(net, bounds,
                                QuerySpec(QueryKind.STRONG_ANCHOR, m=m, alpha=alpha))
     res = solve(enc.model, config or SolveConfig())
     if res.assignment is not None:
-        return (_vals(res.assignment, enc.input_ids), res.status,
+        return (_vals(res.assignment, enc.input_ids), res,
                 _by_name(enc.model, res.assignment))
-    return None, res.status, None
+    return None, res, None
 
 
 def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
@@ -223,13 +225,13 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
                 f"given anchor is not strongly classified as class {m} at alpha={alpha}"
             )
     elif presolve:
-        anchor, a_status, anchor_sol = find_strong_anchor(
+        anchor, res1, anchor_sol = find_strong_anchor(
             net, m, alpha, bounds, time_left(cfg, deadline))
-        if anchor is None and a_status is SolveStatus.INFEASIBLE:
+        if anchor is None and res1.status is SolveStatus.INFEASIBLE:
             # no input is strongly classified: the minimum ranges over an
             # empty set and the class is vacuously unbreakable
             return PhiResult(m, alpha, k, math.inf, SolveStatus.INFEASIBLE,
-                             math.inf)
+                             math.inf, solve=res1)
     if anchor is not None:
         # LP round-off can leave a stage-1 anchor up to the simplex's primal
         # tolerance outside the box, more than validate_query admits
@@ -243,7 +245,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
         if res2.status is SolveStatus.INFEASIBLE:
             # the dominance region is empty regardless of the anchor
             return PhiResult(m, alpha, k, math.inf, SolveStatus.INFEASIBLE,
-                             math.inf)
+                             math.inf, solve=res2)
         if res2.assignment is not None:
             anchor_phi = float(res2.objective)
             fixed_sol = _by_name(enc2.model, res2.assignment)
@@ -365,7 +367,7 @@ def compute_max_alpha(net: Network, m: int, *,
     q = QuerySpec(QueryKind.MAX_ALPHA, m=m)
     bounds = query_bounds(net, q, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
-    res = solve(enc.model, time_left(cfg, deadline))
+    res = solve(enc.model, time_left(cfg, deadline), repair=enc.repair)
     t_star = float(res.objective)
     anchor = None
     if res.assignment is not None:

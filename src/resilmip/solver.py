@@ -26,6 +26,15 @@ simplex, and reports each optimum with a bound certified against round-off
 integral LP point becomes an incumbent only once it is confirmed on a fresh
 factorization of its basis.
 
+Two other points can become incumbents, each checked against the model's
+bounds, integrality and rows to INT_TOL in one pass over the dense arrays
+(``DenseLp.feasible``): the model's warm start, before the search, and a
+caller's ``repair`` of the root LP point. The repair is a rounding-type
+primal heuristic (Achterberg, "Constraint Integer Programming", 2007): it
+is called once per solve, when the root LP is optimal, not pruned and
+fractional, and may complete the point into an exact one, as
+``encoder.ForwardRepair`` does by a forward pass.
+
 The reported dual bound is the minimum over the open node bounds, the bound
 of the node being solved, the bounds of nodes pruned by cutoff, and the
 incumbent itself; it is therefore a valid bound at every report point, not
@@ -49,10 +58,11 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .mipmodel import Assignment, DenseLp, MipModel, check_feasible
+from .mipmodel import Assignment, DenseLp, MipModel
 from .simplex import (Basis, LpForm, LpResult, LpStatus, basic_point, lp_form,
                       solve_bounded_lp)
 
@@ -187,9 +197,13 @@ def _keeps_inverse(node: _Node) -> bool:
 
 
 def solve(model: MipModel, config: SolveConfig | None = None,
-          start: Basis | None = None) -> SolveResult:
+          start: Basis | None = None,
+          repair: Callable[[np.ndarray], np.ndarray] | None = None) -> SolveResult:
     """Branch-and-bound solve of a frozen (or finished) model; its root LP
-    starts cold from ``start`` (see ``simplex.solve_bounded_lp``)."""
+    starts cold from ``start`` (see ``simplex.solve_bounded_lp``). ``repair``
+    maps an LP point to a full assignment, a candidate incumbent; it is called
+    at most once, on the root LP's point when that LP is optimal, not pruned
+    and fractional."""
     cfg = config or SolveConfig()
     t0 = time.monotonic()
     d, form, sign = _min_form(model)
@@ -236,14 +250,22 @@ def solve(model: MipModel, config: SolveConfig | None = None,
             return INF
         return best_obj - cfg.mip_gap * max(1.0, abs(best_obj))
 
-    # optional warm start becomes the initial incumbent
-    if model.warm_start is not None and check_feasible(model, model.warm_start, INT_TOL):
-        x = np.array([model.warm_start[i] for i in range(model.num_variables)])
-        if bin_ids.size:
-            x[bin_ids] = np.round(x[bin_ids])
-        best_obj = float(c_int @ x)
-        best_x = x
-        record(t0)
+    def adopt(x: np.ndarray) -> None:
+        """Make the point x the incumbent if it is feasible within INT_TOL
+        and strictly better; its binaries are rounded."""
+        nonlocal best_obj, best_x
+        if not d.feasible(x, INT_TOL):
+            return
+        x = x.copy()  # a repair may hand back a view of the LP point
+        x[bin_ids] = np.round(x[bin_ids])
+        obj = float(c_int @ x)
+        if obj < best_obj - 1e-12:
+            best_obj, best_x = obj, x
+            record()
+
+    if model.warm_start is not None:
+        ws = model.warm_start
+        adopt(np.array([ws.get(i, math.nan) for i in range(model.num_variables)]))
 
     push(_Node(bound=-INF, lo=d.lo.copy(), hi=d.hi.copy()))
     node: _Node | None = None  # the plunge child, when there is one
@@ -295,6 +317,12 @@ def solve(model: MipModel, config: SolveConfig | None = None,
 
         x = res.x
         branch_vid = pick_branch_var(x, bin_ids, priority)
+        if branch_vid is not None and repair is not None and nodes == 1:
+            adopt(repair(x))  # the root's one repair
+            if bound >= cutoff():
+                prune_floor = min(prune_floor, bound)
+                node = None
+                continue
         if branch_vid is None:
             if res.objective >= best_obj - 1e-12:
                 node = None  # no strict improvement, even unconfirmed

@@ -14,6 +14,13 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def domain_samples(net: Network, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples from the input box, shape (n, input_dim)."""
+    lo = net.input_bounds[:, 0]
+    hi = net.input_bounds[:, 1]
+    return lo + rng.random((n, net.input_dim)) * (hi - lo)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)

@@ -171,6 +171,21 @@ class TestPhi:
         assert "status   infeasible" in out
         assert "vacuously infinite" in out
 
+    def test_an_early_exit_reports_its_solve(self, always_first, tmp_path, capsys):
+        # stages 1 and 2 both solve; stage 2's proof ends the query
+        path = tmp_path / "first.json"
+        j = tmp_path / "phi.json"
+        save_network(always_first, path)
+        assert main(["phi", "--net", str(path), "--class", "1",
+                     "--json-out", str(j)]) == EXIT_OK
+        out = capsys.readouterr().out
+        nodes = [line for line in out.splitlines() if line.startswith("nodes")]
+        assert len(nodes) == 1 and int(nodes[0].split()[1]) >= 1
+        assert any(line.startswith("time") for line in out.splitlines())
+        doc = json.loads(j.read_text())
+        assert doc["nodes"] == int(nodes[0].split()[1])
+        assert doc["wall_time"] > 0.0
+
     def test_solver_limit_exits_twenty_with_partial_output(self, tmp_path, capsys):
         j = tmp_path / "phi.json"
         code = main(["phi", "--net", "relu_mixed_phases", "--class", "1",
@@ -252,9 +267,27 @@ class TestXiAndMaxAlpha:
         assert "alpha    2.71828" in out
         assert "log      1" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["max-alpha", "--net", "relu_deep", "--class", "2"],
+        ["verify", "--net", "relu_mixed_phases", "--input", "1,1", "--delta", "0.4"],
+    ])
+    def test_solve_is_reported_like_phi(self, argv, tmp_path, capsys):
+        j = tmp_path / "side.json"
+        assert main(argv + ["--json-out", str(j)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        nodes = [line for line in lines if line.startswith("nodes")]
+        assert len(nodes) == 1
+        assert [line for line in lines if line.startswith("time")]
+        doc = json.loads(j.read_text())
+        assert doc["nodes"] == int(nodes[0].split()[1]) >= 1
+        assert doc["wall_time"] > 0.0
+        if argv[0] == "max-alpha":
+            assert doc["nodes"] == 1  # the root repair closes relu_deep class 2
+
     def test_node_limit_prints_the_bound(self, capsys):
-        # the root LP bounds the ratio; the limit stops before an incumbent
-        code = main(["max-alpha", "--net", "relu_deep", "--class", "2",
+        # the root LP bounds the ratio; the limit stops before the bound
+        # meets the root repair's incumbent
+        code = main(["max-alpha", "--net", "atan_wide", "--class", "1",
                      "--node-limit", "1"])
         assert code == EXIT_UNKNOWN
         out = capsys.readouterr().out
@@ -380,14 +413,15 @@ class TestSidecar:
                  ["input", "scores", "outputs", "top_class"]),
         "bounds": (["--net", "relu_mixed_phases", "--lookback"], ["layers"]),
         "verify": (["--net", "two_class_linear", "--input", "1,0", "--delta", "1.1"],
-                   ["verdict", "class", "delta", "k", "eps", "perturbed", "note"]),
+                   ["verdict", "class", "delta", "k", "eps", "perturbed", "note",
+                    "nodes", "wall_time"]),
         "phi": (["--net", "pool_duel", "--class", "1", "--alpha", "2.718281828"],
                 _PHI_KEYS),
         "xi": (["--net", "three_class_linear", "--alpha", "2.718281828"],
                ["xi", "status", "weakest_class", "excluded", "per_class"]),
         "max-alpha": (["--net", "two_class_linear", "--class", "1"],
                       ["alpha_max", "t_star", "attainable", "status",
-                       "upper_bound", "anchor"]),
+                       "upper_bound", "anchor", "nodes", "wall_time"]),
         "export": (["--net", "pool_duel", "--query", "phi", "--class", "1",
                     "--out", "duel.mps"], ["out", "rows", "columns", "binaries"]),
     }

@@ -6,14 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilmip import solver, zoo
 from resilmip.dataflow import (
     ADOPT_SLACK,
     Phase,
-    domain_samples,
     intersect_bounds,
     lookback_config,
     propagate_intervals,
@@ -26,6 +25,8 @@ from resilmip.mipmodel import ObjSense
 from resilmip.network import DENSE_KINDS, forward
 from resilmip.oracle import enumerate_mip
 from resilmip.solver import SolveConfig, SolveStatus
+
+from conftest import domain_samples
 
 
 class TestPhases:
@@ -158,7 +159,7 @@ class TestLookback:
             if spec.kind not in DENSE_KINDS:
                 continue
             # earlier layers are final, so this is the window lookback solved
-            window, input_ids = encode_window(net, tight, pos, 2)
+            window, input_ids, _ = encode_window(net, tight, pos, 2)
             lb = tight.layers[pos - 1]
             for node in range(spec.weights.shape[1]):
                 w = spec.weights[:, node]
@@ -197,7 +198,7 @@ class TestLookback:
         windows reached after it are skipped with their bounds kept."""
         seen = []
 
-        def slow_limit(model, config=None, start=None):
+        def slow_limit(model, config=None, start=None, repair=None):
             seen.append(config.time_limit)
             time.sleep(0.1)
             return SimpleNamespace(status=SolveStatus.LIMIT)
@@ -220,7 +221,7 @@ class TestLookback:
     def test_no_layer_lp_after_the_deadline(self, monkeypatch):
         """The first probed layer's probes use up the time; the second layer
         is neither encoded nor solved."""
-        def slow_limit(model, config=None, start=None):
+        def slow_limit(model, config=None, start=None, repair=None):
             time.sleep(config.time_limit)
             return SimpleNamespace(status=SolveStatus.LIMIT)
 
@@ -241,6 +242,50 @@ class TestLookback:
         net = zoo.lookback_chain()
         with pytest.raises(ValueError):
             tighten_lookback(net, propagate_intervals(net), depth=0)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**16), hidden=st.sampled_from([(3, 3), (4, 3), (3, 3, 2)]),
+           depth=st.integers(2, 3))
+    def test_root_repair_keeps_the_bounds(self, seed, hidden, depth):
+        """With and without the windows' forward-pass repair, each bound is
+        its window's extreme to ADOPT_SLACK."""
+        net = zoo.random_relu_net(np.random.default_rng(seed), input_dim=2,
+                                  hidden=hidden, classes=2)
+        plain = propagate_intervals(net)
+        repaired = tighten_lookback(net, plain, depth=depth)
+        real = solver.solve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve", lambda model, config=None, start=None, repair=None:
+                       real(model, config, start=start))
+            unrepaired = tighten_lookback(net, plain, depth=depth)
+        for a, b in zip(repaired.layers, unrepaired.layers):
+            if a.im_lo is not None:
+                for got, want in ((a.im_lo, b.im_lo), (a.im_hi, b.im_hi)):
+                    tol = ADOPT_SLACK * np.maximum(1.0, np.abs(want))
+                    assert np.all(np.abs(got - want) <= tol)
+
+    def test_repaired_probes_give_identical_bounds_at_any_worker_count(self):
+        """The repair travels in each probe job, so worker processes use it
+        too; windows of depth 3 encode two exact layers."""
+        net = zoo.random_relu_net(np.random.default_rng(3), input_dim=2,
+                                  hidden=(5, 5, 4), classes=2)
+        calls = []
+        real = solver.solve
+
+        def spy(model, config=None, start=None, repair=None):
+            calls.append(repair is not None)
+            return real(model, config, start=start, repair=repair)
+
+        plain = propagate_intervals(net)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve", spy)
+            one = tighten_lookback(net, plain, depth=3, workers=1)
+        assert calls and all(calls)
+        two = tighten_lookback(net, plain, depth=3, workers=2)
+        for a, b in zip(one.layers, two.layers):
+            if a.im_lo is not None:
+                assert np.array_equal(a.im_lo, b.im_lo)
+                assert np.array_equal(a.im_hi, b.im_hi)
 
 
 def _budget_box(net, a, delta):

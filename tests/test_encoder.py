@@ -2,6 +2,7 @@
 gating, warm starts, branch priorities."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from resilmip.encoder import (
     encode_window,
 )
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
-from resilmip.network import LayerKind, LayerSpec, Network, forward
+from resilmip.network import LayerKind, LayerSpec, Network, class_scores, forward
 from resilmip.oracle import encoding_consistency
 from resilmip.simplex import LpStatus
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
@@ -343,7 +344,7 @@ class TestBoundProbe:
     def test_window_recovers_the_exact_output_range(self):
         net = zoo.lookback_chain()
         bounds = propagate_intervals(net)
-        window, input_ids = encode_window(net, bounds, 2, 2)
+        window, input_ids, _ = encode_window(net, bounds, 2, 2)
         assert window.frozen and not window.objective
         w = net.layers[1].weights[:, 0]
         vals = {}
@@ -357,7 +358,7 @@ class TestBoundProbe:
     def test_depth_one_window_is_the_box(self):
         net = zoo.lookback_chain()
         bounds = propagate_intervals(net)
-        window, input_ids = encode_window(net, bounds, 2, 1)
+        window, input_ids, _ = encode_window(net, bounds, 2, 1)
         assert window.num_constraints == 0
         assert input_ids == list(range(window.num_variables))
 
@@ -586,3 +587,79 @@ class TestWarmStart:
         assert sum(ws[f] * c for f, c in model.objective.items()) == pytest.approx(
             r.anchor_phi)
         assert r.anchor_phi == pytest.approx(1.0)
+
+
+def _max_alpha_solves(net, m):
+    """compute_max_alpha's model solved without and with its root repair,
+    and the candidates the repair returned."""
+    enc = encode_query(net, propagate_intervals(net), QuerySpec(QueryKind.MAX_ALPHA, m=m))
+    candidates = []
+
+    def repair(x):
+        candidates.append(enc.repair(x))
+        return candidates[-1]
+
+    plain = solve(enc.model, SolveConfig())
+    fixed = solve(enc.model, SolveConfig(), repair=repair)
+    return enc, plain, fixed, candidates
+
+
+def _margin(net, point, m0):
+    s = class_scores(net, point)
+    return float(s[m0] - np.delete(s, m0).max())
+
+
+class TestForwardRepair:
+    """The root repair of max-alpha models and lookback windows."""
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**16), dim=st.integers(1, 3),
+           hidden=st.sampled_from([(3,), (5,), (3, 3)]), classes=st.integers(2, 3))
+    def test_max_alpha_keeps_its_answer(self, seed, dim, hidden, classes):
+        net = zoo.random_relu_net(np.random.default_rng(seed), input_dim=dim,
+                                  hidden=hidden, classes=classes)
+        for m in range(1, classes + 1):
+            enc, plain, fixed, candidates = _max_alpha_solves(net, m)
+            assert plain.status is fixed.status is SolveStatus.OPTIMAL
+            gap = 1e-6 * max(1.0, abs(plain.objective))
+            assert fixed.objective == pytest.approx(plain.objective, abs=gap + 1e-9)
+            assert len(candidates) <= 1
+            x = np.array([fixed.assignment[i] for i in range(enc.model.num_variables)])
+            if candidates and np.array_equal(x, candidates[0]):
+                # the incumbent is the repair's: t* is the anchor's exact margin
+                anchor = x[enc.input_ids]
+                assert _margin(net, anchor, m - 1) == pytest.approx(fixed.objective,
+                                                                     abs=1e-12)
+
+    def test_a_repaired_root_ends_the_search(self):
+        # relu_deep class 2: the root's repair is within the gap of its bound
+        net = zoo.relu_deep()
+        enc, plain, fixed, candidates = _max_alpha_solves(net, 2)
+        assert plain.nodes_explored > 1 and fixed.nodes_explored == 1
+        x = np.array([fixed.assignment[i] for i in range(enc.model.num_variables)])
+        assert np.array_equal(x, candidates[0])
+        assert _margin(net, x[enc.input_ids], 1) == fixed.objective
+        assert fixed.objective == pytest.approx(1.75, abs=1e-6)
+
+    def test_the_repair_clips_into_the_domain_and_completes_every_variable(self):
+        net = zoo.relu_deep()
+        enc = encode_query(net, propagate_intervals(net), QuerySpec(QueryKind.MAX_ALPHA, m=1))
+        x = np.full(enc.model.num_variables, 7.0)
+        out = enc.repair(x)
+        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+        assert np.array_equal(out[enc.input_ids], np.clip(x[enc.input_ids], lo, hi))
+        assert enc.model.dense_arrays().feasible(out, 1e-9)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_window_repair_pickles_and_gives_an_exact_trace(self, depth):
+        net = zoo.random_relu_net(np.random.default_rng(1), input_dim=2,
+                                  hidden=(4, 4, 3), classes=2)
+        bounds = propagate_intervals(net)
+        window, input_ids, repair = encode_window(net, bounds, 4, depth)
+        x = solve_lp(window).x
+        out = repair(x)
+        assert np.array_equal(pickle.loads(pickle.dumps(repair))(x), out)
+        assert window.dense_arrays().feasible(out, 1e-9)
+        box = 4 - depth  # the window boxes layer position `box` and encodes 3
+        trace = forward(net, out[repair.copy.x_ids[box]], first=box)
+        assert np.array_equal(out[input_ids], trace.x[3 - box - 1])

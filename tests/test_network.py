@@ -137,6 +137,21 @@ class TestForward:
         tr = forward(net, np.zeros(4))
         assert [len(x) for x in tr.x] == [2, 2, 2]
 
+    @pytest.mark.parametrize("name,first", [("relu_deep", 1), ("relu_deep", 2),
+                                            ("pool_pairs", 1), ("atan_wide", 1)])
+    def test_a_hidden_layer_start_is_the_tail_of_the_full_trace(self, name, first, rng):
+        net = zoo.FIXTURES[name]()
+        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+        full = forward(net, lo + rng.random(net.input_dim) * (hi - lo))
+        tail = forward(net, full.x[first - 1], first=first)
+        assert tail.first == first
+        assert np.array_equal(tail.inputs, full.x[first - 1])
+        assert len(tail.x) == len(full.x) - first
+        for got, want in zip(tail.x, full.x[first:]):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="dimension"):
+            forward(net, np.zeros(net.layer_dims()[first] + 1), first=first)
+
 
 class TestClassPredicates:
     def test_strongly_classifies_matches_probability_ratio(self, rng):

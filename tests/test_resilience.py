@@ -105,6 +105,28 @@ class TestComputePhi:
         assert models == ["anchor_m1", "fixed_min_m1"]
         assert math.isinf(grid_phi(net, 1).phi)
 
+    def test_an_early_exit_keeps_the_solve_that_ended_it(self, monkeypatch, always_first):
+        """Stage 2's INFEASIBLE proof ends phi on always_first, stage 1's
+        ends it on two_class_linear at alpha e^2: each result keeps that
+        stage's solve record."""
+        results = []
+        real = resilience.solve
+
+        def spy(model, config=None):
+            results.append((model.name, real(model, config)))
+            return results[-1][1]
+
+        monkeypatch.setattr(resilience, "solve", spy)
+        for net, alpha, last in ((always_first, 1.0, "fixed_min_m1"),
+                                 (zoo.two_class_linear(), math.exp(2.0), "anchor_m1")):
+            results.clear()
+            r = compute_phi(net, 1, alpha=alpha)
+            assert r.status is SolveStatus.INFEASIBLE
+            assert results[-1][0] == last
+            assert r.solve is results[-1][1]
+            assert r.solve.status is SolveStatus.INFEASIBLE
+            assert r.solve.nodes_explored >= 1
+
     def test_monotone_in_alpha_and_overlap(self):
         net = zoo.three_class_linear()
         phis = [compute_phi(net, 1, alpha=a).phi for a in (1.0, 1.5, math.e)]
@@ -174,9 +196,9 @@ class TestComputePhi:
         real = resilience.find_strong_anchor
 
         def off_the_box(net, *args):
-            anchor, status, solution = real(net, *args)
+            anchor, res, solution = real(net, *args)
             anchor[0] = net.input_bounds[0, 1] + 5e-9
-            return anchor, status, solution
+            return anchor, res, solution
 
         monkeypatch.setattr(resilience, "find_strong_anchor", off_the_box)
         r = compute_phi(zoo.two_class_linear(), 1, alpha=math.e)
@@ -201,15 +223,15 @@ class TestComputePhi:
         seen = []
         real = solver.solve
 
-        def spy(model, config=None, start=None):
+        def spy(model, config=None, start=None, repair=None):
             seen.append(config)
-            return real(model, config, start=start)
+            return real(model, config, start=start, repair=repair)
 
         monkeypatch.setattr(solver, "solve", spy)
         cfg = SolveConfig(time_limit=30.0, mip_gap=1e-3)
         compute_phi(zoo.relu_mixed_phases(), 1, alpha=math.e, config=cfg, lookback=2)
         assert seen
-        assert all((c.mip_gap, c.node_limit) == (1e-3, LOOKBACK_NODE_LIMIT)
+        assert all((c.mip_gap, c.node_limit) == (0.0, LOOKBACK_NODE_LIMIT)
                    for c in seen)
         # the caller's time limit bounds all windows together (one deadline)
         limits = [c.time_limit for c in seen]
@@ -232,8 +254,8 @@ class TestFindStrongAnchor:
     def test_anchor_is_strongly_classified(self):
         net = zoo.relu_mixed_phases()
         bounds = propagate_intervals(net)
-        a, status, solution = find_strong_anchor(net, 1, math.e, bounds)
-        assert status is SolveStatus.OPTIMAL
+        a, res, solution = find_strong_anchor(net, 1, math.e, bounds)
+        assert res.status is SolveStatus.OPTIMAL
         assert strongly_classifies(net, a, 1, math.e)
         # the solution, by name: the anchor inputs and the body copy, all of
         # them variables of the free-anchor model too
@@ -245,11 +267,11 @@ class TestFindStrongAnchor:
 
     def test_empty_strong_region_reports_infeasible(self):
         net = zoo.two_class_linear()
-        a, status, solution = find_strong_anchor(net, 1, math.exp(2.0),
-                                                 propagate_intervals(net))
+        a, res, solution = find_strong_anchor(net, 1, math.exp(2.0),
+                                              propagate_intervals(net))
         assert a is None
         assert solution is None
-        assert status is SolveStatus.INFEASIBLE
+        assert res.status is SolveStatus.INFEASIBLE
 
 
 def _full_stage(monkeypatch, net, m, alpha, **kw):
@@ -314,6 +336,9 @@ class TestComputeXi:
         assert r.excluded == [3]  # the constant rival never leads by ratio e
         assert r.xi == pytest.approx(1.0, abs=1e-7)
         assert math.isinf(r.per_class[3].phi)
+        # its stage-1 proof is its solve record
+        assert r.per_class[3].solve.status is SolveStatus.INFEASIBLE
+        assert r.per_class[3].solve.nodes_explored >= 1
 
 
 class TestLocalRobustness:
@@ -500,7 +525,7 @@ class TestQueryDeadline:
     def limits(self, monkeypatch):
         seen = []
 
-        def sleepy(model, config=None, start=None):
+        def sleepy(model, config=None, start=None, repair=None):
             seen.append(config.time_limit)
             time.sleep(min(config.time_limit, 0.2))
             return SolveResult(SolveStatus.LIMIT, math.nan, math.nan, None, 0, 0.0, math.inf)

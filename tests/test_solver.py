@@ -419,3 +419,88 @@ def test_matches_enumeration(seed):
     elif ref.status == "optimal":
         assert mine.status is SolveStatus.OPTIMAL, mine.status
         assert abs(mine.objective - ref.objective) <= 1e-6 * max(1.0, abs(ref.objective))
+
+
+class TestRootRepair:
+    """solve's repair: called once, on a fractional root LP point that is
+    neither pruned nor integral; its candidate becomes the incumbent only if
+    it is feasible and strictly better."""
+
+    # LP root: item 0 whole and item 1 at 2/3, 12.33; integer optimum 9
+    VALUES, WEIGHTS, CAP = [9, 5, 4], [5, 3, 3], 7
+
+    @classmethod
+    def _model(cls, cap=None, warm=None) -> MipModel:
+        m = _knapsack(cls.VALUES, cls.WEIGHTS, cls.CAP if cap is None else cap)
+        if warm is not None:
+            m.set_warm_start(dict(enumerate(warm)))
+        return m.freeze()
+
+    @staticmethod
+    def _repair(candidate):
+        calls = []
+
+        def repair(x):
+            calls.append(x.copy())
+            return np.array(candidate, dtype=np.float64)
+        return repair, calls
+
+    def test_called_once_at_a_fractional_root(self):
+        repair, calls = self._repair([0.0, 1.0, 1.0])
+        r = solve(self._model(), SolveConfig(), repair=repair)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.objective == pytest.approx(9.0)
+        assert r.nodes_explored > 1
+        assert len(calls) == 1
+        assert calls[0][1] == pytest.approx(2.0 / 3.0)  # the root LP point
+
+    def test_feasible_candidate_is_the_root_incumbent(self):
+        repair, _ = self._repair([0.0, 1.0, 1.0])
+        r = solve(self._model(), SolveConfig(node_limit=1), repair=repair)
+        assert r.status is SolveStatus.LIMIT
+        assert r.objective == 9.0
+        assert [r.assignment[i] for i in range(3)] == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("candidate", [
+        [1.0, 1.0, 1.0],    # over the capacity
+        [1.0, 0.4, 0.0],    # a fractional binary
+        [1.0, 0.0, -0.5],   # outside a bound
+        [math.nan, 1.0, 1.0],
+    ])
+    def test_infeasible_candidate_is_never_adopted(self, candidate):
+        repair, calls = self._repair(candidate)
+        r = solve(self._model(), SolveConfig(node_limit=1), repair=repair)
+        assert len(calls) == 1
+        assert r.status is SolveStatus.LIMIT and r.assignment is None
+
+    @pytest.mark.parametrize("candidate", [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    def test_candidate_no_better_than_the_incumbent_is_never_adopted(self, candidate):
+        # the warm start {item 0} is worth 9: the first candidate ties, the
+        # second is worse
+        repair, calls = self._repair(candidate)
+        r = solve(self._model(warm=[1.0, 0.0, 0.0]), SolveConfig(node_limit=1),
+                  repair=repair)
+        assert len(calls) == 1
+        assert [r.assignment[i] for i in range(3)] == [1.0, 0.0, 0.0]
+
+    def test_never_called_at_an_integral_root(self):
+        repair, calls = self._repair([0.0, 0.0, 0.0])
+        r = solve(self._model(cap=8), SolveConfig(), repair=repair)  # items 0, 1
+        assert r.status is SolveStatus.OPTIMAL and r.objective == pytest.approx(14.0)
+        assert calls == []
+
+    def test_never_called_at_a_pruned_root(self):
+        # at gap 0.5 the warm start's 9 prunes the root's bound of 12.33
+        repair, calls = self._repair([0.0, 1.0, 1.0])
+        r = solve(self._model(warm=[1.0, 0.0, 0.0]), SolveConfig(mip_gap=0.5),
+                  repair=repair)
+        assert r.nodes_explored == 1 and r.objective == 9.0
+        assert calls == []
+
+    def test_never_called_at_an_infeasible_root(self):
+        m = MipModel("empty")
+        b = m.add_binary("b")
+        m.add_constraint("r", [(b, 1.0)], RowSense.GE, 2.0)
+        repair, calls = self._repair([1.0])
+        assert solve(m.freeze(), repair=repair).status is SolveStatus.INFEASIBLE
+        assert calls == []
