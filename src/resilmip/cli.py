@@ -28,6 +28,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,16 +103,14 @@ def _load_net(ref: str) -> Network:
 def _parse_input(text: str, dim: int) -> np.ndarray:
     """An input point: inline comma/space-separated reals, or a file holding a
     JSON array or whitespace-separated numbers."""
-    raw = text
     path = Path(text)
-    if path.is_file():
-        raw = path.read_text().strip()
-        if raw.startswith("["):
-            vals = [float(t) for t in json.loads(raw)]
-            return _check_dim(vals, dim, text)
+    from_file = path.is_file()
+    raw = path.read_text().strip() if from_file else text
     try:
-        vals = [float(t) for t in raw.replace(",", " ").split()]
-    except ValueError as e:
+        items = (json.loads(raw) if from_file and raw.startswith("[")
+                 else raw.replace(",", " ").split())
+        vals = [float(t) for t in items]
+    except (TypeError, ValueError, OverflowError) as e:
         raise NetworkFormatError(f"cannot parse input point {text!r}: {e}") from None
     return _check_dim(vals, dim, text)
 
@@ -125,14 +124,14 @@ def _check_dim(vals, dim: int, src: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64)
 
 
+def _lookback_config(args) -> SolveConfig:
+    """The config of bounds and export, which solve only lookback's probes."""
+    return SolveConfig(workers=args.workers, time_limit=args.time_limit)
+
+
 def _solve_config(args) -> SolveConfig:
-    return SolveConfig(
-        workers=args.workers,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        mip_gap=args.mip_gap,
-        log_interval=1.0 if args.verbose else None,
-    )
+    return replace(_lookback_config(args), node_limit=args.node_limit,
+                   mip_gap=args.mip_gap, log_interval=1.0 if args.verbose else None)
 
 
 def _jsonable(obj):
@@ -181,7 +180,7 @@ def cmd_eval(args, net: Network) -> tuple[int, dict]:
 
 
 def cmd_bounds(args, net: Network) -> tuple[int, dict]:
-    bounds = prepare_bounds(net, None, args.lookback, _solve_config(args))
+    bounds = prepare_bounds(net, None, args.lookback, _lookback_config(args))
     buf = io.StringIO()
     write_bounds_dump(net, bounds, buf)
     text = buf.getvalue()
@@ -314,7 +313,7 @@ def cmd_export(args, net: Network) -> tuple[int, dict]:
                   a=anchor, delta=args.delta)
     # the bounds the query's solver would encode it over
     enc = encode_query(net, query_bounds(net, q, None, args.lookback,
-                                         _solve_config(args)), q)
+                                         _lookback_config(args)), q)
     text = export_mps(enc.model)
     Path(args.out).write_text(text)
     rows = enc.model.num_constraints
@@ -327,14 +326,14 @@ def cmd_export(args, net: Network) -> tuple[int, dict]:
 # name: (help, handler, flag groups in the order its help lists them)
 COMMANDS = {
     "eval": ("exact forward pass at a point", cmd_eval, "common eval"),
-    "bounds": ("per-node activation intervals", cmd_bounds, "common solver bounds"),
+    "bounds": ("per-node activation intervals", cmd_bounds, "common lookback bounds"),
     "verify": ("local robustness at a point (exit 0 robust, 10 violated, 20 unknown)",
                cmd_verify, "common solver k verify"),
     "phi": ("maximum-perturbation bound of one class", cmd_phi, "common solver cls alpha k"),
     "xi": ("network resilience (worst finite phi)", cmd_xi, "common solver alpha k"),
     "max-alpha": ("largest attainable dominance ratio", cmd_max_alpha, "common solver cls"),
     "export": ("write a query model as fixed-format MPS", cmd_export,
-               "common solver cls alpha k export"),
+               "common lookback cls alpha k export"),
 }
 
 
@@ -347,15 +346,17 @@ def _add_flags(p: argparse.ArgumentParser, groups: str) -> None:
             p.add_argument("--json-out", default=None, metavar="FILE",
                            help="also write the result as JSON")
             p.add_argument("--verbose", action="store_true", help="log solver progress")
-        elif group == "solver":
+        elif group in ("solver", "lookback"):  # lookback: no limits its probes fix
             p.add_argument("--workers", type=_at_least(int, 1), default=_default_workers(),
                            help="processes for independent sub-solves: lookback's "
                            "window MIPs and xi's classes, at most the CPU count "
                            "(default from RESILMIP_WORKERS)")
-            p.add_argument("--node-limit", type=_at_least(int, 0), default=None)
+            if group == "solver":
+                p.add_argument("--node-limit", type=_at_least(int, 0), default=None)
             p.add_argument("--time-limit", type=_at_least(float, 0.0), default=None,
                            help="seconds")
-            p.add_argument("--mip-gap", type=_at_least(float, 0.0), default=1e-6)
+            if group == "solver":
+                p.add_argument("--mip-gap", type=_at_least(float, 0.0), default=1e-6)
             p.add_argument("--lookback", type=int, nargs="?", const=2, default=None,
                            metavar="DEPTH", help="tighten bounds with window models "
                            "of this depth before encoding (default depth 2)")

@@ -1,7 +1,7 @@
 """Interval analysis over a network: per-node value bounds and activation
-phases, plus an exact MIP-backed bound tightener (lookback), whose window
-MIPs are solved to MIP gap 0 whatever gap a query asks for. The encoder
-sizes every gadget from these bounds.
+phases, plus an exact MIP-backed bound tightener (lookback) that owns its
+probe settings (LOOKBACK_NODE_LIMIT nodes, MIP gap 0) and reads only a
+caller's time limit. The encoder sizes every gadget from these bounds.
 
 Bounds are sound: every exact forward trace of an input in the propagated box
 (the input domain, or a query's budget box inside it) lies inside them.
@@ -12,7 +12,7 @@ min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO
 
@@ -126,34 +126,27 @@ def propagate_intervals(net: Network,
     return bounds
 
 
+def _meet(lo1, hi1, lo2, hi2):
+    """The intersection of intervals [lo1, hi1] and [lo2, hi2], elementwise."""
+    lo = np.maximum(lo1, lo2)
+    hi = np.minimum(hi1, hi2)
+    return np.minimum(lo, hi), hi  # guard numeric crossings
+
+
 def intersect_bounds(net: Network, a: IntervalBounds, b: IntervalBounds) -> IntervalBounds:
     """Layer by layer, the intersection of two bounds of `net`; it encloses
     every trace that both enclose. Phases are recomputed from the
     intersected pre-activation bounds."""
-    def meet(lo1, hi1, lo2, hi2):
-        lo = np.maximum(lo1, lo2)
-        hi = np.minimum(hi1, hi2)
-        return np.minimum(lo, hi), hi  # guard numeric crossings
-
-    out = IntervalBounds(*meet(a.input_lo, a.input_hi, b.input_lo, b.input_hi))
+    out = IntervalBounds(*_meet(a.input_lo, a.input_hi, b.input_lo, b.input_hi))
     for spec, la, lb in zip(net.layers, a.layers, b.layers):
         if spec.kind in DENSE_KINDS:
-            im_lo, im_hi = meet(la.im_lo, la.im_hi, lb.im_lo, lb.im_hi)
+            im_lo, im_hi = _meet(la.im_lo, la.im_hi, lb.im_lo, lb.im_hi)
             layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
             _refresh_outputs(spec, layer)
         else:
-            layer = LayerBounds(*meet(la.lo, la.hi, lb.lo, lb.hi))
+            layer = LayerBounds(*_meet(la.lo, la.hi, lb.lo, lb.hi))
         out.layers.append(layer)
     return out
-
-
-def lookback_config(config=None):
-    """The solve config of lookback's window MIPs under a caller's config:
-    its time limit (for the whole tightening) and a node limit of
-    LOOKBACK_NODE_LIMIT. The caller's MIP gap is not passed on, since the
-    probes are solved exactly (tighten_lookback)."""
-    cfg = config if config is not None else SolveConfig()
-    return SolveConfig(node_limit=LOOKBACK_NODE_LIMIT, time_limit=cfg.time_limit)
 
 
 def _probe(job) -> float | None:
@@ -180,7 +173,7 @@ def tighten_lookback(
     net: Network,
     bounds: IntervalBounds,
     depth: int = 2,
-    config=None,
+    config: SolveConfig | None = None,
     workers: int = 1,
 ) -> IntervalBounds:
     """Tighten pre-activation intervals with per-node window MIPs.
@@ -194,19 +187,19 @@ def tighten_lookback(
     completes the root LP's box point into an exact incumbent. A probe's
     proven bound is adopted only when it is Optimal; budget exhaustion keeps
     the old bound. Results are always pointwise contained in the inputs.
-    `config` configures each probe (default `lookback_config()`), except
-    that probes are solved at MIP gap 0, since an early incumbent would
-    otherwise let a probe stop up to one gap short of the window extreme,
-    and that its time limit bounds the whole call: one deadline is fixed on
-    entry, each probe gets the time left, and layers and probes reached
-    after it keep their bounds. `workers` processes run a layer's probes
-    side by side, with the same results as one (up to that deadline).
+    Every probe stops at LOOKBACK_NODE_LIMIT nodes and is solved at MIP gap
+    0, since an early incumbent would otherwise let a probe stop up to one
+    gap short of the window extreme. Of `config` only the time limit is
+    read, and it bounds the whole call: one deadline is fixed on entry,
+    each probe gets the time left, and layers and probes reached after it
+    keep their bounds. `workers` processes run a layer's probes side by
+    side, with the same results as one (up to that deadline).
     """
     from . import encoder, solver  # at call time: encoder imports this module
     if depth < 1:
         raise ValueError("lookback depth must be >= 1")
-    cfg = replace(config if config is not None else lookback_config(), mip_gap=0.0)
-    deadline = query_deadline(cfg)
+    cfg = SolveConfig(node_limit=LOOKBACK_NODE_LIMIT, mip_gap=0.0)
+    deadline = None if config is None else query_deadline(config)
 
     work = copy.deepcopy(bounds)
     with worker_pool(workers) as pmap:
@@ -216,9 +209,7 @@ def tighten_lookback(
                 if spec.kind is LayerKind.MAX_POOL:
                     # no pre-activation to probe; refresh from tightened predecessors
                     fresh = _layer_bounds(spec, work.x_lo(pos - 1), work.x_hi(pos - 1))
-                    lb.lo = np.maximum(lb.lo, fresh.lo)
-                    lb.hi = np.minimum(lb.hi, fresh.hi)
-                    np.minimum(lb.lo, lb.hi, out=lb.lo)  # guard numeric crossings
+                    lb.lo, lb.hi = _meet(lb.lo, lb.hi, fresh.lo, fresh.hi)
                 continue
             if pos == 1 or time_left(cfg, deadline).time_limit == 0.0:
                 continue  # at pos 1 the window is the input box: plain bounds
@@ -254,17 +245,12 @@ def write_bounds_dump(net: Network, bounds: IntervalBounds, out: IO[str]) -> Non
             f"0\t{i + 1}\tinput\t-\t-\t{fmt(bounds.input_lo[i])}\t"
             f"{fmt(bounds.input_hi[i])}\t-\n"
         )
-    phase_names = {
-        int(Phase.ALWAYS_INACTIVE): "always_inactive",
-        int(Phase.ALWAYS_ACTIVE): "always_active",
-        int(Phase.UNDECIDED): "undecided",
-    }
     for pos, spec in enumerate(net.layers, start=1):
         lb = bounds.layers[pos - 1]
         for i in range(lb.lo.shape[0]):
             im_lo = fmt(lb.im_lo[i]) if lb.im_lo is not None else "-"
             im_hi = fmt(lb.im_hi[i]) if lb.im_hi is not None else "-"
-            phase = phase_names[int(lb.phase[i])] if lb.phase is not None else "-"
+            phase = Phase(lb.phase[i]).name.lower() if lb.phase is not None else "-"
             out.write(
                 f"{pos}\t{i + 1}\t{spec.kind.value}\t{im_lo}\t{im_hi}\t"
                 f"{fmt(lb.lo[i])}\t{fmt(lb.hi[i])}\t{phase}\n"

@@ -153,7 +153,6 @@ class EncodedQuery:
     and for MAX_ALPHA the model's root repair."""
 
     model: MipModel
-    query: QuerySpec
     input_ids: list[int] | None   # the free anchor input, when instantiated
     eps_ids: list[int] | None
     eps_abs_ids: list[int] | None
@@ -293,15 +292,11 @@ def _breakpoints(lo: float, hi: float, *, insert_zero: bool) -> np.ndarray:
 
 
 def _secant_gap(bps: np.ndarray) -> float:
-    # q is quadratic with |q''| = 2 * 0.273 on each side of 0, so a segment
-    # not straddling 0 has interpolation error |q''| h^2 / 8 at its midpoint
-    gap = 0.0
-    for a, b in zip(bps[:-1], bps[1:]):
-        h = b - a
-        if a < -1e-12 < 1e-12 < b:  # pragma: no cover - zero is always a breakpoint
-            h = max(-a, b) * 2.0
-        gap = max(gap, _Q_CURVE * h * h / 8.0)
-    return gap
+    # q is quadratic with |q''| = 2 * 0.273 on each side of 0, and no
+    # segment straddles 0, so a segment of width h has interpolation error
+    # |q''| h^2 / 8 at its midpoint
+    h = np.max(np.diff(bps))
+    return _Q_CURVE * h * h / 8.0
 
 
 def _atan_regions(im_lo: float, im_hi: float) -> list[tuple[str, float, float]]:
@@ -706,8 +701,7 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
         else:
             model.add_constraint("DBUDGET", [(f, 1.0) for f in f_ids], RowSense.LE,
                                  float(q.delta))
-    return EncodedQuery(model.freeze(), q, a_ids, e_ids, f_ids, p_ids, base, pert, sel,
-                        repair)
+    return EncodedQuery(model.freeze(), a_ids, e_ids, f_ids, p_ids, base, pert, sel, repair)
 
 
 # -- assignments from exact traces --------------------------------------------

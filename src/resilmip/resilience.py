@@ -36,8 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import encoder
-from .dataflow import (IntervalBounds, intersect_bounds, lookback_config,
-                       propagate_intervals, tighten_lookback)
+from .dataflow import IntervalBounds, intersect_bounds, propagate_intervals, tighten_lookback
 from .encoder import QueryKind, QuerySpec
 from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
@@ -127,15 +126,15 @@ class MaxAlphaResult:
 def prepare_bounds(net: Network, bounds: IntervalBounds | None,
                    lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
     """The given bounds or the plain intervals, tightened by lookback
-    windows of depth `lookback` if set."""
+    windows of depth `lookback` if set, under `config`'s time limit."""
     if bounds is None:
         bounds = propagate_intervals(net)
     # depth 1 boxes each node's predecessors, which reproduces the plain
     # bounds; tighten_lookback rejects depths below 1
     if lookback is not None and lookback != 1:
         workers = config.workers if config is not None else 1
-        bounds = tighten_lookback(net, bounds, depth=lookback,
-                                  config=lookback_config(config), workers=workers)
+        bounds = tighten_lookback(net, bounds, depth=lookback, config=config,
+                                  workers=workers)
     return bounds
 
 
@@ -197,8 +196,7 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
                 a_ini: np.ndarray | None = None,
                 config: SolveConfig | None = None,
                 bounds: IntervalBounds | None = None,
-                lookback: int | None = None,
-                presolve: bool = True) -> PhiResult:
+                lookback: int | None = None) -> PhiResult:
     """Maximum-perturbation bound for class m at ratio alpha and overlap k.
 
     The full stage starts from stage 1's solution (the anchor inputs and the
@@ -206,12 +204,12 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
     the "q" copy and the class selectors), matched by variable name."""
     cfg = config or SolveConfig()
     return _phi(net, m, alpha, k, a_ini=a_ini, cfg=cfg, bounds=bounds,
-                lookback=lookback, presolve=presolve, deadline=query_deadline(cfg))
+                lookback=lookback, deadline=query_deadline(cfg))
 
 
 def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None,
          cfg: SolveConfig, bounds: IntervalBounds | None, lookback: int | None,
-         presolve: bool, deadline: float | None) -> PhiResult:
+         deadline: float | None) -> PhiResult:
     """compute_phi under a deadline fixed by its caller."""
     spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
     bounds = query_bounds(net, spec, bounds, lookback, time_left(cfg, deadline))
@@ -224,7 +222,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
             raise ValueError(
                 f"given anchor is not strongly classified as class {m} at alpha={alpha}"
             )
-    elif presolve:
+    else:
         anchor, res1, anchor_sol = find_strong_anchor(
             net, m, alpha, bounds, time_left(cfg, deadline))
         if anchor is None and res1.status is SolveStatus.INFEASIBLE:
@@ -239,7 +237,7 @@ def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None
 
     anchor_phi: float | None = None
     fixed_sol: dict[str, float] | None = None
-    if anchor is not None and presolve:
+    if anchor is not None:
         enc2 = encoder.encode_query(net, bounds, replace(spec, a=anchor))
         res2 = solve(enc2.model, time_left(cfg, deadline))
         if res2.status is SolveStatus.INFEASIBLE:
@@ -293,8 +291,7 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
                           bounds, lookback, time_left(cfg, deadline))
     classes = range(1, net.num_classes + 1)
     phi_of = functools.partial(_phi, net, alpha=alpha, k=k, a_ini=None, cfg=cfg,
-                               bounds=bounds, lookback=None, presolve=True,
-                               deadline=deadline)
+                               bounds=bounds, lookback=None, deadline=deadline)
     with worker_pool(cfg.workers) as pmap:
         per_class = dict(zip(classes, pmap(phi_of, classes)))
     xi = math.inf

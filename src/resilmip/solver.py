@@ -84,9 +84,10 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolveConfig:
-    """Knobs for one solve call. ``solve`` itself is serial; ``workers`` is
-    the process count of the drivers that run independent solves side by
-    side (``worker_pool``)."""
+    """Knobs for one solve call. ``solve`` is serial and reads the node
+    limit, time limit, MIP gap and log interval. The drivers read ``workers``
+    (``worker_pool``) and make the time limit one deadline per query;
+    ``dataflow.tighten_lookback`` reads only the time limit."""
 
     workers: int = 1
     node_limit: int | None = None

@@ -81,6 +81,25 @@ class TestEval:
             assert out == ""
             assert err.startswith("error:") and msg in err and "Errno" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--net", "two_class_linear"],
+        ["verify", "--net", "two_class_linear", "--delta", "0.1"],
+        ["export", "--net", "two_class_linear", "--class", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("text", ["[null, 1]", "[[1, 2]]", "[1" + "0" * 400 + ", 2]"],
+                             ids=["null", "nested", "overflow"])
+    def test_json_input_of_non_reals_is_a_runtime_error(self, argv, text, tmp_path,
+                                                        capsys):
+        f = tmp_path / "point.json"
+        f.write_text(text)
+        out_mps = tmp_path / "q.mps"
+        extra = ["--out", str(out_mps)] if argv[0] == "export" else []
+        assert main(argv + ["--input", str(f)] + extra) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot parse input point {str(f)!r}")
+        assert not out_mps.exists()
+
 
 class TestBounds:
     def test_dump_to_stdout(self, capsys):
@@ -491,6 +510,19 @@ class TestUsage:
             main(argv + ["--segments", "0"])
         assert e.value.code == 2
         assert "--segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--net", "lookback_chain", "--lookback", "2"],
+        ["export", "--net", "relu_deep", "--class", "1", "--lookback", "2", "--out", "x.mps"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag,value", [("--node-limit", "0"), ("--mip-gap", "0.5")])
+    def test_lookback_only_commands_take_no_solve_limits(self, argv, flag, value, capsys):
+        # bounds and export solve only lookback's probes, which fix their own
+        # node limit and gap; both flags were once accepted and then ignored
+        with pytest.raises(SystemExit) as e:
+            main(argv + [flag, value])
+        assert e.value.code == 2
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"), ("--workers", "-3"), ("--node-limit", "-1"),

@@ -14,7 +14,6 @@ from resilmip.dataflow import (
     ADOPT_SLACK,
     Phase,
     intersect_bounds,
-    lookback_config,
     propagate_intervals,
     relu_phases,
     tighten_lookback,
@@ -183,15 +182,24 @@ class TestLookback:
                 assert np.array_equal(a.im_lo, b.im_lo)
                 assert np.array_equal(a.im_hi, b.im_hi)
 
-    def test_coarse_gap_adopts_the_proven_bound(self, rng):
-        """At mip_gap 0.1 a probe's incumbent can fall short of the true
-        extreme; the adopted bound must still contain every forward pass."""
-        net = zoo.random_relu_net(np.random.default_rng(0), input_dim=3,
-                                  hidden=(6,), classes=3)
-        cfg = SolveConfig(node_limit=10_000, mip_gap=0.1)
-        tight = tighten_lookback(net, propagate_intervals(net), depth=2, config=cfg)
+    def test_callers_node_limit_and_gap_never_reach_the_probes(self, rng):
+        """Probes fix their own node limit and gap: on R8 (the second draw of
+        random_relu_net from seed 0, hidden (8, 8)) a caller's node limit of 1
+        and gap of 0.5 give the default call's bounds bit for bit, and those
+        contain every forward pass."""
+        draws = np.random.default_rng(0)
+        zoo.random_relu_net(draws, input_dim=3, hidden=(6,), classes=3)
+        net = zoo.random_relu_net(draws, input_dim=3, hidden=(8, 8), classes=3)
+        plain = propagate_intervals(net)
+        default = tighten_lookback(net, plain, depth=2)
+        coarse = tighten_lookback(net, plain, depth=2,
+                                  config=SolveConfig(node_limit=1, mip_gap=0.5))
+        for a, b in zip(default.layers, coarse.layers):
+            if a.im_lo is not None:
+                assert np.array_equal(a.im_lo, b.im_lo)
+                assert np.array_equal(a.im_hi, b.im_hi)
         for point in domain_samples(net, 2000, rng):
-            _assert_trace_in_bounds(net, tight, point)
+            _assert_trace_in_bounds(net, coarse, point)
 
     def test_time_limit_bounds_the_whole_call(self, monkeypatch):
         """One deadline for every window: each solve gets the time left, and
@@ -207,7 +215,7 @@ class TestLookback:
         layer_lps = _count_layer_lps(monkeypatch)
         net = zoo.relu_mixed_phases()  # 4 windows: 2 nodes, 2 senses
         plain = propagate_intervals(net)
-        cfg = lookback_config(SolveConfig(time_limit=0.15))
+        cfg = SolveConfig(time_limit=0.15)
         tight = tighten_lookback(net, plain, depth=2, config=cfg, workers=1)
         assert len(layer_lps) == 1  # the one probed layer, before the deadline
         assert 1 <= len(seen) <= 2
@@ -230,7 +238,7 @@ class TestLookback:
         net = zoo.random_relu_net(np.random.default_rng(0), input_dim=2,
                                   hidden=(2, 2), classes=2)
         plain = propagate_intervals(net)
-        cfg = lookback_config(SolveConfig(time_limit=0.2))
+        cfg = SolveConfig(time_limit=0.2)
         tight = tighten_lookback(net, plain, depth=2, config=cfg, workers=1)
         assert [m.name for m in layer_lps] == ["window2"]
         for a, b in zip(plain.layers, tight.layers):
