@@ -44,6 +44,7 @@ from .network import (
     class_scores,
     forward,
     load_network,
+    real_array,
 )
 from .resilience import (
     Verdict,
@@ -102,26 +103,23 @@ def _load_net(ref: str) -> Network:
 
 def _parse_input(text: str, dim: int) -> np.ndarray:
     """An input point: inline comma/space-separated reals, or a file holding a
-    JSON array or whitespace-separated numbers."""
+    JSON array of numbers or whitespace-separated numbers."""
     path = Path(text)
     from_file = path.is_file()
     raw = path.read_text().strip() if from_file else text
+    what = f"cannot parse input point {text!r}"
     try:
         items = (json.loads(raw) if from_file and raw.startswith("[")
-                 else raw.replace(",", " ").split())
-        vals = [float(t) for t in items]
-    except (TypeError, ValueError, OverflowError) as e:
-        raise NetworkFormatError(f"cannot parse input point {text!r}: {e}") from None
-    return _check_dim(vals, dim, text)
-
-
-def _check_dim(vals, dim: int, src: str) -> np.ndarray:
+                 else [float(t) for t in raw.replace(",", " ").split()])
+    except ValueError as e:
+        raise NetworkFormatError(f"{what}: {e}") from None
+    vals = real_array(items, what, 1)
     if len(vals) != dim:
         raise NetworkFormatError(
-            f"input point {src!r} has {len(vals)} values, expected {dim}")
-    if not all(map(math.isfinite, vals)):
-        raise NetworkFormatError(f"input point {src!r} has a non-finite value")
-    return np.array(vals, dtype=np.float64)
+            f"input point {text!r} has {len(vals)} values, expected {dim}")
+    if not np.all(np.isfinite(vals)):
+        raise NetworkFormatError(f"input point {text!r} has a non-finite value")
+    return vals
 
 
 def _lookback_config(args) -> SolveConfig:
@@ -228,7 +226,7 @@ def _print_phi(res) -> None:
     print(f"exact    {'yes' if res.exact else 'no'}")
     if not res.exact and math.isfinite(res.lower_bound):
         print(f"bound    {_g(res.lower_bound)}")
-    if math.isinf(res.phi) and res.status.value == "infeasible":
+    if math.isinf(res.phi) and res.status is SolveStatus.INFEASIBLE:
         print(f"note     infeasible at alpha={_g(res.alpha)}: no input is "
               "strongly classified (or no overlap point exists); "
               "phi is vacuously infinite")
@@ -270,8 +268,7 @@ def cmd_xi(args, net: Network) -> tuple[int, dict]:
         print(f"excluded {', '.join(str(m) for m in res.excluded)} (never strongly classified)")
     for m, r in sorted(res.per_class.items()):
         print(f"  phi[{m}] {_g(r.phi)} ({r.status.value})")
-    exact = all(r.exact for r in res.per_class.values())
-    return EXIT_OK if exact else EXIT_UNKNOWN, {
+    return EXIT_OK if res.status is SolveStatus.OPTIMAL else EXIT_UNKNOWN, {
         "xi": res.xi, "status": res.status.value,
         "weakest_class": res.weakest_class, "excluded": res.excluded,
         "per_class": {str(m): _phi_payload(r) for m, r in res.per_class.items()}}

@@ -9,6 +9,7 @@ every downstream artifact (MPS text, solver traces) deterministic.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -71,17 +72,23 @@ class DenseLp:
     binary_ids: list[int]
     maximize: bool
 
+    @functools.cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The binary ids, and masks of the rows bounded above and below."""
+        le = np.array([s is not RowSense.GE for s in self.senses], dtype=bool)
+        ge = np.array([s is not RowSense.LE for s in self.senses], dtype=bool)
+        return np.array(self.binary_ids, dtype=np.int64), le, ge
+
     def feasible(self, x: np.ndarray, tol: float) -> bool:
         """True when the point x (one value per variable) satisfies the
         bounds, integrality and rows within the absolute tolerance tol, as
         check_feasible does; a NaN anywhere fails."""
-        b = x[self.binary_ids]
+        bins, le, ge = self._index
+        b = x[bins]
         resid = self.a @ x - self.rhs
-        le = np.array([s is not RowSense.GE for s in self.senses], dtype=bool)
-        ge = np.array([s is not RowSense.LE for s in self.senses], dtype=bool)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol)
-                    and np.all(np.abs(b - np.round(b)) <= tol)
-                    and np.all(resid[le] <= tol) and np.all(resid[ge] >= -tol))
+        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all()
+                    and (np.abs(b - np.round(b)) <= tol).all()
+                    and (resid[le] <= tol).all() and (resid[ge] >= -tol).all())
 
 
 class MipModel:

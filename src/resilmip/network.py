@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -199,21 +200,46 @@ def load_network(path: str | Path) -> Network:
     return network_from_dict(doc)
 
 
+def _is_number(v: object, kind: type = numbers.Real) -> bool:
+    """True when v is a number of ``kind``, numpy's included. A bool is
+    not a number here, though Python counts it as an int."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def real_array(obj: object, what: str, ndim: int) -> np.ndarray:
+    """obj, ndim levels of nested JSON arrays whose entries are real numbers
+    (a bool, string or null is none), as a float64 array. Raises
+    NetworkFormatError, naming ``what``, for any other value or a ragged
+    array."""
+    def check(o: object, depth: int) -> None:
+        if depth == 0:
+            if not _is_number(o):
+                raise NetworkFormatError(f"{what}: {o!r} is not a number")
+        elif not isinstance(o, list):
+            raise NetworkFormatError(f"{what}: {o!r} is not an array")
+        else:
+            for v in o:
+                check(v, depth - 1)
+
+    check(obj, ndim)
+    try:
+        return np.asarray(obj, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged, or an int too large
+        raise NetworkFormatError(f"{what}: {exc}") from None
+
+
 def network_from_dict(doc: object) -> Network:
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be an object")
     for field in ("input_dim", "input_bounds", "layers"):
         if field not in doc:
             raise NetworkFormatError(f"missing field {field!r}")
-    if not isinstance(doc["input_dim"], int):
+    if not _is_number(doc["input_dim"], numbers.Integral):
         raise NetworkFormatError("input_dim must be an integer")
     if not isinstance(doc["layers"], list):
         raise NetworkFormatError("layers must be an array")
 
-    try:
-        bounds = np.asarray(doc["input_bounds"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"input_bounds not numeric: {exc}") from exc
+    bounds = real_array(doc["input_bounds"], "input_bounds", 2)
 
     specs: list[LayerSpec] = []
     for pos, item in enumerate(doc["layers"], start=1):
@@ -223,21 +249,14 @@ def network_from_dict(doc: object) -> Network:
             kind = LayerKind(item["kind"])
         except ValueError as exc:
             raise NetworkFormatError(f"layer {pos}: unknown kind {item['kind']!r}") from exc
-        weights = None
-        if "weights" in item and item["weights"] is not None:
-            try:
-                weights = np.asarray(item["weights"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise NetworkFormatError(f"layer {pos}: weights not numeric: {exc}") from exc
-        groups = None
-        if "pool_groups" in item and item["pool_groups"] is not None:
-            raw = item["pool_groups"]
-            if not isinstance(raw, list) or not all(isinstance(g, list) for g in raw):
-                raise NetworkFormatError(f"layer {pos}: pool_groups must be an array of arrays")
-            try:
-                groups = tuple(tuple(int(i) for i in g) for g in raw)
-            except (TypeError, ValueError) as exc:
-                raise NetworkFormatError(f"layer {pos}: pool indices not integral: {exc}") from exc
+        weights = item.get("weights")
+        if weights is not None:
+            weights = real_array(weights, f"layer {pos}: weights", 2)
+        groups = item.get("pool_groups")
+        if groups is not None and not (isinstance(groups, list) and all(
+                isinstance(g, list) and all(_is_number(i, numbers.Integral) for i in g)
+                for g in groups)):
+            raise NetworkFormatError(f"layer {pos}: pool_groups must be arrays of integers")
         specs.append(LayerSpec(kind=kind, weights=weights, pool_groups=groups))
 
     if bounds.ndim != 2 or (bounds.size and bounds.shape[1] != 2):

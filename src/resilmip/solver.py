@@ -22,18 +22,20 @@ heap starts without a factorization; the open nodes keep inverses up to
 only the O(n + m) basis. The simplex falls back to a cold solve when a warm
 start fails, proves every infeasible node with a Farkas row of the dual
 simplex, and reports each optimum with a bound certified against round-off
-(see ``simplex``). Nodes are pruned and ordered on that certified bound. An
-integral LP point becomes an incumbent only once it is confirmed on a fresh
-factorization of its basis.
+(see ``simplex``). Nodes are pruned and ordered on that certified bound.
 
-Two other points can become incumbents, each checked against the model's
-bounds, integrality and rows to INT_TOL in one pass over the dense arrays
-(``DenseLp.feasible``): the model's warm start, before the search, and a
-caller's ``repair`` of the root LP point. The repair is a rounding-type
-primal heuristic (Achterberg, "Constraint Integer Programming", 2007): it
-is called once per solve, when the root LP is optimal, not pruned and
-fractional, and may complete the point into an exact one, as
-``encoder.ForwardRepair`` does by a forward pass.
+Three kinds of point can become incumbents: the model's warm start, before
+the search; a caller's ``repair`` of the root LP point; and an integral LP
+point, once it is recomputed on a fresh factorization of its basis. Each
+passes one gate: every binary within INT_TOL of an integer, and then, with
+the binaries rounded, every bound and row met within INT_TOL
+(``DenseLp.feasible``). So every assignment ``solve`` returns passes
+``check_feasible(model, assignment, INT_TOL)``. An integral LP point that
+fails the gate is branched on like one that could not be recomputed. The
+repair is a rounding-type primal heuristic (Achterberg, "Constraint Integer
+Programming", 2007): it is called once per solve, when the root LP is
+optimal, not pruned and fractional, and may complete the point into an
+exact one, as ``encoder.ForwardRepair`` does by a forward pass.
 
 The reported dual bound is the minimum over the open node bounds, the bound
 of the node being solved, the bounds of nodes pruned by cutoff, and the
@@ -204,7 +206,8 @@ def solve(model: MipModel, config: SolveConfig | None = None,
     starts cold from ``start`` (see ``simplex.solve_bounded_lp``). ``repair``
     maps an LP point to a full assignment, a candidate incumbent; it is called
     at most once, on the root LP's point when that LP is optimal, not pruned
-    and fractional."""
+    and fractional. Every returned assignment passes
+    ``check_feasible(model, assignment, INT_TOL)``."""
     cfg = config or SolveConfig()
     t0 = time.monotonic()
     d, form, sign = _min_form(model)
@@ -251,18 +254,25 @@ def solve(model: MipModel, config: SolveConfig | None = None,
             return INF
         return best_obj - cfg.mip_gap * max(1.0, abs(best_obj))
 
-    def adopt(x: np.ndarray) -> None:
-        """Make the point x the incumbent if it is feasible within INT_TOL
-        and strictly better; its binaries are rounded."""
+    def adopt(x: np.ndarray) -> bool:
+        """The one gate for incumbents: whether the point x, its binaries
+        within INT_TOL of an integer and then rounded, meets every bound and
+        row within INT_TOL. Such a point becomes the incumbent if it is
+        strictly better."""
         nonlocal best_obj, best_x
-        if not d.feasible(x, INT_TOL):
-            return
+        b = x[bin_ids]
+        rounded = np.round(b)
+        if not np.all(np.abs(b - rounded) <= INT_TOL):  # NaN fails too
+            return False
         x = x.copy()  # a repair may hand back a view of the LP point
-        x[bin_ids] = np.round(x[bin_ids])
+        x[bin_ids] = rounded
+        if not d.feasible(x, INT_TOL):
+            return False
         obj = float(c_int @ x)
         if obj < best_obj - 1e-12:
             best_obj, best_x = obj, x
             record()
+        return True
 
     if model.warm_start is not None:
         ws = model.warm_start
@@ -310,34 +320,26 @@ def solve(model: MipModel, config: SolveConfig | None = None,
         if res.status is not LpStatus.OPTIMAL:
             node = None
             continue
-        bound = res.bound
+        bound, x = res.bound, res.x
+        branch_vid = pick_branch_var(x, bin_ids, priority)
+        if (nodes == 1 and repair is not None and branch_vid is not None
+                and bound < cutoff()):
+            adopt(repair(x))  # the root's one repair
         if bound >= cutoff():
             prune_floor = min(prune_floor, bound)
             node = None
             continue
-
-        x = res.x
-        branch_vid = pick_branch_var(x, bin_ids, priority)
-        if branch_vid is not None and repair is not None and nodes == 1:
-            adopt(repair(x))  # the root's one repair
-            if bound >= cutoff():
-                prune_floor = min(prune_floor, bound)
-                node = None
-                continue
         if branch_vid is None:
             if res.objective >= best_obj - 1e-12:
                 node = None  # no strict improvement, even unconfirmed
                 continue
             xi = _integral_solution(form, x, node, res.basis, bin_ids)
-            if xi is not None:
-                obj = float(c_int @ xi)
-                if obj < best_obj - 1e-12:  # replace only on strict improvement
-                    best_obj, best_x = obj, xi
-                    record()
+            if xi is not None and adopt(xi):
                 node = None
                 continue
-            # the point could not be confirmed: force the worst binary this
-            # node has not fixed, since a fixed one gives the node back as a child
+            # the point could not be confirmed, or failed the gate: force the
+            # worst binary this node has not fixed, since a fixed one gives
+            # the node back as a child
             free = bin_ids[node.lo[bin_ids] < node.hi[bin_ids]]
             devs = np.abs(x[free] - np.round(x[free]))
             if not devs.any():  # nothing to branch on: a numerical failure
@@ -360,67 +362,41 @@ def solve(model: MipModel, config: SolveConfig | None = None,
         node = first  # plunge
 
     current = INF
-    wall = time.monotonic() - t0
     record()
-
+    bound = dual()  # INF when the search ends with no incumbent and clean
     if unbounded:
-        return SolveResult(
-            SolveStatus.UNBOUNDED, ext(-INF), ext(-INF), None,
-            nodes, wall, INF, history,
-        )
-
-    dual_int = dual()
-    have_inc = best_x is not None
-    if limit_hit:
+        status, best_obj, bound, best_x = SolveStatus.UNBOUNDED, -INF, -INF, None
+    elif limit_hit or (best_x is None and not clean):
         status = SolveStatus.LIMIT
-    elif not have_inc:
-        status = SolveStatus.INFEASIBLE if clean else SolveStatus.LIMIT
-    elif clean:
-        status = SolveStatus.OPTIMAL
+    elif best_x is None:
+        status = SolveStatus.INFEASIBLE
     else:
-        status = SolveStatus.FEASIBLE_BOUND
-
+        status = SolveStatus.OPTIMAL if clean else SolveStatus.FEASIBLE_BOUND
     if status is SolveStatus.INFEASIBLE:
-        return SolveResult(
-            SolveStatus.INFEASIBLE, ext(INF), ext(INF), None,
-            nodes, wall, 0.0, history,
-        )
-
-    obj_int = best_obj if have_inc else INF
-    assignment: Assignment | None = None
-    if have_inc:
-        assignment = {i: float(v) for i, v in enumerate(best_x)}
-    abs_gap = abs(obj_int - dual_int) if have_inc and math.isfinite(dual_int) else INF
-    if status is SolveStatus.OPTIMAL:
-        dual_int = min(dual_int, obj_int)
-    return SolveResult(
-        status, ext(obj_int), ext(dual_int), assignment,
-        nodes, wall, abs_gap, history,
-    )
+        gap = 0.0
+    else:
+        gap = abs(best_obj - bound) if best_x is not None and math.isfinite(bound) else INF
+    assignment = None if best_x is None else {i: float(v) for i, v in enumerate(best_x)}
+    return SolveResult(status, ext(best_obj), ext(bound), assignment,
+                       nodes, time.monotonic() - t0, gap, history)
 
 
 def _integral_solution(form, x, node, basis, bin_ids):
-    """Turn an integral-within-tolerance LP point into an exact incumbent.
+    """The point of an integral-within-tolerance LP point's basis, recomputed
+    on a fresh factorization, for ``solve``'s incumbent gate.
 
-    The point of the node's optimal basis is recomputed on a fresh
-    factorization. LP vertices normally park binaries exactly on 0/1; when
-    that point breaks a bound or leaves a binary merely close, re-solve with
-    all binaries fixed to their rounded values and confirm that optimum the
-    same way, so the incumbent satisfies integrality exactly. Returns None
-    when neither point is confirmed.
+    LP vertices normally park binaries exactly on 0/1; when the recomputed
+    point breaks a bound or leaves a binary merely close, re-solve with all
+    binaries fixed to their rounded values and recompute that optimum the
+    same way. Returns None when neither point is confirmed.
     """
     rounded = np.round(x[bin_ids])
     xi = basic_point(form, node.lo, node.hi, basis)
-    if xi is None or float(np.max(np.abs(xi[bin_ids] - rounded), initial=0.0)) > 1e-12:
-        lo2 = node.lo.copy()
-        hi2 = node.hi.copy()
-        lo2[bin_ids] = rounded
-        hi2[bin_ids] = rounded
-        res = solve_bounded_lp(form, lo2, hi2, basis=basis)
-        if res.status is not LpStatus.OPTIMAL:
-            return None
-        xi = basic_point(form, lo2, hi2, res.basis)
-        if xi is None:
-            return None
-    xi[bin_ids] = rounded
-    return xi
+    if xi is not None and float(np.max(np.abs(xi[bin_ids] - rounded), initial=0.0)) <= 1e-12:
+        return xi
+    lo2 = node.lo.copy()
+    hi2 = node.hi.copy()
+    lo2[bin_ids] = rounded
+    hi2[bin_ids] = rounded
+    res = solve_bounded_lp(form, lo2, hi2, basis=basis)
+    return basic_point(form, lo2, hi2, res.basis) if res.status is LpStatus.OPTIMAL else None

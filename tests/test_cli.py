@@ -14,7 +14,7 @@ from resilmip.cli import (
 from resilmip.dataflow import propagate_intervals
 from resilmip.encoder import QueryKind, QuerySpec, encode_query
 from resilmip.mipmodel import export_mps, parse_mps
-from resilmip.network import LayerKind, LayerSpec, Network, save_network
+from resilmip.network import LayerKind, LayerSpec, Network, network_to_dict, save_network
 from resilmip.oracle import enumerate_mip
 from resilmip.resilience import query_bounds
 from resilmip import solver, zoo
@@ -99,6 +99,33 @@ class TestEval:
         assert out == ""
         assert err.startswith(f"error: cannot parse input point {str(f)!r}")
         assert not out_mps.exists()
+
+
+    @pytest.mark.parametrize("text", ["[true, false]", '["0.5", "1e-1"]'], ids=["bool", "str"])
+    def test_json_input_holds_only_numbers(self, text, tmp_path, capsys):
+        """A JSON input point holds numbers: true is not 1 and "0.5" is not
+        0.5, though float() takes both."""
+        f = tmp_path / "point.json"
+        f.write_text(text)
+        assert main(["eval", "--net", "two_class_linear", "--input", str(f)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot parse input point {str(f)!r}: ")
+        assert "is not a number" in err
+
+    @pytest.mark.parametrize("net,edit", [
+        ("two_class_linear", lambda d: d["layers"][0]["weights"].__setitem__(0, ["0", True])),
+        ("pool_duel", lambda d: d["layers"][0].update(pool_groups=[[1.9, "2"]])),
+        ("pool_duel", lambda d: d["layers"][0].update(pool_groups=[[1.5, 2]])),
+    ], ids=["weights-str-bool", "pool-float-str", "pool-float"])
+    def test_net_file_holds_only_numbers(self, net, edit, tmp_path, capsys):
+        doc = network_to_dict(zoo.FIXTURES[net]())
+        edit(doc)
+        f = tmp_path / "net.json"
+        f.write_text(json.dumps(doc))
+        assert main(["eval", "--net", str(f), "--input", "0.5,0.5"]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestBounds:

@@ -105,6 +105,40 @@ class TestSerialization:
         again = network_from_dict(network_to_dict(net))
         assert again.layer_dims() == net.layer_dims()
 
+    @pytest.mark.parametrize("net,path,value", [
+        ("two_class_linear", ["input_dim"], True),
+        ("two_class_linear", ["input_bounds", 0, 1], "1"),
+        ("two_class_linear", ["input_bounds", 1, 0], False),
+        ("two_class_linear", ["layers", 0, "weights", 0], ["0", True]),
+        ("two_class_linear", ["layers", 0, "weights", 1, 1], None),
+        ("pool_duel", ["layers", 0, "pool_groups"], [[1.9, "2"]]),
+        ("pool_duel", ["layers", 0, "pool_groups", 0, 1], 2.0),
+        ("pool_duel", ["layers", 0, "pool_groups", 0, 0], True),
+    ], ids=["input_dim-bool", "bound-str", "bound-bool", "weights-str-bool",
+            "weight-null", "pool-float-str", "pool-float", "pool-bool"])
+    def test_values_that_are_not_numbers_are_rejected(self, net, path, value):
+        """JSON true, strings and null are not numbers, and pool indices and
+        input_dim must be integers; Python's int() and float() would take
+        true as 1, parse "2" and truncate 1.9."""
+        doc = network_to_dict(zoo.FIXTURES[net]())
+        network_from_dict(doc)
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(NetworkFormatError):
+            network_from_dict(doc)
+
+    def test_numpy_numbers_are_numbers(self):
+        doc = network_to_dict(zoo.pool_duel())
+        doc["input_dim"] = np.int64(2)
+        doc["input_bounds"][0] = [np.float32(0.0), np.int64(1)]
+        doc["layers"][0]["pool_groups"] = [[np.int64(1), np.int32(2)]]
+        net = network_from_dict(doc)
+        assert net.input_dim == 2 and net.layers[0].pool_groups == ((1, 2),)
+        assert np.array_equal(net.input_bounds, [[0.0, 1.0], [0.0, 1.0]])
+
 
 class TestForward:
     def test_softmax_point(self):

@@ -504,3 +504,92 @@ class TestRootRepair:
         repair, calls = self._repair([1.0])
         assert solve(m.freeze(), repair=repair).status is SolveStatus.INFEASIBLE
         assert calls == []
+
+
+class TestIncumbentGate:
+    """Every incumbent, from the warm start, the root repair or an integral
+    LP point, has its binaries rounded before its bounds and rows are checked,
+    so every returned assignment passes check_feasible at INT_TOL."""
+
+    # the warm start's binary passes within INT_TOL, and its 1000 b makes up
+    # the 9e-4 that x lacks on the cover row; rounded, it breaks that row
+    POINT = [0.9991, 9e-7]
+
+    @staticmethod
+    def _model(extra_binary=False) -> MipModel:
+        """min x (+ c) s.t. x + 1000 b >= 1, b <= 0 (, c >= 0.5): x is 1 at
+        the optimum. The binary c makes the root LP fractional."""
+        m = MipModel("gate")
+        x = m.add_variable("x", 0.0, 10.0)
+        b = m.add_binary("b")
+        m.add_constraint("cover", [(x, 1.0), (b, 1000.0)], RowSense.GE, 1.0)
+        m.add_constraint("off", [(b, 1.0)], RowSense.LE, 0.0)
+        obj = [(x, 1.0)]
+        if extra_binary:
+            c = m.add_binary("c")
+            m.add_constraint("half", [(c, 1.0)], RowSense.GE, 0.5)
+            obj.append((c, 1.0))
+        m.set_objective(obj, ObjSense.MINIMIZE)
+        return m
+
+    def test_warm_start_is_checked_after_rounding(self):
+        m = self._model()
+        m.set_warm_start(dict(enumerate(self.POINT)))
+        r = solve(m.freeze())
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.objective == pytest.approx(1.0, abs=1e-12)
+        assert r.objective == pytest.approx(enumerate_mip(m).objective, abs=1e-9)
+        assert check_feasible(m, r.assignment, solver.INT_TOL)
+
+    def test_repair_candidate_is_checked_after_rounding(self):
+        m = self._model(extra_binary=True).freeze()
+        calls = []
+
+        def repair(x):
+            calls.append(x.copy())
+            return np.array(self.POINT + [1.0])
+
+        r = solve(m, SolveConfig(node_limit=1), repair=repair)
+        assert len(calls) == 1
+        assert r.status is SolveStatus.LIMIT and r.assignment is None
+        r = solve(m, repair=repair)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.objective == pytest.approx(2.0, abs=1e-12)
+        assert check_feasible(m, r.assignment, solver.INT_TOL)
+
+    def test_integral_lp_point_breaking_a_row_is_never_reported(self, monkeypatch):
+        """A confirmed integral point that breaks a row by 1e-3 (here from a
+        patched confirmation) does not become the incumbent."""
+        broken = [0.999, 0.0]
+        monkeypatch.setattr(solver, "_integral_solution",
+                            lambda *args: np.array(broken))
+        m = self._model().freeze()
+        r = solve(m)
+        assert r.assignment is None or check_feasible(m, r.assignment, solver.INT_TOL)
+        assert r.assignment != dict(enumerate(broken))
+        assert not (r.status is SolveStatus.OPTIMAL
+                    and r.objective == pytest.approx(broken[0]))
+
+
+@given(seed=st.integers(0, 20_000),
+       nudge=st.lists(st.floats(-solver.INT_TOL, solver.INT_TOL), min_size=6, max_size=6))
+@settings(max_examples=40)
+def test_nudged_warm_starts_give_feasible_assignments(seed, nudge):
+    """A warm start at the brute-force optimum, or at the bounds' lower
+    corner, with each binary moved by up to INT_TOL: every returned
+    assignment passes check_feasible at INT_TOL, and every optimum is the
+    brute force's."""
+    m = _random_mip(seed)
+    ref = enumerate_mip(m)
+    warm = dict(ref.assignment or {v: var.lo for v, var in enumerate(m.variables)})
+    for v, dv in zip(m.binary_ids, nudge):
+        warm[v] += dv
+    m.set_warm_start(warm)
+    mine = solve(m.freeze(), SolveConfig())
+    if mine.assignment is not None:
+        assert check_feasible(m, mine.assignment, solver.INT_TOL)
+    if ref.status == "infeasible":
+        assert mine.status is SolveStatus.INFEASIBLE
+    elif ref.status == "optimal":
+        assert mine.status is SolveStatus.OPTIMAL, mine.status
+        assert abs(mine.objective - ref.objective) <= 1e-6 * max(1.0, abs(ref.objective))
