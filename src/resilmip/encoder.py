@@ -617,6 +617,8 @@ def validate_query(net: Network, q: QuerySpec) -> int:
     if not net.ends_in_softmax:
         raise EncodingError("queries expect a softmax-terminated network")
     n_cls = net.num_classes
+    if n_cls < 2:
+        raise EncodingError(f"queries need at least two classes; the network has {n_cls}")
     if not 1 <= q.m <= n_cls:
         raise EncodingError(f"class index {q.m} out of range 1..{n_cls}")
     if q.kind is QueryKind.MAX_ALPHA:

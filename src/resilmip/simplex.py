@@ -2,9 +2,9 @@
 
 This is the LP core under the branch-and-bound solver. It only minimizes:
 a caller that maximizes negates its costs and its result. Row i gets a slack
-s_i with A x + s = b, the row sense folded into the slack's bounds, and every
-variable carries individual (possibly infinite) bounds handled directly in the
-basis logic: nonbasic variables rest at a finite bound (free ones at zero).
+s_i with A x + s = b, the row sense folded into the slack's bounds. Every LP
+is solved over a box: the structural variables have finite bounds, each slack
+has at least one, and a nonbasic variable rests at a finite bound.
 A basis is the basic column of each row plus B^-1, updated by one rank-1
 product per pivot. Two algorithms share it, and only the dual simplex
 reaches a feasible basis or proves that none exists:
@@ -44,12 +44,11 @@ error is bounded outward, and the leaving row of B^-1 combines the rows into
 one that no point of the box satisfies, whatever the current point. Only when
 that bound falls short of c'x, or the row's certificate fails, is B^-1
 refactorized, x_B recomputed and every reduced cost repriced; iteration
-resumes if the claim no longer holds, and an infeasibility claim then rests
-on the float Farkas row ``_Lp.row_is_infeasible``. ``LpResult.bound`` carries
-the certified bound. A warm start refactorizes an inverse that has taken
-``_REFACTOR_AFTER`` updates.
-A cold solve that exhausts its iterations, or whose basis cannot be carried
-on, surfaces as an explicit numerical-failure status.
+resumes if the claim no longer holds, and a Farkas row that still fails
+makes no claim. ``LpResult.bound`` of an optimum is its certified bound. A
+warm start refactorizes an inverse that has taken ``_REFACTOR_AFTER``
+updates. A cold solve that exhausts its iterations, or whose basis cannot be
+carried on, surfaces as an explicit numerical-failure status.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ def _gamma(k: int) -> float:
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     NUMERICAL = "numerical_failure"
 
 
@@ -114,9 +112,9 @@ class Basis:
 @dataclass
 class LpResult:
     """``objective`` is c'x at the reported point. ``bound`` is a rigorous
-    lower bound on the optimum: the certified bound of an OPTIMAL result, or
-    its objective checked on a fresh factorization where a column with an
-    infinite bound leaves the certificate open; inf when INFEASIBLE."""
+    lower bound on the optimum: the certified bound of an OPTIMAL result
+    (``certified_bound``; -inf only when the duals are not finite), inf when
+    INFEASIBLE, NaN when NUMERICAL."""
 
     status: LpStatus
     objective: float
@@ -180,9 +178,11 @@ def solve_bounded_lp(
     begins at ``start`` (typically a feasible basis of an LP that differs only
     in costs, where that phase ends at once), or at the slack basis when
     there is none or it does not fit. Either way INFEASIBLE is claimed only
-    by the dual simplex's Farkas row. ``max_iters`` caps the pivots of each
-    attempt, and the result's ``iterations`` and ``refactorizations`` count
-    those of both.
+    by the dual simplex's certified Farkas row. ``max_iters`` caps the pivots
+    of each attempt, and the result's ``iterations`` and ``refactorizations``
+    count those of both. lo and hi must be finite: ``solver._min_form``
+    checks that, this hot path does not. Without a box a solve may fail or
+    raise, but its INFEASIBLE claims and its bounds stay certified.
     """
     m = form.full.shape[0]
     if max_iters is None:
@@ -223,16 +223,16 @@ def basic_point(form: LpForm, lo: np.ndarray, hi: np.ndarray,
 def certified_bound(form: LpForm, lo: np.ndarray, hi: np.ndarray,
                     y: np.ndarray, cost: np.ndarray) -> float:
     """A rigorous lower bound on min cost'x over the rows of ``form`` under
-    lo <= x <= hi (structural columns), from any row multipliers y:
+    the box lo <= x <= hi (structural columns), from any row multipliers y:
     y'b + sum_j min over [lo_j, hi_j] of (cost - A'y)_j x_j.
 
     y is first projected onto ``form.y_lo`` <= y <= ``form.y_hi``, where
     every slack's term is exactly zero, since slack columns are unit
     vectors. Each reduced cost is widened by gamma_k (|y|'|A| + |cost|) and
     the final sum by gamma_k times its terms' magnitudes, so no rounding can
-    lift the result above the true minimum. -inf when a column with an infinite bound
-    has a reduced cost of uncertain sign, or y is not finite. With cost = 0,
-    a result above 0 proves the rows infeasible over the box.
+    lift the result above the true minimum. -inf when y, or the sum, is not
+    finite. With cost = 0, a result above 0 proves the rows infeasible over
+    the box.
     """
     if not np.isfinite(y).all():
         return -INF
@@ -242,22 +242,14 @@ def certified_bound(form: LpForm, lo: np.ndarray, hi: np.ndarray,
     err = g * (np.abs(y) @ form.abs_a + np.abs(cost))
     d_lo = np.nextafter(d - err, -INF)
     d_hi = np.nextafter(d + err, INF)
-    with np.errstate(invalid="ignore"):  # 0 * inf: that term is 0
-        t = np.minimum(np.minimum(d_lo * lo, d_lo * hi),
-                       np.minimum(d_hi * lo, d_hi * hi))
-    t[np.isnan(t)] = 0.0
+    t = np.minimum(np.minimum(d_lo * lo, d_lo * hi),
+                   np.minimum(d_hi * lo, d_hi * hi))
     yb = float(y @ form.b)
     total = yb + float(t.sum())
     if not math.isfinite(total):
         return -INF
     err = g * (float(np.abs(y) @ np.abs(form.b)) + abs(yb) + float(np.abs(t).sum()))
     return float(np.nextafter(total - err, -INF))
-
-
-def _resting_point(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Where a nonbasic variable rests by default: its lower bound, else its
-    upper bound, else zero."""
-    return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
 
 
 class _Lp:
@@ -405,14 +397,8 @@ class _Lp:
             x = self.x[:n].copy()
             at_upper = ~self.is_basic & (self.x == self.hi) & (self.lo < self.hi)
             basis = Basis(self.basis.copy(), at_upper, self.binv, self.updates)
-            obj = float(self.cost[:n] @ x)
-            bound = self.optimum_bound()
-            if bound == -INF:  # open certificate: the optimum checked fresh
-                bound = obj
-            return LpResult(status, obj, x, self.iters, basis, bound, self.refactors)
-        if status is LpStatus.UNBOUNDED:
-            return LpResult(status, -INF, None, self.iters, bound=-INF,
-                            refactorizations=self.refactors)
+            return LpResult(status, float(self.cost[:n] @ x), x, self.iters, basis,
+                            self.optimum_bound(), self.refactors)
         bound = INF if status is LpStatus.INFEASIBLE else math.nan
         return LpResult(status, math.nan, None, self.iters, bound=bound,
                         refactorizations=self.refactors)
@@ -424,9 +410,9 @@ class _Lp:
         ``begin`` loaded when ``started``, else from the slack basis."""
         n = self.n
         if not started:
-            lo, hi, x = self.lo, self.hi, self.x
+            x = self.x
             self.binv = np.eye(self.m)
-            x[:n] = _resting_point(lo[:n], hi[:n])
+            x[:n] = self.lo[:n]
             # each slack holds its row's residual even outside its own bounds
             x[n:] = self.b - self.full[:, :n] @ x[:n]
         # under a zero objective every basis is dual feasible, so the dual
@@ -494,8 +480,8 @@ class _Lp:
                 t_block = INF
 
             t_star = min(flip, t_block)
-            if not np.isfinite(t_star):
-                return LpStatus.UNBOUNDED
+            if not np.isfinite(t_star):  # over a box, only round-off does this
+                return LpStatus.NUMERICAL
 
             degen_streak = degen_streak + 1 if t_star <= _TOL_DEG else 0
 
@@ -538,7 +524,8 @@ class _Lp:
         self.is_basic[:] = False
         self.is_basic[basic] = True
         lo, hi = self.lo, self.hi
-        self.x = np.where(at_upper & np.isfinite(hi), hi, _resting_point(lo, hi))
+        # a GE row's slack has no lower bound to rest at
+        self.x = np.where((at_upper & np.isfinite(hi)) | np.isinf(lo), hi, lo)
         return True
 
     def begin(self, start: Basis, max_updates: int, max_cond: float = _MAX_COND) -> bool:
@@ -580,7 +567,8 @@ class _Lp:
         reduced costs ``d``; ``fresh`` says B^-1 was just factorized.
 
         Returns OPTIMAL (the basis is primal feasible) or INFEASIBLE, or None
-        when the basis cannot be carried on or the iteration cap is reached.
+        when the basis cannot be carried on, the iteration cap is reached or
+        a Farkas row fails its certificate on a fresh factorization.
         A claim is certified (``certified_bound``), or else checked on a
         fresh factorization. With ``certify`` False an OPTIMAL claim is always
         checked that way, since under a zero cost every basis has bound 0.
@@ -620,13 +608,12 @@ class _Lp:
             if not cand.size:
                 if self.certifies_infeasible(r, to_lower):
                     return LpStatus.INFEASIBLE
-                if not fresh:
-                    d = self.refresh(cost)  # re-check the claim on fresh values
-                    if d is None:
-                        return None
-                    fresh = True
-                    continue
-                return LpStatus.INFEASIBLE if self.row_is_infeasible(r, alpha, to_lower) else None
+                # re-check the claim on fresh values; no claim if it still fails
+                d = None if fresh else self.refresh(cost)
+                if d is None:
+                    return None
+                fresh = True
+                continue
 
             dj = np.where(via_up[cand], np.maximum(d[cand], 0.0), np.maximum(-d[cand], 0.0))
             aj = np.abs(alpha[cand])
@@ -661,17 +648,3 @@ class _Lp:
             x[leaving] = target
             self.pivot(r, q, w)
             d[self.basis] = 0.0
-
-    def row_is_infeasible(self, r: int, alpha: np.ndarray, to_lower: bool) -> bool:
-        """Whether moving every nonbasic variable within its bounds still
-        leaves x_Br short of its violated bound (x_B = B^-1 b - alpha_N x_N)."""
-        nb = ~self.is_basic
-        g = -alpha[nb] if to_lower else alpha[nb]
-        xn, lo, hi = self.x[nb], self.lo[nb], self.hi[nb]
-        with np.errstate(invalid="ignore"):
-            reach = np.where(g > 0, g * (hi - xn), np.where(g < 0, g * (lo - xn), 0.0))
-        # round-off entries may not open an infinite range
-        reach[(np.abs(g) <= _TOL_PIV) & np.isinf(reach)] = 0.0
-        j = self.basis[r]
-        gap = self.lo[j] - self.x[j] if to_lower else self.x[j] - self.hi[j]
-        return float(np.sum(reach)) < gap - _TOL_FEAS

@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mipmodel import Assignment, DenseLp, MipModel
+from .mipmodel import Assignment, DenseLp, MipModel, ModelError
 from .simplex import (Basis, LpForm, LpResult, LpStatus, basic_point, lp_form,
                       solve_bounded_lp)
 
@@ -77,9 +77,10 @@ _HEAP_INVERSE_BYTES = 1 << 19
 
 
 class SolveStatus(Enum):
+    """How a solve ended; a model is solved over a box, so never unbounded."""
+
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     FEASIBLE_BOUND = "feasible_bound"  # incumbent + valid bound, proof incomplete
     LIMIT = "limit"
 
@@ -153,8 +154,14 @@ class SolveResult:
 
 def _min_form(model: MipModel) -> tuple[DenseLp, LpForm, float]:
     """The model's dense arrays, its LP as the simplex's minimization, and
-    the sign (-1 when the model maximizes) that orients the form's values."""
+    the sign (-1 when the model maximizes) that orients the form's values.
+    Raises ``ModelError`` naming a variable with an infinite bound, since the
+    simplex solves over a box."""
     d = model.dense_arrays()
+    unboxed = np.flatnonzero(~np.isfinite(d.lo) | ~np.isfinite(d.hi))
+    if unboxed.size:
+        v = model.variables[unboxed[0]]
+        raise ModelError(f"variable {v.name!r}: a solve needs finite bounds, not [{v.lo}, {v.hi}]")
     sign = -1.0 if d.maximize else 1.0
     return d, lp_form(sign * d.c, d.a, d.senses, d.rhs), sign
 
@@ -280,7 +287,7 @@ def solve(model: MipModel, config: SolveConfig | None = None,
 
     push(_Node(bound=-INF, lo=d.lo.copy(), hi=d.hi.copy()))
     node: _Node | None = None  # the plunge child, when there is one
-    unbounded = limit_hit = False
+    limit_hit = False
     while node is not None or heap:
         if node is None:
             node = heapq.heappop(heap)[2]
@@ -311,9 +318,6 @@ def solve(model: MipModel, config: SolveConfig | None = None,
         if nodes % 512 == 0:
             record()
 
-        if res.status is LpStatus.UNBOUNDED:
-            unbounded = True
-            break
         if res.status is LpStatus.NUMERICAL:
             clean = False
             prune_floor = min(prune_floor, node.bound)
@@ -364,9 +368,7 @@ def solve(model: MipModel, config: SolveConfig | None = None,
     current = INF
     record()
     bound = dual()  # INF when the search ends with no incumbent and clean
-    if unbounded:
-        status, best_obj, bound, best_x = SolveStatus.UNBOUNDED, -INF, -INF, None
-    elif limit_hit or (best_x is None and not clean):
+    if limit_hit or (best_x is None and not clean):
         status = SolveStatus.LIMIT
     elif best_x is None:
         status = SolveStatus.INFEASIBLE

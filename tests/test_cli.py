@@ -306,6 +306,17 @@ class TestXiAndMaxAlpha:
         assert "status   limit" in out
         assert "excluded" not in out
 
+    def test_queries_need_two_classes(self, tmp_path, capsys):
+        net = tmp_path / "one_class.json"
+        net.write_text(json.dumps(
+            {"input_dim": 1, "input_bounds": [[-1, 1]],
+             "layers": [{"kind": "linear_output", "weights": [[0.0], [1.0]]},
+                        {"kind": "softmax"}]}))
+        assert main(["max-alpha", "--net", str(net), "--class", "1"]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: queries need at least two classes; the network has 1\n"
+
     def test_max_alpha(self, capsys):
         code = main(["max-alpha", "--net", "two_class_linear", "--class", "1"])
         assert code == EXIT_OK

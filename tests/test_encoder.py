@@ -28,9 +28,11 @@ from resilmip.encoder import (
     encode_relu,
     encode_strong_classification,
     encode_window,
+    validate_query,
 )
 from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
-from resilmip.network import LayerKind, LayerSpec, Network, class_scores, forward
+from resilmip.network import (DENSE_KINDS, LayerKind, LayerSpec, Network, class_scores,
+                              forward, network_from_dict)
 from resilmip.oracle import encoding_consistency
 from resilmip.simplex import LpStatus
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
@@ -663,3 +665,68 @@ class TestForwardRepair:
         box = 4 - depth  # the window boxes layer position `box` and encodes 3
         trace = forward(net, out[repair.copy.x_ids[box]], first=box)
         assert np.array_equal(out[input_ids], trace.x[3 - box - 1])
+
+
+# A softmax net with one class: eval and bounds take it, no query does.
+ONE_CLASS = {"input_dim": 1, "input_bounds": [[-1, 1]],
+             "layers": [{"kind": "linear_output", "weights": [[0.0], [1.0]]},
+                        {"kind": "softmax"}]}
+
+
+@pytest.mark.parametrize("kind", list(QueryKind))
+def test_queries_need_two_classes(kind):
+    net = network_from_dict(ONE_CLASS)
+    spec = QuerySpec(kind, m=1, alpha=math.e, a=np.zeros(1), delta=0.1)
+    with pytest.raises(EncodingError, match="at least two classes; the network has 1"):
+        validate_query(net, spec)
+
+
+def _built_models(net):
+    """Every model the program builds for ``net``: each query kind (phi over
+    a free and a fixed anchor), lookback's windows at depths 2 and 3 and the
+    evaluation model, over the plain bounds and over a budget box's."""
+    lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+    a = (lo + hi) / 2
+    delta = 0.25 * float(np.mean(hi - lo))
+    specs = [QuerySpec(QueryKind.STRONG_ANCHOR, m=1, alpha=math.e),
+             QuerySpec(QueryKind.MAX_ALPHA, m=1),
+             QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e),
+             QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e, a=a),
+             QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, alpha=math.e, a=a, delta=delta)]
+    budget = (np.maximum(lo, a - delta), np.minimum(hi, a + delta))
+    for bounds in (propagate_intervals(net), propagate_intervals(net, budget)):
+        for spec in specs:
+            yield encode_query(net, bounds, spec).model
+        for pos, layer in enumerate(net.layers, start=1):
+            if pos >= 2 and layer.kind in DENSE_KINDS:
+                for depth in (2, 3):
+                    yield encode_window(net, bounds, pos, depth)[0]
+        yield encode_network_eval(net, bounds)[0]
+
+
+def _assert_boxed(models):
+    """Every variable has finite bounds, so ``solve`` takes every model."""
+    n = 0
+    for model in models:
+        for v in model.variables:
+            assert math.isfinite(v.lo) and math.isfinite(v.hi), (model.name, v.name)
+        n += 1
+    assert n > 0
+
+
+@given(seed=st.integers(0, 100_000), input_dim=st.integers(1, 3),
+       hidden=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       classes=st.integers(2, 3))
+@settings(max_examples=25)
+def test_random_nets_build_only_boxed_models(seed, input_dim, hidden, classes):
+    net = zoo.random_relu_net(np.random.default_rng(seed), input_dim=input_dim,
+                              hidden=tuple(hidden), classes=classes)
+    _assert_boxed(_built_models(net))
+
+
+def test_fixtures_build_only_boxed_models():
+    nets = [build() for build in zoo.FIXTURES.values()]
+    nets = [net for net in nets if net.ends_in_softmax]
+    assert nets
+    for net in nets:
+        _assert_boxed(_built_models(net))

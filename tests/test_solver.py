@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from resilmip import encoder, simplex, solver, zoo
 from resilmip.dataflow import propagate_intervals, tighten_lookback
 from resilmip.encoder import QueryKind, QuerySpec
-from resilmip.mipmodel import MipModel, ObjSense, RowSense, check_feasible
+from resilmip.mipmodel import MipModel, ModelError, ObjSense, RowSense, check_feasible
 from resilmip.oracle import enumerate_mip
 from resilmip.resilience import compute_max_alpha, compute_xi
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp, worker_pool
@@ -98,15 +98,6 @@ class TestKnownMips:
         assert r.objective == pytest.approx(2.0)
         assert r.nodes_explored == 1
 
-    def test_unbounded_mip(self):
-        m = MipModel("unb")
-        x = m.add_variable("x", 0.0, math.inf)
-        b = m.add_binary("b")
-        m.add_constraint("r", [(x, -1.0), (b, 1.0)], RowSense.LE, 0.0)
-        m.set_objective([(x, 1.0)], ObjSense.MAXIMIZE)
-        r = solve(m.freeze(), SolveConfig())
-        assert r.status is SolveStatus.UNBOUNDED
-
     def test_integral_relaxation_skips_branching(self):
         # relaxation optimum already integral: one node suffices
         m = _knapsack([1, 1], [1, 1], 2)
@@ -114,6 +105,34 @@ class TestKnownMips:
         assert r.status is SolveStatus.OPTIMAL
         assert r.objective == pytest.approx(2.0)
         assert r.nodes_explored == 1
+
+
+class TestSolvesOverABox:
+    @pytest.mark.parametrize("entry", [solve, solve_lp])
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
+                                        (-math.inf, math.inf)])
+    def test_an_infinite_bound_is_a_model_error(self, entry, lo, hi):
+        m = MipModel("open")
+        y = m.add_variable("y", 0.0, 1.0)
+        x = m.add_variable("x", lo, hi)
+        m.add_variable("z", -math.inf, math.inf)
+        b = m.add_binary("b")
+        m.add_constraint("r", [(x, -1.0), (y, 1.0), (b, 1.0)], RowSense.LE, 0.0)
+        m.set_objective([(x, 1.0)], ObjSense.MAXIMIZE)
+        with pytest.raises(ModelError, match="variable 'x'"):
+            entry(m.freeze())
+
+    def test_an_uncertified_farkas_row_claims_nothing(self, monkeypatch):
+        # x in [0, 1] with x >= 2 is infeasible, but with every certificate
+        # open the LP is a numerical failure and the solve is not clean
+        monkeypatch.setattr(simplex, "certified_bound", lambda *args: -math.inf)
+        m = MipModel("farkas")
+        x = m.add_variable("x", 0.0, 1.0)
+        m.add_constraint("r", [(x, 1.0)], RowSense.GE, 2.0)
+        model = m.freeze()
+        assert solve_lp(model).status is simplex.LpStatus.NUMERICAL
+        r = solve(model, SolveConfig())
+        assert r.status is SolveStatus.LIMIT and r.assignment is None
 
 
 class TestResultContract:
