@@ -180,10 +180,13 @@ def solve_bounded_lp(
     there is none or it does not fit. Either way INFEASIBLE is claimed only
     by the dual simplex's certified Farkas row. ``max_iters`` caps the pivots
     of each attempt, and the result's ``iterations`` and ``refactorizations``
-    count those of both. lo and hi must be finite: ``solver._min_form``
-    checks that, this hot path does not. Without a box a solve may fail or
-    raise, but its INFEASIBLE claims and its bounds stay certified.
+    count those of both. lo and hi must be finite: a ``ValueError`` names
+    the first variable whose bound is not.
     """
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"variable {j}: an LP is solved over a box, not [{lo[j]}, {hi[j]}]")
     m = form.full.shape[0]
     if max_iters is None:
         max_iters = 5000 + 200 * (3 * m + lo.shape[0])

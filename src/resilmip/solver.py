@@ -43,10 +43,13 @@ incumbent itself; it is therefore a valid bound at every report point, not
 only at the end.
 
 Parallelism lives above single solves: ``worker_pool`` runs independent
-sub-solves (lookback's window MIPs, xi's per-class phi queries) in worker
-processes, since threads would serialize on the interpreter lock. The query
-clock lives here too: ``query_deadline`` fixes one deadline when a query
-starts, and ``time_left`` gives each of its solves the time left.
+sub-solves (lookback's window MIPs, xi's per-class phi queries) in forked
+processes, since threads would serialize on the interpreter lock. Each batch
+of jobs forks its own children and the calling process runs a share of the
+jobs itself, so a batch pays one fork per extra process and pickles only its
+results. The query clock lives here too: ``query_deadline`` fixes one
+deadline when a query starts, and ``time_left`` gives each of its solves the
+time left.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -118,26 +121,129 @@ def worker_pool(workers: int):
     """Yield ``pmap(fn, jobs)``: the list of ``fn(job)`` over ``jobs``, in job
     order, for independent sub-solves.
 
-    ``workers`` is capped at ``os.cpu_count()``, since a fork-context pool
-    starts all its processes at the first submit. At one worker the jobs run
-    in this process, one after another. Otherwise they run in forked
-    processes, which every ``pmap`` inside the ``with`` block shares; ``fn``
-    must then be a module-level function, and each job and result must
-    pickle. Forked workers start with
-    numpy and resilmip already imported, which a spawned worker would import
+    Each ``pmap`` call runs its jobs in k = min(workers, os.cpu_count(),
+    len(jobs)) processes: this one and k - 1 children forked for the call.
+    Process p starts with job p, then takes the first job no process has
+    taken, so a slow job holds up no other (past 1024 jobs, chunks of
+    consecutive jobs are taken instead). Every child has exited when
+    ``pmap`` returns or raises, so the ``with`` block holds no process
+    between calls, and at k = 1 nothing is forked. A child inherits ``fn``
+    and the jobs through the fork, so ``fn`` may be any callable, a closure
+    or a lambda too; only the results come back, pickled through one pipe
+    per child, and they must pickle. An exception raised in a child is raised
+    again here, with the child's traceback as its cause; one that does not
+    pickle comes back as a ``RuntimeError`` carrying that traceback. A child
+    that exits without results raises a ``RuntimeError``. If this process's
+    own share raises, the children are killed. Forked children start with
+    numpy and resilmip already imported, which a spawned one would import
     again; the solver starts no threads that a fork could copy mid-operation.
     """
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        yield lambda fn, jobs: [fn(job) for job in jobs]
-        return
-    # imported here: concurrent.futures.process alone takes about 35 ms
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    yield lambda fn, jobs: _forked_map(fn, list(jobs), workers)
 
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        yield lambda fn, jobs: list(pool.map(fn, jobs))
+
+def _forked_map(fn, jobs: list, workers: int) -> list:
+    """``worker_pool``'s pmap over at most ``workers`` processes."""
+    n = len(jobs)
+    if min(workers, n) <= 1:
+        return [fn(job) for job in jobs]
+    import pickle  # already loaded, like sys: numpy imports it
+    import sys
+
+    size = -(-n // 1024)  # jobs per chunk: at most 1024 chunks
+    chunks = -(-n // size)
+    k = min(workers, chunks)
+    # process p (0 is this one) starts with chunk p and then takes the next
+    # chunk from the queue, the remaining chunk numbers 4 bytes apiece: at
+    # most 4 KB, which any pipe holds before a reader exists
+    queue, w = os.pipe()
+    os.write(w, np.arange(k, chunks, dtype="<u4").tobytes())
+    os.close(w)
+
+    def take(chunk: int) -> dict:
+        """{i: fn(jobs[i])} over the jobs of ``chunk`` and of each chunk
+        taken from the queue after it, until the queue is empty."""
+        out = {}
+        while True:
+            for i in range(chunk * size, min((chunk + 1) * size, n)):
+                out[i] = fn(jobs[i])
+            taken = os.read(queue, 4)  # one read: no other process splits it
+            if not taken:
+                return out
+            chunk = int.from_bytes(taken, "little")
+
+    # a child flushes its stdio on exit, which would repeat buffered output
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids: list[int] = []  # pids[p - 1]: process p
+    pipes = []  # pipes[p - 1]: the read end of process p's results
+    reaped = 0  # children pids[:reaped] have been waited for
+    try:
+        for p in range(1, k):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(take, p, w, pipes)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = take(0)
+        for p, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
+            reply = pipe.read()  # to EOF before waiting: a child blocks on a full pipe
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = p
+            if not reply:
+                raise RuntimeError(f"worker process {pid} exited with code {code} "
+                                   "without its results")
+            ok, value, tb = pickle.loads(reply)
+            if not ok:
+                raise value from (None if tb is None else RuntimeError(tb))
+            results.update(value)
+        return [results[i] for i in range(n)]
+    finally:
+        os.close(queue)
+        for pipe in pipes:
+            pipe.close()
+        if reaped < len(pids):
+            import signal
+            for pid in pids[reaped:]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_share(take: Callable[[int], dict], chunk: int, w: int, pipes: list) -> NoReturn:
+    """A forked child's whole life: close the inherited read ends ``pipes``,
+    write ``(True, take(chunk), None)`` or ``(False, exception, traceback
+    text)`` pickled to the pipe end ``w``, and exit without returning to the
+    caller's code."""
+    import pickle  # already loaded, like sys and traceback
+    import sys
+    import traceback
+
+    code = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        try:
+            reply = pickle.dumps((True, take(chunk), None), -1)
+        except BaseException as exc:
+            tb = traceback.format_exc()
+            try:
+                reply = pickle.dumps((False, exc, tb), -1)
+                pickle.loads(reply)  # an exception that pickles may still not load
+            except Exception:
+                reply = pickle.dumps((False, RuntimeError(tb), None), -1)
+        with open(w, "wb") as out:
+            out.write(reply)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 @dataclass

@@ -61,6 +61,14 @@ class TestKnownInstances:
         assert r.status is LpStatus.OPTIMAL
         assert r.objective == pytest.approx(2 * 4 - 3 * -2)
 
+    @pytest.mark.parametrize("lo1, hi1", [(0.0, math.inf), (-math.inf, 5.0),
+                                          (math.nan, 5.0)])
+    def test_a_bound_that_is_not_finite_is_named(self, lo1, hi1):
+        # over an open box the simplex could raise deep inside or return an
+        # uncertified -inf bound; it refuses such an LP on entry instead
+        with pytest.raises(ValueError, match="^variable 1: "):
+            _solve([1, -1, 0], [[1, 1, 1]], [LE], [4], [0, lo1, 0], [5, hi1, math.inf])
+
     def test_degenerate_vertex(self):
         # many redundant rows through one vertex: must still terminate
         a = [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]]

@@ -2,10 +2,10 @@
 worker-count invariance."""
 
 import collections
-import concurrent.futures
 import heapq
 import math
 import os
+import time
 import types
 
 import numpy as np
@@ -385,29 +385,14 @@ class TestParallel:
                 assert np.array_equal(a.im_hi, b.im_hi)
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
-        # a stand-in: a fork-context pool would start every process at once
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers, mp_context):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        # six jobs: a broken cap forks at most five processes
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with worker_pool(5000) as pmap:
-            assert pmap(abs, [-1, 2, -3]) == [1, 2, 3]
+            pids = pmap(lambda job: os.getpid(), range(6))
+        assert len(set(pids)) <= 3
+        assert os.getpid() in pids
         with worker_pool(2) as pmap:
-            pmap(abs, [-1])
-        assert sizes == [3, 2]
+            assert pmap(lambda job: os.getpid(), [0]) == [os.getpid()]
 
     def test_larger_knapsack_parallel(self):
         vals = [4, 7, 2, 9, 5, 8, 3, 6, 1, 7, 5, 2]
@@ -416,6 +401,99 @@ class TestParallel:
         r4 = solve(_knapsack(vals, wts, 17).freeze(), SolveConfig(workers=4))
         assert r1.status is SolveStatus.OPTIMAL
         assert r4.objective == pytest.approx(r1.objective)
+
+
+class _NoPickle(Exception):
+    """Pickles, but cannot be unpickled: its constructor takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerPool:
+    """worker_pool's forked map: every child is reaped whatever happens, and
+    a child's failure surfaces in the caller."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # two processes per pmap, however many CPUs the host has
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_a_closure_runs_in_the_child_and_nothing_is_left(self):
+        caller = os.getpid()
+        scale = 3
+        with worker_pool(2) as pmap:
+            out = pmap(lambda job: (job * scale, os.getpid() != caller), range(5))
+        assert [v for v, _ in out] == [0, 3, 6, 9, 12]
+        # each process starts with its own job: job 0 here, job 1 in the child
+        assert [in_child for _, in_child in out[:2]] == [False, True]
+        _assert_no_child_left()
+
+    def test_more_jobs_than_the_queue_holds_come_back_in_order(self):
+        with worker_pool(2) as pmap:
+            assert pmap(lambda j: -j, range(2500)) == [-j for j in range(2500)]
+        _assert_no_child_left()
+
+    def test_a_child_exception_is_raised_in_the_caller(self):
+        caller = os.getpid()
+
+        def job(j):
+            if os.getpid() != caller:
+                raise ValueError(f"job {j} failed in the child")
+            return j
+
+        with worker_pool(2) as pmap, pytest.raises(ValueError, match="job 1 failed"):
+            pmap(job, [0, 1])
+        _assert_no_child_left()
+
+    def test_an_exception_that_does_not_unpickle_becomes_a_runtime_error(self):
+        def job(j):
+            if j == 1:
+                raise _NoPickle(1, 2)
+            return j
+
+        with worker_pool(2) as pmap, pytest.raises(RuntimeError, match="_NoPickle: 1 and 2"):
+            pmap(job, [0, 1])
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_mid_job_is_an_error_not_a_hang(self):
+        caller = os.getpid()
+
+        def job(j):
+            if os.getpid() != caller:
+                os._exit(3)
+            return j
+
+        with worker_pool(2) as pmap, pytest.raises(RuntimeError, match="code 3"):
+            pmap(job, [0, 1])
+        _assert_no_child_left()
+
+    def test_a_result_larger_than_the_pipe_buffer_comes_back_intact(self):
+        with worker_pool(2) as pmap:
+            out = pmap(lambda j: np.arange(200_000, dtype=np.float64) + j, [0, 1])
+        assert out[1].nbytes > 1 << 20
+        assert np.array_equal(out[1], np.arange(200_000) + 1.0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_failing_caller_share_kills_the_children(self, error):
+        caller = os.getpid()
+
+        def job(j):
+            if os.getpid() == caller:
+                raise error("the caller's share failed")
+            time.sleep(60)
+
+        t0 = time.monotonic()
+        with worker_pool(2) as pmap, pytest.raises(error):
+            pmap(job, [0, 1])
+        assert time.monotonic() - t0 < 30  # killed, not waited for
+        _assert_no_child_left()
 
 
 class TestSolveLp:
