@@ -13,8 +13,9 @@ Each command takes the parsed arguments and the loaded network, prints its
 result and returns (exit code, payload); main loads the network once and
 writes the payload as the sidecar, so a command that fails leaves none.
 COMMANDS maps each command to its help, handler and flag groups; main
-builds only the invoked command's parser from it, and the full tree only
-for -h, a missing or unknown command, or to report unrecognized arguments.
+builds only the invoked command's parser from it, once per process, and the
+full tree only for -h, a missing or unknown command, or to report
+unrecognized arguments.
 The RESILMIP_WORKERS environment variable sets the default --workers, the
 number of processes that run independent sub-solves side by side.
 """
@@ -402,10 +403,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+_PARSERS: dict[str, argparse.ArgumentParser] = {}  # built by main's first call of each command
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     cmd = argv[0] if argv and argv[0] in COMMANDS else None
-    args, extra = build_parser(cmd).parse_known_args(argv[1:] if cmd else argv)
+    parser = build_parser() if cmd is None else _PARSERS.get(cmd)
+    if parser is None:
+        parser = _PARSERS[cmd] = build_parser(cmd)
+    if parser.get_default("workers") is not None:  # RESILMIP_WORKERS may have changed
+        parser.set_defaults(workers=_default_workers())
+    args, extra = parser.parse_known_args(argv[1:] if cmd else argv)
     if cmd is None or extra:  # -h, no known command or a stray argument: the full tree reports it
         args = build_parser().parse_args(argv)
         cmd = args.command

@@ -6,7 +6,9 @@ s_i with A x + s = b, the row sense folded into the slack's bounds. Every LP
 is solved over a box: the structural variables have finite bounds, each slack
 has at least one, and a nonbasic variable rests at a finite bound.
 A basis is the basic column of each row plus B^-1, updated by one rank-1
-product per pivot. Two algorithms share it, and only the dual simplex
+product per pivot. The masks of the nonbasic columns that may increase or
+decrease are kept across pivots too: a pivot updates the entering and the
+leaving column's. Two algorithms share the basis, and only the dual simplex
 reaches a feasible basis or proves that none exists:
 
 * The dual simplex. The leaving row is chosen by dual steepest edge with
@@ -139,6 +141,7 @@ class LpForm:
     cost: np.ndarray
     b: np.ndarray
     abs_a: np.ndarray  # |A| of the structural columns, for error bounds
+    abs_b: np.ndarray  # |b|, likewise
     # the range of each row's multiplier for which its slack's term in a
     # certified bound is zero: LE rows y_i <= 0, GE rows y_i >= 0
     y_lo: np.ndarray
@@ -153,6 +156,7 @@ def lp_form(c: np.ndarray, a: np.ndarray, senses: list[RowSense], b: np.ndarray)
     arrays = (np.hstack([a, np.eye(m)]), slack_lo, slack_hi,
               np.concatenate([np.asarray(c, dtype=float), np.zeros(m)]),
               np.array(b, dtype=float), np.abs(np.asarray(a, dtype=float)),
+              np.abs(np.asarray(b, dtype=float)),
               np.where(np.isinf(slack_lo), 0.0, -INF),
               np.where(np.isinf(slack_hi), 0.0, INF))
     for arr in arrays:
@@ -239,10 +243,11 @@ def certified_bound(form: LpForm, lo: np.ndarray, hi: np.ndarray,
     """
     if not np.isfinite(y).all():
         return -INF
-    y = np.clip(y, form.y_lo, form.y_hi)
+    y = np.minimum(np.maximum(y, form.y_lo), form.y_hi)  # np.clip, bit for bit
+    abs_y = np.abs(y)
     g = _gamma(2 * (lo.shape[0] + y.shape[0]) + 4)
     d = cost - y @ form.full[:, :lo.shape[0]]
-    err = g * (np.abs(y) @ form.abs_a + np.abs(cost))
+    err = g * (abs_y @ form.abs_a + np.abs(cost))
     d_lo = np.nextafter(d - err, -INF)
     d_hi = np.nextafter(d + err, INF)
     t = np.minimum(np.minimum(d_lo * lo, d_lo * hi),
@@ -251,13 +256,13 @@ def certified_bound(form: LpForm, lo: np.ndarray, hi: np.ndarray,
     total = yb + float(t.sum())
     if not math.isfinite(total):
         return -INF
-    err = g * (float(np.abs(y) @ np.abs(form.b)) + abs(yb) + float(np.abs(t).sum()))
-    return float(np.nextafter(total - err, -INF))
+    err = g * (float(abs_y @ form.abs_b) + abs(yb) + float(np.abs(t).sum()))
+    return math.nextafter(total - err, -INF)
 
 
 class _Lp:
     """Working state of one solve attempt: the columns [A | I], their bounds
-    and costs, the current point, the basis and B^-1."""
+    and costs, the current point, the basis, B^-1 and ``movable``'s masks."""
 
     def __init__(self, form: LpForm, lo, hi, max_iters):
         m, n_full = form.full.shape
@@ -269,11 +274,9 @@ class _Lp:
         self.hi = np.concatenate([hi, form.slack_hi])
         self.cost = form.cost
         self.b = form.b
-        self.x = np.zeros(n + m)
-        self.basis = n + np.arange(m, dtype=np.int64)
-        self.is_basic = np.zeros(n + m, dtype=bool)
-        self.is_basic[self.basis] = True
+        # x, basis, is_basic, up and down: set by load, or by cold at the slack basis
         self.binv = np.empty((0, 0))  # B^-1: set by cold, warm or refactor
+        self.outer = np.empty((m, m))  # the rank-1 term of each pivot
         self.max_iters = max_iters
         self.iters = 0
         self.updates = 0  # rank-1 updates of binv since its factorization
@@ -310,8 +313,8 @@ class _Lp:
         n, m = self.n, self.m
         basis = self.basis
         unit = basis >= n
-        upos = np.flatnonzero(unit)
-        spos = np.flatnonzero(~unit)
+        upos = unit.nonzero()[0]
+        spos = (~unit).nonzero()[0]
         t = basis[upos] - n
         in_t = np.zeros(m, dtype=bool)
         in_t[t] = True
@@ -319,11 +322,11 @@ class _Lp:
         binv[upos, t] = 1.0
         b_norm = 1.0
         if spos.size:
-            rrows = np.flatnonzero(~in_t)
+            rrows = (~in_t).nonzero()[0]
             a_s = self.full[:, basis[spos]]
             minv = np.linalg.inv(a_s[rrows])
-            binv[np.ix_(spos, rrows)] = minv
-            binv[np.ix_(upos, rrows)] = -(a_s[t] @ minv)
+            binv[spos[:, None], rrows] = minv
+            binv[upos[:, None], rrows] = -(a_s[t] @ minv)
             b_norm = max(b_norm, float(np.abs(a_s).sum(axis=0).max()))
         return binv, b_norm
 
@@ -343,31 +346,35 @@ class _Lp:
         return nb & (self.x < self.hi), nb & (self.x > self.lo)
 
     def pivot(self, r: int, q: int, w: np.ndarray) -> None:
-        """Column q replaces the basic column of row position r; w = B^-1 a_q."""
+        """Column q replaces the basic column of row position r, parked on a
+        bound by the caller; w = B^-1 a_q, which this overwrites."""
         binv = self.binv
         binv[r] /= w[r]
-        col = w.copy()
-        col[r] = 0.0
-        binv -= np.outer(col, binv[r])
+        w[r] = 0.0
+        binv -= np.multiply(w[:, None], binv[r], out=self.outer)
         self.updates += 1
         self.bound = None
-        self.is_basic[self.basis[r]] = False
+        leaving = self.basis[r]
+        self.is_basic[leaving] = False
         self.is_basic[q] = True
         self.basis[r] = q
+        self.up[q] = self.down[q] = False
+        self.up[leaving] = self.x[leaving] < self.hi[leaving]
+        self.down[leaving] = self.x[leaving] > self.lo[leaving]
 
     def make_dual_feasible(self, d: np.ndarray) -> bool:
         """Flip every boxed nonbasic column whose reduced cost has the wrong
         sign to its other bound; False if an unboxed one has."""
-        up, down = self.movable()
-        wrong = (up & (d < -_TOL_DJ)) | (down & (d > _TOL_DJ))
+        wrong = (self.up & (d < -_TOL_DJ)) | (self.down & (d > _TOL_DJ))
         if not wrong.any():
             return True
-        j = np.flatnonzero(wrong)
+        j = wrong.nonzero()[0]
         lo, hi = self.lo[j], self.hi[j]
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             return False
         self.x[j] = np.where(self.x[j] == lo, hi, lo)
         self.set_basic_values()
+        self.up, self.down = self.movable()
         return True
 
     def optimum_bound(self) -> float:
@@ -398,8 +405,8 @@ class _Lp:
         if status is LpStatus.OPTIMAL:
             n = self.n
             x = self.x[:n].copy()
-            at_upper = ~self.is_basic & (self.x == self.hi) & (self.lo < self.hi)
-            basis = Basis(self.basis.copy(), at_upper, self.binv, self.updates)
+            # a nonbasic column rests on a bound, its upper one if it may only decrease
+            basis = Basis(self.basis.copy(), self.down & ~self.up, self.binv, self.updates)
             return LpResult(status, float(self.cost[:n] @ x), x, self.iters, basis,
                             self.optimum_bound(), self.refactors)
         bound = INF if status is LpStatus.INFEASIBLE else math.nan
@@ -411,16 +418,19 @@ class _Lp:
     def cold(self, started: bool) -> LpStatus:
         """Dual simplex to a feasible basis, then primal; from the basis that
         ``begin`` loaded when ``started``, else from the slack basis."""
-        n = self.n
+        n, m = self.n, self.m
         if not started:
-            x = self.x
-            self.binv = np.eye(self.m)
+            self.basis = n + np.arange(m, dtype=np.int64)
+            self.is_basic = np.arange(n + m) >= n
+            self.binv = np.eye(m)
+            x = self.x = np.empty(n + m)
             x[:n] = self.lo[:n]
             # each slack holds its row's residual even outside its own bounds
             x[n:] = self.b - self.full[:, :n] @ x[:n]
+            self.up, self.down = self.movable()
         # under a zero objective every basis is dual feasible, so the dual
         # simplex can drive it to a primal feasible one
-        zero = np.zeros(n + self.m)
+        zero = np.zeros(n + m)
         status = self.dual(zero, zero.copy(), fresh=self.updates == 0, certify=False)
         if status is not LpStatus.OPTIMAL:
             return status or LpStatus.NUMERICAL
@@ -441,9 +451,8 @@ class _Lp:
         degen_streak = 0
         while True:
             d = self.reduced_costs(self.cost)
-            up, down = self.movable()
-            can_incr = up & (d < -_TOL_DJ)
-            can_decr = down & (d > _TOL_DJ)
+            can_incr = self.up & (d < -_TOL_DJ)
+            can_decr = self.down & (d > _TOL_DJ)
             if not (can_incr.any() or can_decr.any()):
                 if fresh:
                     return None
@@ -458,10 +467,10 @@ class _Lp:
 
             bland = degen_streak >= _LEAST_INDEX_AFTER
             if bland:
-                j = int(np.flatnonzero(can_incr | can_decr)[0])
+                j = int((can_incr | can_decr).argmax())  # the first one
             else:
                 score = np.where(can_incr, -d, np.where(can_decr, d, 0.0))
-                j = int(np.argmax(score))
+                j = int(score.argmax())
             sigma = 1.0 if can_incr[j] else -1.0
 
             # ratio test
@@ -470,15 +479,12 @@ class _Lp:
             w = self.binv @ self.full[:, j]
             if m:
                 delta = -sigma * w
-                tvec = np.full(m, INF)
-                up_b = delta > _TOL_PIV
-                dn_b = delta < -_TOL_PIV
-                bvals = x[basis]
-                with np.errstate(invalid="ignore"):
-                    tvec[up_b] = (hi[basis[up_b]] - bvals[up_b]) / delta[up_b]
-                    tvec[dn_b] = (lo[basis[dn_b]] - bvals[dn_b]) / delta[dn_b]
+                # each basic variable's step to the bound it moves toward
+                limit = np.where(delta > 0, hi[basis], lo[basis])
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    tvec = np.where(np.abs(delta) > _TOL_PIV, (limit - x[basis]) / delta, INF)
                 np.maximum(tvec, 0.0, out=tvec)
-                t_block = float(np.min(tvec))
+                t_block = float(tvec.min())
             else:
                 t_block = INF
 
@@ -492,14 +498,15 @@ class _Lp:
                 # bound flip: the entering variable crosses to its other bound
                 x[j] = hi[j] if sigma > 0 else lo[j]
                 x[basis] -= sigma * t_star * w
+                self.up[j], self.down[j] = sigma < 0, sigma > 0  # now on the bound it moved to
                 continue
 
             near = tvec <= t_star * (1.0 + 1e-9) + 1e-12
-            rows = np.flatnonzero(near)
+            rows = near.nonzero()[0]
             if bland:
-                r = int(rows[np.argmin(basis[rows])])
+                r = int(rows[basis[rows].argmin()])
             else:
-                r = int(rows[np.argmax(np.abs(w[rows]))])
+                r = int(rows[np.abs(w[rows]).argmax()])
             if abs(w[r]) < _TOL_PIV:
                 return LpStatus.NUMERICAL
 
@@ -520,15 +527,17 @@ class _Lp:
         at_upper = np.asarray(start.at_upper, dtype=bool)
         if basic.shape != (m,) or at_upper.shape != (n + m,):
             return False
-        if m and (basic.min() < 0 or basic.max() >= n + m
-                  or np.bincount(basic, minlength=n + m).max() > 1):
+        if m and basic.view(np.uint64).max() >= n + m:  # unsigned, a negative one too
+            return False
+        is_basic = np.zeros(n + m, dtype=bool)
+        is_basic[basic] = True
+        if np.count_nonzero(is_basic) < m:
             return False  # a repeated column makes B singular
         self.basis = basic.copy()
-        self.is_basic[:] = False
-        self.is_basic[basic] = True
-        lo, hi = self.lo, self.hi
-        # a GE row's slack has no lower bound to rest at
-        self.x = np.where((at_upper & np.isfinite(hi)) | np.isinf(lo), hi, lo)
+        self.is_basic = is_basic
+        self.x = np.where(at_upper, self.hi, self.lo)
+        self.x[n:] = 0.0  # a slack's one finite bound, or both for an EQ row
+        self.up, self.down = self.movable()
         return True
 
     def begin(self, start: Basis, max_updates: int, max_cond: float = _MAX_COND) -> bool:
@@ -576,14 +585,14 @@ class _Lp:
         fresh factorization. With ``certify`` False an OPTIMAL claim is always
         checked that way, since under a zero cost every basis has bound 0.
         """
-        lo, hi = self.lo, self.hi
+        lo, hi, full = self.lo, self.hi, self.full
         degen_streak = 0
         while True:
-            x, basis = self.x, self.basis
+            x, basis, binv = self.x, self.basis, self.binv
             xb = x[basis]
             below = lo[basis] - xb
             viol = np.maximum(below, xb - hi[basis])
-            bad = np.flatnonzero(viol > _TOL_FEAS)
+            bad = (viol > _TOL_FEAS).nonzero()[0]
             if not bad.size:
                 if fresh or (certify and self.certifies_optimum()):
                     return LpStatus.OPTIMAL
@@ -595,19 +604,18 @@ class _Lp:
 
             bland = degen_streak >= _LEAST_INDEX_AFTER
             if bland:
-                r = int(bad[np.argmin(basis[bad])])
+                r = int(bad[basis[bad].argmin()])
             else:
-                rows = self.binv[bad]
+                rows = binv[bad]
                 weight = np.einsum("ij,ij->i", rows, rows)
-                r = int(bad[np.argmax(viol[bad] ** 2 / weight)])
+                r = int(bad[(viol[bad] ** 2 / weight).argmax()])
             to_lower = below[r] > 0
-            alpha = self.binv[r] @ self.full
+            alpha = binv[r] @ full
             # the entering column must move x_Br toward the violated bound
             a_s = -alpha if to_lower else alpha
-            up, down = self.movable()
-            via_up = up & (a_s > _TOL_PIV)
-            via_dn = down & (a_s < -_TOL_PIV)
-            cand = np.flatnonzero(via_up | via_dn)
+            via_up = self.up & (a_s > _TOL_PIV)
+            via_dn = self.down & (a_s < -_TOL_PIV)
+            cand = (via_up | via_dn).nonzero()[0]
             if not cand.size:
                 if self.certifies_infeasible(r, to_lower):
                     return LpStatus.INFEASIBLE
@@ -618,17 +626,19 @@ class _Lp:
                 fresh = True
                 continue
 
-            dj = np.where(via_up[cand], np.maximum(d[cand], 0.0), np.maximum(-d[cand], 0.0))
+            d_c = d[cand]
+            dj = np.maximum(np.where(via_up[cand], d_c, -d_c), 0.0)
             aj = np.abs(alpha[cand])
             ratio = dj / aj
             if bland:
-                q = int(cand[np.flatnonzero(ratio <= ratio.min() + _TOL_DEG)[0]])
+                q = int(cand[(ratio <= ratio.min() + _TOL_DEG).argmax()])
             else:
-                ok = ratio <= np.min((dj + _TOL_HARRIS) / aj)
-                q = int(cand[ok][np.argmax(aj[ok])])
+                ok = ratio <= ((dj + _TOL_HARRIS) / aj).min()
+                q = int(cand[np.where(ok, aj, 0.0).argmax()])  # the largest ok |alpha_j|
 
-            w = self.binv @ self.full[:, q]
-            if abs(w[r]) < _TOL_PIV or abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
+            w = binv @ full[:, q]
+            w_r, alpha_q = float(w[r]), float(alpha[q])
+            if abs(w_r) < _TOL_PIV or abs(w_r - alpha_q) > 1e-7 * (1.0 + abs(alpha_q)):
                 # row and column disagree on the pivot: B^-1 has drifted
                 d = None if fresh else self.refresh(cost)
                 if d is None:
@@ -640,14 +650,14 @@ class _Lp:
             self.iters += 1
             fresh = False
 
-            theta_d = d[q] / alpha[q]
+            theta_d = d[q] / alpha_q
             degen_streak = degen_streak + 1 if abs(theta_d) <= _TOL_DEG else 0
             d -= theta_d * alpha
             leaving = basis[r]
             target = lo[leaving] if to_lower else hi[leaving]
-            theta_p = (x[leaving] - target) / w[r]
+            theta_p = (x[leaving] - target) / w_r
             x[basis] -= theta_p * w
             x[q] += theta_p
             x[leaving] = target
             self.pivot(r, q, w)
-            d[self.basis] = 0.0
+            d[basis] = 0.0

@@ -4,6 +4,9 @@ import argparse
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from resilmip.mipmodel import export_mps, parse_mps
 from resilmip.network import LayerKind, LayerSpec, Network, network_to_dict, save_network
 from resilmip.oracle import enumerate_mip
 from resilmip.resilience import query_bounds
-from resilmip import solver, zoo
+from resilmip import cli, solver, zoo
 
 
 class TestEval:
@@ -628,6 +631,8 @@ class TestSingleCommandParser:
             assert full[0] == 2 and full[2].startswith("usage: resilmip [-h] {eval,")
 
     def test_a_known_command_builds_one_parser(self, monkeypatch, capsys):
+        """Two calls of one command build its parser once in the process,
+        and never the full tree."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -636,7 +641,9 @@ class TestSingleCommandParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        assert main(["eval", "--net", "two_class_linear", "--input", "1,0"]) == EXIT_OK
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        for _ in range(2):
+            assert main(["eval", "--net", "two_class_linear", "--input", "1,0"]) == EXIT_OK
         assert built == ["resilmip eval"]
         built.clear()
         build_parser()
@@ -666,3 +673,19 @@ class TestSingleCommandParser:
         args = self._seen_args(monkeypatch, ["verify", "--net", "three_class_linear",
                                              "--input", "1,0", "--delta", "1", "-k", "2"])
         assert args.k == 2 and args.cls is None
+
+
+def test_the_command_line_path_loads_no_heavy_module():
+    """A fresh interpreter that imports the CLI and the zoo, as every command
+    and the benchmark's set-up do, loads neither scipy (which ``oracle``
+    imports) nor the process-pool or test modules."""
+    heavy = ("scipy", "multiprocessing", "concurrent.futures", "hypothesis")
+    code = ("import sys, resilmip.cli, resilmip.zoo\n"
+            f"heavy = {heavy!r}\n"
+            "print(sorted(m for m in sys.modules if m == 'resilmip.oracle'\n"
+            "             or any(m == h or m.startswith(h + '.') for h in heavy)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

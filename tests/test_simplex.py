@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from resilmip import simplex
+from resilmip import simplex, zoo
 from resilmip.mipmodel import RowSense
+from resilmip.resilience import compute_max_alpha
 from resilmip.simplex import Basis, LpStatus, lp_form, solve_bounded_lp
+from resilmip.solver import SolveConfig, SolveStatus
 
 LE, GE, EQ = RowSense.LE, RowSense.GE, RowSense.EQ
 
@@ -480,3 +482,65 @@ def test_update_cap_forces_a_refactorization():
         assert again.status is LpStatus.OPTIMAL and again.iterations == 0
         assert again.refactorizations == refactors
         assert again.objective == pytest.approx(first.objective, abs=1e-9)
+
+
+def _check_masks_at_every_pivot(mp) -> list:
+    """Patch ``_Lp`` so that the masks that dual and primal keep across
+    pivots must equal a fresh ``movable()`` after every pivot, and before
+    every pricing (which follows each of the primal's bound flips); returns
+    a list that counts the pivots checked."""
+    pivot, price = simplex._Lp.pivot, simplex._Lp.reduced_costs
+    checked = []
+
+    def check(lp):
+        up, down = lp.movable()
+        assert np.array_equal(lp.up, up) and np.array_equal(lp.down, down)
+
+    def pivot_and_check(lp, r, q, w):
+        pivot(lp, r, q, w)
+        check(lp)
+        checked.append(q)
+
+    def check_and_price(lp, cost):
+        check(lp)
+        return price(lp, cost)
+
+    mp.setattr(simplex._Lp, "pivot", pivot_and_check)
+    mp.setattr(simplex._Lp, "reduced_costs", check_and_price)
+    return checked
+
+
+@given(seed=st.integers(0, 100_000), var=st.integers(0, 4),
+       drift=st.sampled_from([0.0, 1e-8, 1e-5]))
+@settings(max_examples=100)
+def test_kept_masks_equal_movable_after_every_pivot(seed, var, drift):
+    """On a cold solve (dual, then primal) and on a warm re-solve from its
+    optimal basis, exact or with a drifted inverse, after a bound change."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = _check_masks_at_every_pivot(mp)
+        first = _solve(c, a, senses, b, lo, hi, maximize)
+        assert len(checked) <= first.iterations  # a primal bound flip is no pivot
+        if first.status is not LpStatus.OPTIMAL:
+            return
+        inv = first.basis.inverse
+        noise = np.random.default_rng(seed).normal(size=inv.shape) * (1.0 + np.abs(inv))
+        start = Basis(first.basis.basic, first.basis.at_upper, inv + drift * noise, updates=1)
+        j = var % len(c)
+        lo2 = lo.copy()
+        lo2[j] = (first.x[j] + hi[j]) / 2  # cut off the optimum in one variable
+        checked.clear()
+        warm = _solve(c, a, senses, b, lo2, hi, maximize, basis=start)
+        assert len(checked) <= warm.iterations
+
+
+def test_kept_masks_equal_movable_on_a_max_alpha_solve():
+    """Every pivot of the R8 max-alpha query for class 1 (R8: the second draw
+    of random_relu_net from seed 0, hidden (8, 8))."""
+    rng = np.random.default_rng(0)
+    zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
+    r8 = zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = _check_masks_at_every_pivot(mp)
+        res = compute_max_alpha(r8, 1, config=SolveConfig(workers=1))
+    assert res.status is SolveStatus.OPTIMAL and len(checked) > 100
