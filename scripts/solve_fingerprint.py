@@ -7,10 +7,12 @@ bindings of the branch-and-bound) and `solver.solve_bounded_lp` (every LP
 those solves make, and lookback's window LPs, which no solve makes). For
 each solve it prints one line: the model name, the status, the nodes, the
 repr of the objective and of the dual bound, the LPs and pivots the solve
-made, and a hash of the assignment. The last two lines
-give the totals and one hash over every solve's line and every LP's status,
-objective, bound, pivots and refactorizations, so two runs whose output is
-byte-identical made the same pivots and got the same answers, bit for bit.
+made, and a hash of the assignment. The last two lines give the totals,
+with the LPs counted by how they ended (optimal, infeasible, stopped at the
+cutoff, numerical failure), and one hash over every solve's line and every
+LP's status, objective, bound, pivots and refactorizations, so two runs
+whose output is byte-identical made the same pivots and got the same
+answers, bit for bit.
 The workloads are only imported and called, never changed; the fixture
 queries write their JSON sidecars to a temporary directory.
 
@@ -18,6 +20,7 @@ Example (compare a change with its parent):
     python3 scripts/solve_fingerprint.py > after.txt
 """
 
+import collections
 import hashlib
 import os
 import sys
@@ -30,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from resilmip import resilience, solver  # noqa: E402
+from resilmip import resilience, simplex, solver  # noqa: E402
 
 
 def _assignment_hash(assignment) -> str:
@@ -44,6 +47,7 @@ class Fingerprint:
     def __init__(self) -> None:
         self.digest = hashlib.sha256()
         self.solves = self.lps = self.pivots = 0
+        self.ended = collections.Counter()  # LPs by status
         self._lps = self._pivots = 0  # of the solve in progress
         self.lines: list[str] = []  # printed after each query, whose stdout may be redirected
 
@@ -54,6 +58,7 @@ class Fingerprint:
             self._pivots += res.iterations
             self.lps += 1
             self.pivots += res.iterations
+            self.ended[res.status] += 1
             self.digest.update(f"{res.status.value} {res.objective!r} {res.bound!r} "
                                f"{res.iterations} {res.refactorizations}\n".encode())
             return res
@@ -87,7 +92,8 @@ def main() -> int:
                 q.call()
                 print("\n".join(fp.lines))
                 fp.lines.clear()
-    print(f"solves={fp.solves} lps={fp.lps} pivots={fp.pivots}")
+    ended = " ".join(f"{s.name.lower()}={fp.ended[s]}" for s in simplex.LpStatus)
+    print(f"solves={fp.solves} lps={fp.lps} pivots={fp.pivots} {ended}")
     print(f"hash={fp.digest.hexdigest()}")
     return 0
 

@@ -20,12 +20,16 @@ reaches a feasible basis or proves that none exists:
   differs from its parent in one bound, so the parent's optimal basis stays
   dual feasible (a boxed nonbasic variable whose reduced cost has the wrong
   sign is flipped to its other bound) and a few dual pivots restore primal
-  feasibility. A cold solve (a root LP, or the fallback below) runs it under
-  a zero objective, for which every basis is dual feasible, from the slack
-  basis, each slack holding its row's residual even outside its bounds, or
-  from a given start basis, where a feasible start ends this phase at once;
-  the feasible basis this phase claims is always checked on a fresh
-  factorization.
+  feasibility. The objective c'x of a dual feasible basis is a lower bound
+  on the optimum that each dual pivot raises, so a warm solve given a cutoff
+  (a branch-and-bound incumbent's) stops once c'x reaches it and the
+  basis's certified bound confirms that: CUTOFF, the third claim next to an
+  optimum and infeasibility, which only the warm dual simplex makes. A cold
+  solve (a root LP, or the fallback below) runs it under a zero objective,
+  for which every basis is dual feasible, from the slack basis, each slack
+  holding its row's residual even outside its bounds, or from a given start
+  basis, where a feasible start ends this phase at once; the feasible basis
+  this phase claims is always checked on a fresh factorization.
 * The primal simplex, which takes a cold solve's first feasible basis to an
   optimum of the real costs. The ratio test caps steps by both the blocking
   basic variable and the entering variable's own opposite bound, and a step
@@ -88,6 +92,7 @@ def _gamma(k: int) -> float:
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
+    CUTOFF = "cutoff"  # the optimum is proven to be at least the caller's cutoff
     NUMERICAL = "numerical_failure"
 
 
@@ -116,7 +121,8 @@ class LpResult:
     """``objective`` is c'x at the reported point. ``bound`` is a rigorous
     lower bound on the optimum: the certified bound of an OPTIMAL result
     (``certified_bound``; -inf only when the duals are not finite), inf when
-    INFEASIBLE, NaN when NUMERICAL."""
+    INFEASIBLE, the certified bound that reached the cutoff when CUTOFF, NaN
+    when NUMERICAL. Only an OPTIMAL result has a point and a basis."""
 
     status: LpStatus
     objective: float
@@ -172,6 +178,7 @@ def solve_bounded_lp(
     max_iters: int | None = None,
     basis: Basis | None = None,
     start: Basis | None = None,
+    cutoff: float = INF,
 ) -> LpResult:
     """Solve the LP ``form`` under the variable bounds lo <= x <= hi.
 
@@ -182,10 +189,14 @@ def solve_bounded_lp(
     begins at ``start`` (typically a feasible basis of an LP that differs only
     in costs, where that phase ends at once), or at the slack basis when
     there is none or it does not fit. Either way INFEASIBLE is claimed only
-    by the dual simplex's certified Farkas row. ``max_iters`` caps the pivots
-    of each attempt, and the result's ``iterations`` and ``refactorizations``
-    count those of both. lo and hi must be finite: a ``ValueError`` names
-    the first variable whose bound is not.
+    by the dual simplex's certified Farkas row. A warm solve stops with
+    CUTOFF once the certified bound of its basis reaches ``cutoff``: the
+    optimum is then at least the cutoff (inf when infeasible), and the
+    result carries that bound with no point; a cold solve ignores the
+    cutoff. ``max_iters`` caps the pivots of each attempt, and the result's
+    ``iterations`` and ``refactorizations`` count those of both. lo and hi
+    must be finite: a ``ValueError`` names the first variable whose bound is
+    not.
     """
     finite = np.isfinite(lo) & np.isfinite(hi)
     if not finite.all():
@@ -198,7 +209,7 @@ def solve_bounded_lp(
     spent = refactors = 0
     if basis is not None:
         lp = _Lp(*args)
-        status = lp.warm(basis)
+        status = lp.warm(basis, cutoff)
         if status is not None:
             return lp.result(status)
         spent, refactors = lp.iters, lp.refactors
@@ -409,7 +420,10 @@ class _Lp:
             basis = Basis(self.basis.copy(), self.down & ~self.up, self.binv, self.updates)
             return LpResult(status, float(self.cost[:n] @ x), x, self.iters, basis,
                             self.optimum_bound(), self.refactors)
-        bound = INF if status is LpStatus.INFEASIBLE else math.nan
+        if status is LpStatus.CUTOFF:
+            bound = self.optimum_bound()  # cached: no pivot since it reached the cutoff
+        else:
+            bound = INF if status is LpStatus.INFEASIBLE else math.nan
         return LpResult(status, math.nan, None, self.iters, bound=bound,
                         refactorizations=self.refactors)
 
@@ -554,15 +568,16 @@ class _Lp:
             return True
         return self.refactor(max_cond)
 
-    def warm(self, start: Basis):
+    def warm(self, start: Basis, cutoff: float):
         """Dual simplex from ``start``, on its inverse unless that has taken
-        ``_REFACTOR_AFTER`` updates; None when it cannot be used."""
+        ``_REFACTOR_AFTER`` updates, stopping at ``cutoff``; None when it
+        cannot be used."""
         if not self.begin(start, _REFACTOR_AFTER - 1):
             return None
         d = self.reduced_costs(self.cost)
         if not self.make_dual_feasible(d):
             return None
-        return self.dual(self.cost, d, fresh=self.updates == 0)
+        return self.dual(self.cost, d, fresh=self.updates == 0, cutoff=cutoff)
 
     def refresh(self, cost: np.ndarray) -> np.ndarray | None:
         """Refactorize and reprice: the dual feasible reduced costs of the
@@ -574,13 +589,16 @@ class _Lp:
         return d if self.make_dual_feasible(d) else None
 
     def dual(self, cost: np.ndarray, d: np.ndarray, *, fresh: bool,
-             certify: bool = True):
+             certify: bool = True, cutoff: float = INF):
         """Dual simplex from a basis that is dual feasible for ``cost``, with
         reduced costs ``d``; ``fresh`` says B^-1 was just factorized.
 
-        Returns OPTIMAL (the basis is primal feasible) or INFEASIBLE, or None
-        when the basis cannot be carried on, the iteration cap is reached or
-        a Farkas row fails its certificate on a fresh factorization.
+        Returns OPTIMAL (the basis is primal feasible) or INFEASIBLE; CUTOFF
+        once the certified bound reaches ``cutoff``; or None when the basis
+        cannot be carried on, the iteration cap is reached or a Farkas row
+        fails its certificate on a fresh factorization. The bound is
+        certified only when c'x, the dual objective, has reached the cutoff,
+        and at most once: if it falls short, the cutoff is dropped.
         A claim is certified (``certified_bound``), or else checked on a
         fresh factorization. With ``certify`` False an OPTIMAL claim is always
         checked that way, since under a zero cost every basis has bound 0.
@@ -589,6 +607,10 @@ class _Lp:
         degen_streak = 0
         while True:
             x, basis, binv = self.x, self.basis, self.binv
+            if cutoff < INF and cost @ x >= cutoff:
+                if self.optimum_bound() >= cutoff:
+                    return LpStatus.CUTOFF
+                cutoff = INF
             xb = x[basis]
             below = lo[basis] - xb
             viol = np.maximum(below, xb - hi[basis])
@@ -603,7 +625,9 @@ class _Lp:
                 continue
 
             bland = degen_streak >= _LEAST_INDEX_AFTER
-            if bland:
+            if bad.size == 1:
+                r = int(bad[0])  # what either rule picks
+            elif bland:
                 r = int(bad[basis[bad].argmin()])
             else:
                 rows = binv[bad]

@@ -22,7 +22,10 @@ heap starts without a factorization; the open nodes keep inverses up to
 only the O(n + m) basis. The simplex falls back to a cold solve when a warm
 start fails, proves every infeasible node with a Farkas row of the dual
 simplex, and reports each optimum with a bound certified against round-off
-(see ``simplex``). Nodes are pruned and ordered on that certified bound.
+(see ``simplex``). Nodes are pruned and ordered on that certified bound. A
+node LP is given the incumbent's cutoff, and its dual simplex stops as soon
+as its certified bound reaches it (``LpStatus.CUTOFF``): the node is pruned
+by bound without its optimum, or without proving it infeasible.
 
 Three kinds of point can become incumbents: the model's warm start, before
 the search; a caller's ``repair`` of the root LP point; and an integral LP
@@ -38,7 +41,8 @@ optimal, not pruned and fractional, and may complete the point into an
 exact one, as ``encoder.ForwardRepair`` does by a forward pass.
 
 The reported dual bound is the minimum over the open node bounds, the bound
-of the node being solved, the bounds of nodes pruned by cutoff, and the
+of the node being solved, the bounds of nodes pruned by cutoff (an LP
+stopped at the cutoff gives the certified bound it stopped at), and the
 incumbent itself; it is therefore a valid bound at every report point, not
 only at the end.
 
@@ -412,7 +416,7 @@ def solve(model: MipModel, config: SolveConfig | None = None,
             continue
 
         res = solve_bounded_lp(form, node.lo, node.hi, basis=node.basis,
-                               start=start if nodes == 0 else None)
+                               start=start if nodes == 0 else None, cutoff=cutoff())
         nodes += 1
         now = time.monotonic()
         if cfg.log_interval is not None and now - last_log >= cfg.log_interval:
@@ -427,6 +431,8 @@ def solve(model: MipModel, config: SolveConfig | None = None,
         if res.status is LpStatus.NUMERICAL:
             clean = False
             prune_floor = min(prune_floor, node.bound)
+        elif res.status is LpStatus.CUTOFF:  # pruned by bound inside the LP
+            prune_floor = min(prune_floor, res.bound)
         if res.status is not LpStatus.OPTIMAL:
             node = None
             continue

@@ -330,6 +330,22 @@ class TestWarmStart:
         assert warm.iterations == 2
         assert np.array_equal(top.basis.inverse, kept)
 
+    def test_a_warm_solve_stops_at_the_cutoff_and_its_cold_fallback_does_not(self):
+        # the basis of test_singular_basis_falls_back_to_cold is singular, so
+        # the solve falls back to a cold one, which ignores any cutoff; a
+        # warm start that holds stops at a cutoff of -inf before any pivot
+        args = ([1, 2, -1], [[1, 1, 2], [3, 3, 1]], [LE, LE], [4, 6],
+                [0, 0, 0], [2, 2, 2])
+        cold = _solve(*args)
+        singular = Basis(np.array([0, 1]), np.zeros(5, dtype=bool))
+        r = _solve(*args, basis=singular, cutoff=-math.inf)
+        assert r.status is LpStatus.OPTIMAL
+        assert r.objective == cold.objective and r.iterations == cold.iterations
+        stopped = _solve(*args, basis=cold.basis, cutoff=-math.inf)
+        assert stopped.status is LpStatus.CUTOFF and stopped.iterations == 0
+        assert stopped.bound == pytest.approx(cold.objective)
+        assert stopped.x is None and stopped.basis is None
+
     def test_dual_infeasible_basis_falls_back_to_cold(self):
         # the optimal basis of max x + y has both slacks nonbasic; for
         # min x + y their reduced costs change sign, and a slack has no
@@ -544,3 +560,65 @@ def test_kept_masks_equal_movable_on_a_max_alpha_solve():
         checked = _check_masks_at_every_pivot(mp)
         res = compute_max_alpha(r8, 1, config=SolveConfig(workers=1))
     assert res.status is SolveStatus.OPTIMAL and len(checked) > 100
+
+
+def _identical(r: simplex.LpResult, s: simplex.LpResult) -> bool:
+    """Whether two results agree bit for bit: status, objective, bound,
+    point, basis, inverse and counts."""
+    same = (r.status is s.status and repr(r.objective) == repr(s.objective)
+            and repr(r.bound) == repr(s.bound) and r.iterations == s.iterations
+            and r.refactorizations == s.refactorizations
+            and (r.x is None) == (s.x is None) and (r.basis is None) == (s.basis is None))
+    if same and r.x is not None:
+        same = np.array_equal(r.x, s.x)
+    if same and r.basis is not None:
+        p, q = r.basis, s.basis
+        same = (np.array_equal(p.basic, q.basic) and np.array_equal(p.at_upper, q.at_upper)
+                and np.array_equal(p.inverse, q.inverse) and p.updates == q.updates)
+    return same
+
+
+@given(seed=st.integers(0, 100_000), var=st.integers(0, 4),
+       frac=st.sampled_from([0.25, 0.5, 1.0]), lean=st.booleans())
+@settings(max_examples=120)
+def test_cutoff_contract(seed, var, frac, lean):
+    """A warm re-solve after a bound change that cuts off the parent's
+    optimum, under cutoffs from the parent's optimum to past the child's:
+    a CUTOFF result carries a bound between the cutoff and HiGHS's optimum
+    and no point; any other result, and every result of ``cutoff=INF``, is
+    bit for bit the result without a cutoff; a cold solve never stops at a
+    cutoff, not even at -inf."""
+    c, a, senses, b, lo, hi, maximize = _random_instance(seed)
+    form = lp_form((-1.0 if maximize else 1.0) * c, a, senses, b)  # minimize
+    first = solve_bounded_lp(form, lo, hi)
+    assume(first.status is LpStatus.OPTIMAL)
+    start = first.basis.lean() if lean else first.basis
+    j = var % len(c)
+    lo2, hi2 = lo.copy(), hi.copy()
+    xj = first.x[j]
+    if hi[j] - xj >= xj - lo[j]:
+        lo2[j] = hi[j] if frac == 1.0 else xj + frac * (hi[j] - xj)
+    else:
+        hi2[j] = lo[j] if frac == 1.0 else xj - frac * (xj - lo[j])
+
+    plain = solve_bounded_lp(form, lo2, hi2, basis=start)
+    assert _identical(solve_bounded_lp(form, lo2, hi2, basis=start, cutoff=math.inf), plain)
+    ref = _ref_min(c, a, senses, b, lo2, hi2, maximize)
+    optimum = math.inf if ref is None else ref
+    top = optimum if ref is not None else first.objective + 10.0 * (1.0 + abs(first.objective))
+    scale = max(1.0, abs(top))
+    cutoffs = [first.objective + t * (top - first.objective) for t in (0.0, 0.3, 0.7, 1.0)]
+    if ref is not None:
+        cutoffs.append(ref + 1.0 + abs(ref))  # past any dual objective: never reached
+    for cutoff in cutoffs:
+        r = solve_bounded_lp(form, lo2, hi2, basis=start, cutoff=cutoff)
+        if r.status is LpStatus.CUTOFF:
+            assert r.x is None and r.basis is None
+            assert cutoff <= r.bound <= optimum + 1e-7 * scale
+        else:
+            assert _identical(r, plain)
+    if ref is not None:
+        assert r.status is not LpStatus.CUTOFF
+    cold = solve_bounded_lp(form, lo2, hi2)
+    for cutoff in (-math.inf, first.objective, top):
+        assert _identical(solve_bounded_lp(form, lo2, hi2, cutoff=cutoff), cold)

@@ -518,6 +518,24 @@ def test_matches_enumeration(seed):
         assert abs(mine.objective - ref.objective) <= 1e-6 * max(1.0, abs(ref.objective))
 
 
+@given(seed=st.integers(0, 20_000))
+@settings(max_examples=60)
+def test_dual_bound_stays_valid_under_a_loose_gap(seed):
+    """At a loose MIP gap most node LPs stop at the incumbent's cutoff, and
+    the reported dual bound must count the bound each stopped at: on every
+    OPTIMAL result it never lies past the brute-force optimum."""
+    m = _random_mip(seed, n_bin=6, n_cont=2).freeze()
+    ref = enumerate_mip(m)
+    if ref.status != "optimal":
+        return
+    sign = -1.0 if m.dense_arrays().maximize else 1.0  # internal minimize
+    tol = 1e-9 * max(1.0, abs(ref.objective))
+    for gap in (0.05, 0.3, 1.0):
+        r = solve(m, SolveConfig(mip_gap=gap))
+        if r.status is SolveStatus.OPTIMAL:
+            assert sign * r.dual_bound <= sign * ref.objective + tol, gap
+
+
 class TestRootRepair:
     """solve's repair: called once, on a fractional root LP point that is
     neither pruned nor integral; its candidate becomes the incumbent only if
