@@ -11,6 +11,8 @@ alike. Prints each query's median wall time per worker count and its speedup
 over the first count, and exits 1 if any count returns a different answer
 (answers must not depend on the worker count, only the time). A count above
 the CPU count runs with one process per CPU, since `worker_pool` caps it.
+The pool's children are forked by the first call that needs them and serve
+every later call, so the first repeat of a count above 1 also pays the fork.
 
 Example:
     python3 scripts/worker_scaling.py --workers 1 2 4 --repeats 5

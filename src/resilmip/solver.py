@@ -48,10 +48,13 @@ only at the end.
 
 Parallelism lives above single solves: ``worker_pool`` runs independent
 sub-solves (lookback's window MIPs, xi's per-class phi queries) in forked
-processes, since threads would serialize on the interpreter lock. Each batch
-of jobs forks its own children and the calling process runs a share of the
-jobs itself, so a batch pays one fork per extra process and pickles only its
-results. The query clock lives here too: ``query_deadline`` fixes one
+processes, since threads would serialize on the interpreter lock. The
+children are forked once, by the first batch that needs them, and serve
+every later batch until the process exits, so a batch pays neither a fork
+nor the copy-on-write faults that follow one. Each batch sends its function
+and jobs pickled, so both must pickle, and a child runs the modules as they
+were when it was forked; the calling process runs a share of the jobs
+itself. The query clock lives here too: ``query_deadline`` fixes one
 deadline when a query starts, and ``time_left`` gives each of its solves the
 time left.
 """
@@ -126,121 +129,231 @@ def worker_pool(workers: int):
     order, for independent sub-solves.
 
     Each ``pmap`` call runs its jobs in k = min(workers, os.cpu_count(),
-    len(jobs)) processes: this one and k - 1 children forked for the call.
-    Process p starts with job p, then takes the first job no process has
-    taken, so a slow job holds up no other (past 1024 jobs, chunks of
-    consecutive jobs are taken instead). Every child has exited when
-    ``pmap`` returns or raises, so the ``with`` block holds no process
-    between calls, and at k = 1 nothing is forked. A child inherits ``fn``
-    and the jobs through the fork, so ``fn`` may be any callable, a closure
-    or a lambda too; only the results come back, pickled through one pipe
-    per child, and they must pickle. An exception raised in a child is raised
-    again here, with the child's traceback as its cause; one that does not
-    pickle comes back as a ``RuntimeError`` carrying that traceback. A child
-    that exits without results raises a ``RuntimeError``. If this process's
-    own share raises, the children are killed. Forked children start with
-    numpy and resilmip already imported, which a spawned one would import
-    again; the solver starts no threads that a fork could copy mid-operation.
+    len(jobs)) processes: this one and k - 1 children of the process's pool,
+    and at k = 1 nothing is forked. The children are forked once, by the
+    first call that needs them, and serve every later call, in this ``with``
+    block and after it, until the process exits. Process p starts with job
+    p, then takes the first job no process has taken, so a slow job holds up
+    no other (past 1024 jobs, chunks of consecutive jobs are taken instead).
+
+    A call sends ``fn`` and the jobs pickled to each child it uses, so both
+    must pickle: a module-level function or a ``functools.partial`` of one,
+    not a closure or a lambda. A child runs the modules as they were when it
+    was forked, so it does not see a function defined, or a module attribute
+    patched, after that. The results come back pickled and must pickle too.
+    An exception raised in a child is raised again here, with the child's
+    traceback as its cause; one that does not unpickle comes back as a
+    ``RuntimeError`` carrying that traceback. A child that exits without
+    results raises a ``RuntimeError`` naming its exit code. On any failure,
+    this process's own share raising too, every child is killed and reaped,
+    and the next call forks fresh ones, so nothing of a failed batch reaches
+    a later one. At interpreter exit ``atexit`` kills and reaps the children;
+    a process forked from the pool's owner leaves the owner's children alone
+    and forks its own. Forked children start with numpy and resilmip already
+    imported, which a spawned one would import again; the solver starts no
+    threads that a fork could copy mid-operation.
     """
     workers = min(workers, os.cpu_count() or 1)
-    yield lambda fn, jobs: _forked_map(fn, list(jobs), workers)
+    yield lambda fn, jobs: _pool_map(fn, list(jobs), workers)
 
 
-def _forked_map(fn, jobs: list, workers: int) -> list:
-    """``worker_pool``'s pmap over at most ``workers`` processes."""
-    n = len(jobs)
-    if min(workers, n) <= 1:
-        return [fn(job) for job in jobs]
-    import pickle  # already loaded, like sys: numpy imports it
-    import sys
+class _Child:
+    """A pool child: its pid (None until forked, and once reaped), the write
+    end of the pipe its batches arrive on and the read end of the pipe its
+    results come back on. Not a dataclass, which would cost import time."""
 
-    size = -(-n // 1024)  # jobs per chunk: at most 1024 chunks
-    chunks = -(-n // size)
-    k = min(workers, chunks)
-    # process p (0 is this one) starts with chunk p and then takes the next
-    # chunk from the queue, the remaining chunk numbers 4 bytes apiece: at
-    # most 4 KB, which any pipe holds before a reader exists
-    queue, w = os.pipe()
-    os.write(w, np.arange(k, chunks, dtype="<u4").tobytes())
-    os.close(w)
+    def __init__(self, cmd: int, reply: int) -> None:
+        self.pid: int | None = None
+        self.cmd = cmd
+        self.reply = reply
 
-    def take(chunk: int) -> dict:
-        """{i: fn(jobs[i])} over the jobs of ``chunk`` and of each chunk
-        taken from the queue after it, until the queue is empty."""
-        out = {}
-        while True:
-            for i in range(chunk * size, min((chunk + 1) * size, n)):
-                out[i] = fn(jobs[i])
-            taken = os.read(queue, 4)  # one read: no other process splits it
-            if not taken:
-                return out
-            chunk = int.from_bytes(taken, "little")
 
-    # a child flushes its stdio on exit, which would repeat buffered output
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids: list[int] = []  # pids[p - 1]: process p
-    pipes = []  # pipes[p - 1]: the read end of process p's results
-    reaped = 0  # children pids[:reaped] have been waited for
-    try:
-        for p in range(1, k):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
+class _Pool:
+    """The children that serve ``worker_pool``'s batches for the process
+    ``owner``, and the queue of chunk numbers they share with it."""
+
+    def __init__(self) -> None:
+        import atexit
+        self.owner = os.getpid()
+        self.children: list[_Child] = []
+        # 4 bytes per chunk no process has taken; reading it empty raises
+        # BlockingIOError, since the owner keeps the write end
+        self.queue, self.refill = os.pipe()
+        os.set_blocking(self.queue, False)
+        atexit.unregister(_close_pool)  # one call at exit, however many pools
+        atexit.register(_close_pool)
+
+    def fork(self, count: int) -> None:
+        """Fork children until there are ``count``."""
+        import sys
+
+        while len(self.children) < count:
+            # a child flushes its stdio, which would repeat output buffered here
+            sys.stdout.flush()
+            sys.stderr.flush()
+            cmd_r, cmd_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            child = _Child(cmd_w, reply_r)
+            self.children.append(child)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(take, p, w, pipes)
+                    _serve(cmd_r, reply_w, self.queue,
+                           [self.refill] + [fd for c in self.children for fd in (c.cmd, c.reply)])
+                child.pid = pid
             finally:
-                os.close(w)
-            pids.append(pid)
-        results = take(0)
-        for p, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
-            reply = pipe.read()  # to EOF before waiting: a child blocks on a full pipe
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped = p
-            if not reply:
+                os.close(cmd_r)
+                os.close(reply_w)
+
+    def map(self, fn, jobs: list, size: int, chunks: int, k: int) -> list:
+        """``worker_pool``'s pmap over this process and k - 1 children, the
+        jobs in ``chunks`` chunks of ``size``."""
+        import pickle
+
+        payload = pickle.dumps((fn, jobs), -1)
+        self.fork(k - 1)
+        # process p (0 is this one) starts with chunk p; the rest, at most
+        # 4 KB, go into the empty queue in one write
+        os.write(self.refill, np.arange(k, chunks, dtype="<u4").tobytes())
+        used = self.children[:k - 1]
+        for p, child in enumerate(used, start=1):
+            try:
+                _send(child.cmd, b"".join(v.to_bytes(8, "little")
+                                          for v in (p, size, len(payload))))
+                _send(child.cmd, payload)
+            except BrokenPipeError:
+                pass  # a dead child, reported when its reply is read
+        results = _take(fn, jobs, 0, size, self.queue)
+        for child in used:
+            head = _recv(child.reply, 8)
+            reply = None if head is None else _recv(child.reply, int.from_bytes(head, "little"))
+            if reply is None:
+                pid, child.pid = child.pid, None
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 raise RuntimeError(f"worker process {pid} exited with code {code} "
                                    "without its results")
             ok, value, tb = pickle.loads(reply)
             if not ok:
                 raise value from (None if tb is None else RuntimeError(tb))
             results.update(value)
-        return [results[i] for i in range(n)]
-    finally:
-        os.close(queue)
-        for pipe in pipes:
-            pipe.close()
-        if reaped < len(pids):
-            import signal
-            for pid in pids[reaped:]:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        return [results[i] for i in range(len(jobs))]
+
+    def close(self) -> None:
+        """Close this process's ends of the pipes and, in the owner, kill
+        and reap the children."""
+        import signal
+
+        owned = self.owner == os.getpid()
+        for child in self.children:
+            os.close(child.cmd)
+            os.close(child.reply)
+            if owned and child.pid is not None:
+                os.kill(child.pid, signal.SIGKILL)
+        os.close(self.queue)
+        os.close(self.refill)
+        if owned:
+            for child in self.children:
+                if child.pid is not None:
+                    os.waitpid(child.pid, 0)
 
 
-def _run_share(take: Callable[[int], dict], chunk: int, w: int, pipes: list) -> NoReturn:
-    """A forked child's whole life: close the inherited read ends ``pipes``,
-    write ``(True, take(chunk), None)`` or ``(False, exception, traceback
-    text)`` pickled to the pipe end ``w``, and exit without returning to the
-    caller's code."""
-    import pickle  # already loaded, like sys and traceback
+_pool: _Pool | None = None  # this process's pool, made by its first parallel pmap
+
+
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """``worker_pool``'s pmap over at most ``workers`` processes."""
+    global _pool
+    n = len(jobs)
+    if min(workers, n) <= 1:
+        return [fn(job) for job in jobs]
+    size = -(-n // 1024)  # jobs per chunk: at most 1024 chunks
+    chunks = -(-n // size)
+    if _pool is not None and _pool.owner != os.getpid():
+        _close_pool()  # inherited through a fork: only this process's copies close
+    if _pool is None:
+        _pool = _Pool()
+    try:
+        return _pool.map(fn, jobs, size, chunks, min(workers, chunks))
+    except BaseException:
+        _close_pool()
+        raise
+
+
+def _close_pool() -> None:
+    """Kill and reap this process's pool children, if it has any; ``atexit``
+    calls it."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.close()
+
+
+def _take(fn, jobs: list, chunk: int, size: int, queue: int) -> dict:
+    """{i: fn(jobs[i])} over the jobs of ``chunk`` and of each chunk taken
+    from ``queue`` after it, until the queue is empty."""
+    out = {}
+    while True:
+        for i in range(chunk * size, min((chunk + 1) * size, len(jobs))):
+            out[i] = fn(jobs[i])
+        try:
+            taken = os.read(queue, 4)  # one read: no other process splits it
+        except BlockingIOError:  # every chunk has been taken
+            return out
+        if not taken:  # the owner has exited
+            return out
+        chunk = int.from_bytes(taken, "little")
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int, n: int) -> bytearray | None:
+    """``n`` bytes from the pipe ``fd``; None if it ends before them."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return None
+        view = view[got:]
+    return buf
+
+
+def _serve(cmd: int, reply: int, queue: int, inherited: list[int]) -> NoReturn:
+    """A pool child's whole life: close the ``inherited`` pipe ends of its
+    owner, then run each batch that arrives on ``cmd`` and write ``(True,
+    results, None)`` or ``(False, exception, traceback text)`` pickled to
+    ``reply``, until ``cmd`` ends (the owner closed the pool or exited); it
+    exits without returning to the caller's code."""
+    global _pool
+    import pickle
     import sys
     import traceback
 
     code = 1
     try:
-        for pipe in pipes:
-            pipe.close()
-        try:
-            reply = pickle.dumps((True, take(chunk), None), -1)
-        except BaseException as exc:
-            tb = traceback.format_exc()
+        _pool = None  # the owner's: a batch run here forks its own pool
+        for fd in inherited:
+            os.close(fd)
+        while (head := _recv(cmd, 24)) is not None:
+            chunk, size, n = (int.from_bytes(head[i:i + 8], "little") for i in (0, 8, 16))
             try:
-                reply = pickle.dumps((False, exc, tb), -1)
-                pickle.loads(reply)  # an exception that pickles may still not load
-            except Exception:
-                reply = pickle.dumps((False, RuntimeError(tb), None), -1)
-        with open(w, "wb") as out:
-            out.write(reply)
+                fn, jobs = pickle.loads(_recv(cmd, n))
+                out = pickle.dumps((True, _take(fn, jobs, chunk, size, queue), None), -1)
+            except BaseException as exc:
+                tb = traceback.format_exc()
+                try:
+                    out = pickle.dumps((False, exc, tb), -1)
+                    pickle.loads(out)  # an exception that pickles may still not load
+                except Exception:
+                    out = pickle.dumps((False, RuntimeError(tb), None), -1)
+            _send(reply, len(out).to_bytes(8, "little"))
+            _send(reply, out)
+            sys.stdout.flush()
+            sys.stderr.flush()
         code = 0
     finally:
         try:

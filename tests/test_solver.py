@@ -4,7 +4,10 @@ worker-count invariance."""
 import collections
 import heapq
 import math
+import operator
 import os
+import subprocess
+import sys
 import time
 import types
 
@@ -388,11 +391,11 @@ class TestParallel:
         # six jobs: a broken cap forks at most five processes
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with worker_pool(5000) as pmap:
-            pids = pmap(lambda job: os.getpid(), range(6))
+            pids = [pid for _, pid in pmap(_where, range(6))]
         assert len(set(pids)) <= 3
         assert os.getpid() in pids
         with worker_pool(2) as pmap:
-            assert pmap(lambda job: os.getpid(), [0]) == [os.getpid()]
+            assert pmap(_where, [0]) == [(0, os.getpid())]
 
     def test_larger_knapsack_parallel(self):
         vals = [4, 7, 2, 9, 5, 8, 3, 6, 1, 7, 5, 2]
@@ -410,89 +413,196 @@ class _NoPickle(Exception):
         super().__init__(f"{a} and {b}")
 
 
+# pmap's jobs run in children that unpickle them, so the job functions live
+# at module level
+
+
+def _where(j):
+    return j, os.getpid()
+
+
+def _fail_in_a_child(job):
+    j, caller = job
+    if os.getpid() != caller:
+        raise ValueError(f"job {j} failed in the child")
+    return j
+
+
+def _no_pickle_at_one(j):
+    if j == 1:
+        raise _NoPickle(1, 2)
+    return j
+
+
+def _exit_in_a_child(job):
+    j, caller = job
+    if os.getpid() != caller:
+        os._exit(3)
+    return j
+
+
+def _large(j):
+    return np.arange(200_000, dtype=np.float64) + j
+
+
+def _fail_in_the_caller(job):
+    caller, error = job
+    if os.getpid() == caller:
+        raise error("the caller's share failed")
+    time.sleep(60)
+
+
+def _fail_at_one_else_sleep(j):
+    if j == 1:
+        raise ValueError("job 1 failed")
+    time.sleep(0.5 if j == 2 else 0.01)
+    return j
+
+
 def _assert_no_child_left():
+    solver._close_pool()  # what atexit calls
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerPool:
-    """worker_pool's forked map: every child is reaped whatever happens, and
-    a child's failure surfaces in the caller."""
+    """worker_pool's children: forked once and kept between batches, every
+    child reaped at shutdown or after any failure, and a child's failure
+    surfaces in the caller."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         # two processes per pmap, however many CPUs the host has
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def test_a_closure_runs_in_the_child_and_nothing_is_left(self):
-        caller = os.getpid()
-        scale = 3
+    def test_jobs_run_in_a_child_that_the_shutdown_reaps(self):
         with worker_pool(2) as pmap:
-            out = pmap(lambda job: (job * scale, os.getpid() != caller), range(5))
-        assert [v for v, _ in out] == [0, 3, 6, 9, 12]
+            out = pmap(_where, range(5))
+        assert [j for j, _ in out] == [0, 1, 2, 3, 4]
         # each process starts with its own job: job 0 here, job 1 in the child
-        assert [in_child for _, in_child in out[:2]] == [False, True]
+        assert [pid == os.getpid() for _, pid in out[:2]] == [True, False]
+        assert out[1][1] == solver._pool.children[0].pid
         _assert_no_child_left()
 
     def test_more_jobs_than_the_queue_holds_come_back_in_order(self):
         with worker_pool(2) as pmap:
-            assert pmap(lambda j: -j, range(2500)) == [-j for j in range(2500)]
+            assert pmap(operator.neg, range(2500)) == [-j for j in range(2500)]
         _assert_no_child_left()
 
     def test_a_child_exception_is_raised_in_the_caller(self):
-        caller = os.getpid()
-
-        def job(j):
-            if os.getpid() != caller:
-                raise ValueError(f"job {j} failed in the child")
-            return j
-
-        with worker_pool(2) as pmap, pytest.raises(ValueError, match="job 1 failed"):
-            pmap(job, [0, 1])
+        with worker_pool(2) as pmap, pytest.raises(ValueError, match="job 1 failed") as info:
+            pmap(_fail_in_a_child, [(0, os.getpid()), (1, os.getpid())])
+        assert "_fail_in_a_child" in str(info.value.__cause__)  # the child's traceback
+        assert solver._pool is None  # the failure reaped the children
         _assert_no_child_left()
 
     def test_an_exception_that_does_not_unpickle_becomes_a_runtime_error(self):
-        def job(j):
-            if j == 1:
-                raise _NoPickle(1, 2)
-            return j
-
         with worker_pool(2) as pmap, pytest.raises(RuntimeError, match="_NoPickle: 1 and 2"):
-            pmap(job, [0, 1])
+            pmap(_no_pickle_at_one, [0, 1])
         _assert_no_child_left()
 
     def test_a_child_that_dies_mid_job_is_an_error_not_a_hang(self):
-        caller = os.getpid()
-
-        def job(j):
-            if os.getpid() != caller:
-                os._exit(3)
-            return j
-
-        with worker_pool(2) as pmap, pytest.raises(RuntimeError, match="code 3"):
-            pmap(job, [0, 1])
+        with worker_pool(2) as pmap:
+            (_, dead), = pmap(_where, [0, 1])[1:]
+            with pytest.raises(RuntimeError, match="code 3"):
+                pmap(_exit_in_a_child, [(0, os.getpid()), (1, os.getpid())])
+            assert solver._pool is None
+            # the next call forks a fresh child
+            (_, fresh), = pmap(_where, [0, 1])[1:]
+        assert fresh not in (dead, os.getpid())
         _assert_no_child_left()
 
     def test_a_result_larger_than_the_pipe_buffer_comes_back_intact(self):
         with worker_pool(2) as pmap:
-            out = pmap(lambda j: np.arange(200_000, dtype=np.float64) + j, [0, 1])
+            out = pmap(_large, [0, 1])
         assert out[1].nbytes > 1 << 20
         assert np.array_equal(out[1], np.arange(200_000) + 1.0)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_a_failing_caller_share_kills_the_children(self, error):
-        caller = os.getpid()
-
-        def job(j):
-            if os.getpid() == caller:
-                raise error("the caller's share failed")
-            time.sleep(60)
-
         t0 = time.monotonic()
         with worker_pool(2) as pmap, pytest.raises(error):
-            pmap(job, [0, 1])
+            pmap(_fail_in_the_caller, [(os.getpid(), error)] * 2)
         assert time.monotonic() - t0 < 30  # killed, not waited for
+        assert solver._pool is None
+        _assert_no_child_left()
+
+    def test_no_reply_of_a_failed_batch_reaches_the_next(self, monkeypatch):
+        # three processes: child 1 fails at once while child 2 is still in
+        # job 2, whose results would be a stale reply
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        with worker_pool(3) as pmap:
+            old = {pid for _, pid in pmap(_where, range(3))} - {os.getpid()}
+            with pytest.raises(ValueError, match="job 1 failed"):
+                pmap(_fail_at_one_else_sleep, range(12))
+            out = pmap(_where, range(12))
+        assert [j for j, _ in out] == list(range(12))
+        assert not {pid for _, pid in out} & old
+        _assert_no_child_left()
+
+    def test_consecutive_lookbacks_run_in_the_same_children(self):
+        net = zoo.random_relu_net(np.random.default_rng(0), input_dim=3,
+                                  hidden=(8, 8), classes=3)
+        plain = propagate_intervals(net)
+        ref = tighten_lookback(net, plain, depth=2, workers=1)
+        solver._close_pool()
+        pids = []
+        for _ in range(2):
+            par = tighten_lookback(net, plain, depth=2, workers=2)
+            pids.append([c.pid for c in solver._pool.children])
+            for a, b in zip(ref.layers, par.layers):
+                if a.im_lo is not None:
+                    assert np.array_equal(a.im_lo, b.im_lo)
+                    assert np.array_equal(a.im_hi, b.im_hi)
+        assert len(pids[0]) == 1 and pids[0] == pids[1]
+        _assert_no_child_left()
+
+    def test_an_exiting_interpreter_reaps_its_children(self):
+        code = ("import os\n"
+                "os.cpu_count = lambda: 2\n"
+                "import numpy as np\n"
+                "from resilmip import solver, zoo\n"
+                "from resilmip.dataflow import propagate_intervals, tighten_lookback\n"
+                "net = zoo.random_relu_net(np.random.default_rng(0), input_dim=3,\n"
+                "                          hidden=(8, 8), classes=3)\n"
+                "tighten_lookback(net, propagate_intervals(net), depth=2, workers=2)\n"
+                "print(*[c.pid for c in solver._pool.children])\n")
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        pids = [int(p) for p in out.split()]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_process_forked_from_the_owner_forks_its_own_children(self):
+        with worker_pool(2) as pmap:
+            pmap(_where, [0, 1])
+        owners = [c.pid for c in solver._pool.children]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                with worker_pool(2) as pmap:
+                    out = pmap(_where, range(4))
+                mine = {c.pid for c in solver._pool.children}
+                solver._close_pool()
+                ran = {p for _, p in out} - {os.getpid()}
+                code = 0 if ([j for j, _ in out] == list(range(4)) and ran
+                             and ran <= mine and not mine & set(owners)) else 2
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        # the owner's children and pipes are as they were
+        with worker_pool(2) as pmap:
+            out = pmap(_where, range(4))
+        assert [j for j, _ in out] == list(range(4))
+        assert [c.pid for c in solver._pool.children] == owners
+        assert {p for _, p in out} - {os.getpid()} <= set(owners)
         _assert_no_child_left()
 
 
