@@ -5,14 +5,15 @@ relu_bb with lookback at one worker, both in the seed-0 order) and wraps the
 solver's entry points: `solver.solve` and `resilience.solve` (the two
 bindings of the branch-and-bound) and `solver.solve_bounded_lp` (every LP
 those solves make, and lookback's window LPs, which no solve makes). For
-each solve it prints one line: the model name, the status, the nodes, the
-repr of the objective and of the dual bound, the LPs and pivots the solve
-made, and a hash of the assignment. The last two lines give the totals,
-with the LPs counted by how they ended (optimal, infeasible, stopped at the
-cutoff, numerical failure), and one hash over every solve's line and every
-LP's status, objective, bound, pivots and refactorizations, so two runs
-whose output is byte-identical made the same pivots and got the same
-answers, bit for bit.
+each solve it prints one line: the model name, the status, the model's
+rows and columns, the nodes, the repr of the objective and of the dual
+bound, the LPs and pivots the solve made, and a hash of the assignment. The
+last two lines give the totals, with the rows and columns summed over the
+solves and the LPs counted by how they ended (optimal, infeasible, stopped
+at the cutoff, numerical failure), and one hash over every solve's line and
+every LP's status, objective, bound, pivots and refactorizations, so two
+runs whose output is byte-identical solved models of the same sizes, made
+the same pivots and got the same answers, bit for bit.
 The workloads are only imported and called, never changed; the fixture
 queries write their JSON sidecars to a temporary directory.
 
@@ -46,7 +47,7 @@ def _assignment_hash(assignment) -> str:
 class Fingerprint:
     def __init__(self) -> None:
         self.digest = hashlib.sha256()
-        self.solves = self.lps = self.pivots = 0
+        self.solves = self.lps = self.pivots = self.rows = self.cols = 0
         self.ended = collections.Counter()  # LPs by status
         self._lps = self._pivots = 0  # of the solve in progress
         self.lines: list[str] = []  # printed after each query, whose stdout may be redirected
@@ -68,12 +69,15 @@ class Fingerprint:
         def wrapped(model, *args, **kwargs):
             self._lps = self._pivots = 0
             res = fn(model, *args, **kwargs)
-            line = (f"{model.name} {res.status.value} nodes={res.nodes_explored} "
+            line = (f"{model.name} {res.status.value} rows={model.num_constraints} "
+                    f"cols={model.num_variables} nodes={res.nodes_explored} "
                     f"obj={res.objective!r} bound={res.dual_bound!r} lps={self._lps} "
                     f"pivots={self._pivots} x={_assignment_hash(res.assignment)}")
             self.lines.append(line)
             self.digest.update(line.encode() + b"\n")
             self.solves += 1
+            self.rows += model.num_constraints
+            self.cols += model.num_variables
             return res
         return wrapped
 
@@ -93,7 +97,8 @@ def main() -> int:
                 print("\n".join(fp.lines))
                 fp.lines.clear()
     ended = " ".join(f"{s.name.lower()}={fp.ended[s]}" for s in simplex.LpStatus)
-    print(f"solves={fp.solves} lps={fp.lps} pivots={fp.pivots} {ended}")
+    print(f"solves={fp.solves} rows={fp.rows} cols={fp.cols} lps={fp.lps} "
+          f"pivots={fp.pivots} {ended}")
     print(f"hash={fp.digest.hexdigest()}")
     return 0
 

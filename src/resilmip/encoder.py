@@ -18,6 +18,12 @@ envelope works through a reciprocal auxiliary variable so that
 x = +-pi/2 - envelope(1/im). The grid's resolution is fixed here, at
 ATAN_SEGMENTS segments per region.
 
+A ReLU node's pre-activation is an affine expression of its predecessors
+(affine_expr) written into its gadget's rows, as in MIPVerify, so the node
+adds no variable and no equality row. Arc-tangent and score nodes keep a
+variable m... and its row A...: substituting those changed no answer but
+moved the LP's vertex choices, and with them the trees.
+
 Each body binary gets its branch priority as it is created, so deeper layers
 branch later (encode_network_copy); class selectors keep priority 0.
 """
@@ -39,6 +45,7 @@ ATAN_SEGMENTS = 8         # envelope segments per arc-tangent region
 _Q_CURVE = 2 * 0.273      # |q''| away from t = 0
 _GATE_REL = 1e-7
 _GATE_ABS = 1e-9
+Affine = tuple[list[tuple[int, float]], float]  # sum_j c_j v_j + c_0 as ([(v_j, c_j)], c_0)
 
 
 class EncodingError(ValueError):
@@ -104,7 +111,9 @@ class AtanGadget:
 
 @dataclass
 class NetworkCopy:
-    """Variable bookkeeping for one encoded instantiation of (part of) a net."""
+    """Variable bookkeeping for one encoded instantiation of (part of) a net.
+    im_ids holds the pre-activation variables of the atan and score layers
+    only: a ReLU layer's pre-activations are expressions (module docstring)."""
 
     first_pos: int
     last_pos: int
@@ -202,41 +211,45 @@ def add_gated(model: MipModel, name: str, coefs, sense: RowSense, rhs: float,
 # -- per-node gadgets --------------------------------------------------------
 
 
-def encode_affine(model: MipModel, im_id: int, pred_ids: list[int],
-                  w_col: np.ndarray, name: str) -> int:
-    """Row im - sum_j w_j x_j = w_0 (bias on the right-hand side)."""
-    coefs = [(im_id, 1.0)] + [
-        (pid, -float(w)) for pid, w in zip(pred_ids, w_col[1:]) if w != 0.0
-    ]
-    return model.add_constraint(name, coefs, RowSense.EQ, float(w_col[0]))
+def affine_expr(pred_ids: list[int], w_col: np.ndarray) -> Affine:
+    """A dense node's pre-activation w_0 + sum_j w_j x_j over its
+    predecessors' ids, as (terms, constant); zero weights drop out."""
+    return [(pid, float(w)) for pid, w in zip(pred_ids, w_col[1:]) if w != 0.0], float(w_col[0])
 
 
-def encode_relu(model: MipModel, x_id: int, im_id: int, phase: int,
+def encode_relu(model: MipModel, x_id: int, expr: Affine, phase: int,
                 im_bounds: tuple[float, float], tag: str) -> ReluGadget:
-    """x = max(0, im), by phase: a fixed phase needs one equality and no
-    binary. An undecided node (im_lo < 0 < im_hi) gets three rows over the
-    inflated bounds l < im_lo and u > im_hi and an indicator b = 1 iff
-    im >= 0: x >= im, x <= im - l(1 - b), x <= u b. With x's declared lower
-    bound 0 they pin x = 0 >= im at b = 0 and x = im >= 0 at b = 1; relaxed
-    to b in [0, 1] they give the triangle hull x <= u (im - l) / (u - l)
-    (Tjeng, Xiao & Tedrake, ICLR 2019)."""
+    """x = max(0, im) for a pre-activation im = expr with no variable of its
+    own; x's declared box is [max(0, im_lo), max(0, im_hi)], and l < im_lo,
+    u > im_hi are the inflated bounds. An active node gets the row x = im,
+    so x's box bounds im; an inactive node the sign row im <= im_hi, x being
+    fixed at 0, and im >= im_lo only if the variables' boxes leave im below
+    l (after lookback). An undecided node (im_lo < 0 < im_hi) gets three
+    rows and an indicator b = 1 iff im >= 0: x >= im, x <= im - l(1 - b),
+    x <= u b. With x >= 0 they pin x = 0 >= im >= l at b = 0 and
+    x = im <= u at b = 1; relaxed to b in [0, 1] they give the triangle
+    hull x <= u (im - l) / (u - l) (Tjeng, Xiao & Tedrake, ICLR 2019)."""
+    terms, const = expr
+    x_minus_im = [(x_id, 1.0)] + [(v, -c) for v, c in terms]
+    im_lo, im_hi = float(im_bounds[0]), float(im_bounds[1])
+    lo = im_lo * (1.0 + _GATE_REL) - _GATE_ABS
+    hi = im_hi * (1.0 + _GATE_REL) + _GATE_ABS
     if phase == Phase.ALWAYS_ACTIVE:
-        model.add_constraint(f"{tag}.on", [(x_id, 1.0), (im_id, -1.0)], RowSense.EQ, 0.0)
+        model.add_constraint(f"{tag}.on", x_minus_im, RowSense.EQ, const)
         return ReluGadget(b_id=None)
     if phase == Phase.ALWAYS_INACTIVE:
-        model.add_constraint(f"{tag}.off", [(x_id, 1.0)], RowSense.EQ, 0.0)
+        model.add_constraint(f"{tag}.off", terms, RowSense.LE, im_hi - const)
+        if _interval_extreme(model, terms, upper=False) + const < lo:  # a tightened im_lo
+            model.add_constraint(f"{tag}.lo", terms, RowSense.GE, im_lo - const)
         return ReluGadget(b_id=None)
-    im_lo, im_hi = float(im_bounds[0]), float(im_bounds[1])
     if not (math.isfinite(im_lo) and math.isfinite(im_hi) and im_lo < 0.0 < im_hi):
         raise EncodingError(f"{tag}: undecided node needs finite bounds lo < 0 < hi, "
                             f"got [{im_lo!r}, {im_hi!r}]")
     if model.variables[x_id].lo < 0.0:
         raise EncodingError(f"{tag}: output variable must be declared nonnegative")
-    lo = im_lo * (1.0 + _GATE_REL) - _GATE_ABS
-    hi = im_hi * (1.0 + _GATE_REL) + _GATE_ABS
     b = model.add_binary(f"{tag}.b")
-    model.add_constraint(f"{tag}.ge", [(x_id, 1.0), (im_id, -1.0)], RowSense.GE, 0.0)
-    model.add_constraint(f"{tag}.ub", [(x_id, 1.0), (im_id, -1.0), (b, -lo)], RowSense.LE, -lo)
+    model.add_constraint(f"{tag}.ge", x_minus_im, RowSense.GE, const)
+    model.add_constraint(f"{tag}.ub", x_minus_im + [(b, -lo)], RowSense.LE, const - lo)
     model.add_constraint(f"{tag}.cap", [(x_id, 1.0), (b, -hi)], RowSense.LE, 0.0)
     return ReluGadget(b_id=b)
 
@@ -465,45 +478,34 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
             raise EncodingError("softmax layers are never encoded")
         if spec.kind in DENSE_KINDS:
             n = spec.weights.shape[1]
-            im_ids = [
-                model.add_variable(f"m{prefix}{pos}_{i}", lb.im_lo[i], lb.im_hi[i])
-                for i in range(n)
-            ]
-            for i in range(n):
-                encode_affine(model, im_ids[i], prev, spec.weights[:, i],
-                              f"A{prefix}{pos}_{i}")
-            copy.im_ids[pos] = im_ids
+            exprs = [affine_expr(prev, spec.weights[:, i]) for i in range(n)]
+            if spec.kind is not LayerKind.RELU_DENSE:
+                im_ids = [model.add_variable(f"m{prefix}{pos}_{i}", lb.im_lo[i], lb.im_hi[i])
+                          for i in range(n)]
+                for i, (terms, const) in enumerate(exprs):
+                    model.add_constraint(f"A{prefix}{pos}_{i}", [(im_ids[i], 1.0)]
+                                         + [(v, -c) for v, c in terms], RowSense.EQ, const)
+                copy.im_ids[pos] = im_ids
             if spec.kind is LayerKind.LINEAR_OUTPUT:
-                copy.x_ids[pos] = im_ids  # the output is the pre-activation
-            elif spec.kind is LayerKind.RELU_DENSE:
-                x_ids = [
-                    model.add_variable(f"x{prefix}{pos}_{i}", lb.lo[i], lb.hi[i])
-                    for i in range(n)
-                ]
-                copy.relu[pos] = {}
-                for i in range(n):
-                    copy.relu[pos][i] = encode_relu(
-                        model, x_ids[i], im_ids[i], int(lb.phase[i]),
-                        (lb.im_lo[i], lb.im_hi[i]), f"R{prefix}{pos}_{i}")
-                copy.x_ids[pos] = x_ids
-            else:  # atan
-                x_ids = [
-                    model.add_variable(f"x{prefix}{pos}_{i}", lb.lo[i], lb.hi[i])
-                    for i in range(n)
-                ]
-                copy.atan[pos] = {}
-                for i in range(n):
-                    copy.atan[pos][i] = encode_atan(
-                        model, x_ids[i], im_ids[i], float(lb.im_lo[i]),
-                        float(lb.im_hi[i]), f"T{prefix}{pos}_{i}")
-                copy.x_ids[pos] = x_ids
+                x_ids = im_ids  # the output is the pre-activation
+            else:
+                x_ids = [model.add_variable(f"x{prefix}{pos}_{i}", lb.lo[i], lb.hi[i])
+                         for i in range(n)]
+            if spec.kind is LayerKind.RELU_DENSE:
+                copy.relu[pos] = {
+                    i: encode_relu(model, x_ids[i], exprs[i], int(lb.phase[i]),
+                                   (lb.im_lo[i], lb.im_hi[i]), f"R{prefix}{pos}_{i}")
+                    for i in range(n)}
+            elif spec.kind is LayerKind.ATAN_DENSE:
+                copy.atan[pos] = {
+                    i: encode_atan(model, x_ids[i], im_ids[i], float(lb.im_lo[i]),
+                                   float(lb.im_hi[i]), f"T{prefix}{pos}_{i}")
+                    for i in range(n)}
+            copy.x_ids[pos] = x_ids
         else:  # max_pool
-            p_lo = bounds.x_lo(pos - 1)
-            p_hi = bounds.x_hi(pos - 1)
-            x_ids = [
-                model.add_variable(f"x{prefix}{pos}_{g}", lb.lo[g], lb.hi[g])
-                for g in range(len(spec.pool_groups))
-            ]
+            p_lo, p_hi = bounds.x_lo(pos - 1), bounds.x_hi(pos - 1)
+            x_ids = [model.add_variable(f"x{prefix}{pos}_{g}", lb.lo[g], lb.hi[g])
+                     for g in range(len(spec.pool_groups))]
             copy.pools[pos] = {}
             for g, members in enumerate(spec.pool_groups):
                 operands = [(prev[i - 1], float(p_lo[i - 1]), float(p_hi[i - 1]))
@@ -761,11 +763,9 @@ def copy_assignment(asg: Assignment, copy: NetworkCopy, net: Network,
     for pos in range(copy.first_pos, copy.last_pos + 1):
         xv = trace.x[pos - 1 - off]
         imv = trace.im[pos - 1 - off]
-        if pos in copy.im_ids:
-            for vid, v in zip(copy.im_ids[pos], imv):
-                asg[vid] = float(v)
-        for vid, v in zip(copy.x_ids[pos], xv):
-            asg[vid] = float(v)
+        if pos in copy.im_ids:  # atan and score layers
+            asg.update(zip(copy.im_ids[pos], map(float, imv)))
+        asg.update(zip(copy.x_ids[pos], map(float, xv)))
         for i, gadget in copy.relu.get(pos, {}).items():
             if gadget.b_id is not None:
                 asg[gadget.b_id] = 1.0 if imv[i] >= 0.0 else 0.0

@@ -83,7 +83,7 @@ def _relu_bench(im_value: float, big_m: float, force_b: int):
     x = m.add_variable("x", 0.0, big_m)
     im = m.add_variable("im", -big_m, big_m)
     m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, im_value)
-    g = encode_relu(m, x, im, Phase.UNDECIDED, (-big_m, big_m), "R")
+    g = encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, (-big_m, big_m), "R")
     m.add_constraint("pin", [(g.b_id, 1.0)], RowSense.EQ, float(force_b))
     return solve(m.freeze(), SolveConfig()), x
 

@@ -47,7 +47,7 @@ def _relu_bench(im_value: float, big_m: float, force_b: int):
     x = m.add_variable("x", 0.0, big_m)
     im = m.add_variable("im", -big_m, big_m)
     m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, im_value)
-    g = encode_relu(m, x, im, Phase.UNDECIDED, (-big_m, big_m), "R")
+    g = encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, (-big_m, big_m), "R")
     m.add_constraint("pin", [(g.b_id, 1.0)], RowSense.EQ, float(force_b))
     return solve(m.freeze(), SolveConfig()), x
 
@@ -78,11 +78,11 @@ class TestReluGadget:
         m = MipModel("fixed")
         x = m.add_variable("x", 0.0, 5.0)
         im = m.add_variable("im", 1.0, 5.0)
-        g = encode_relu(m, x, im, Phase.ALWAYS_ACTIVE, (1.0, 5.0), "Ra")
+        g = encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.ALWAYS_ACTIVE, (1.0, 5.0), "Ra")
         assert g.b_id is None
         x2 = m.add_variable("x2", 0.0, 0.0)
         im2 = m.add_variable("im2", -5.0, -1.0)
-        g2 = encode_relu(m, x2, im2, Phase.ALWAYS_INACTIVE, (-5.0, -1.0), "Ri")
+        g2 = encode_relu(m, x2, ([(im2, 1.0)], 0.0), Phase.ALWAYS_INACTIVE, (-5.0, -1.0), "Ri")
         assert g2.b_id is None
         assert not m.dense_arrays().binary_ids
 
@@ -94,7 +94,7 @@ class TestReluGadget:
                (-1.0, math.inf), (math.nan, 1.0)]
         for im_bounds in bad:
             with pytest.raises(EncodingError):
-                encode_relu(m, x, im, Phase.UNDECIDED, im_bounds, "R")
+                encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, im_bounds, "R")
         assert not m.constraints and len(m.variables) == 2
 
     def test_negative_output_bound_rejected(self):
@@ -103,13 +103,13 @@ class TestReluGadget:
         x = m.add_variable("x", -1.0, 1.0)
         im = m.add_variable("im", -1.0, 1.0)
         with pytest.raises(EncodingError):
-            encode_relu(m, x, im, Phase.UNDECIDED, (-1.0, 1.0), "R")
+            encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, (-1.0, 1.0), "R")
 
     def test_undecided_node_adds_three_rows_and_one_binary(self):
         m = MipModel("size")
         x = m.add_variable("x", 0.0, 2.0)
         im = m.add_variable("im", -1.0, 2.0)
-        g = encode_relu(m, x, im, Phase.UNDECIDED, (-1.0, 2.0), "R")
+        g = encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, (-1.0, 2.0), "R")
         assert len(m.constraints) == 3
         assert m.dense_arrays().binary_ids == [g.b_id]
 
@@ -124,7 +124,7 @@ class TestReluGadget:
             x = m.add_variable("x", 0.0, 2.0 * hi)
             im = m.add_variable("im", lo, hi)
             m.add_constraint("fix", [(im, 1.0)], RowSense.EQ, float(t))
-            encode_relu(m, x, im, Phase.UNDECIDED, (lo, hi), "R")
+            encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, (lo, hi), "R")
             m.set_objective([(x, 1.0)], ObjSense.MAXIMIZE)
             r = solve_lp(m.freeze())
             assert r.status is LpStatus.OPTIMAL
@@ -142,7 +142,7 @@ class TestReluGadget:
         m = MipModel("h")
         x = m.add_variable("x", 0.0, big_m)
         im = m.add_variable("im", lo, hi)
-        g = encode_relu(m, x, im, Phase.UNDECIDED, (lo, hi), "R")
+        g = encode_relu(m, x, ([(im, 1.0)], 0.0), Phase.UNDECIDED, (lo, hi), "R")
         asg = {im: v, x: max(0.0, v), g.b_id: 1.0 if v >= 0 else 0.0}
         assert check_feasible(m, asg, 1e-9)
 
