@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: eval (forward pass), bounds (interval propagation, optionally
-window-tightened), verify (local robustness; exit code carries the verdict),
-phi (maximum-perturbation bound), xi (network resilience), max-alpha
-(best attainable dominance ratio), export (write a query as an MPS file).
+Subcommands: eval (forward pass), bounds (the intervals every query is
+encoded over, optionally window-tightened), verify (local robustness; exit
+code carries the verdict), phi (maximum-perturbation bound), xi (network
+resilience), max-alpha (best attainable dominance ratio), export (write a
+query as an MPS file).
 
 Exit codes: 0 success (for verify: ROBUST), 10 verify found a violation,
 20 the verdict or bound could not be settled within the solver's limits,

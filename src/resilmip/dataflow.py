@@ -1,12 +1,16 @@
 """Interval analysis over a network: per-node value bounds and activation
-phases, plus an exact MIP-backed bound tightener (lookback) that owns its
-probe settings (LOOKBACK_NODE_LIMIT nodes, MIP gap 0) and reads only a
-caller's time limit. The encoder sizes every gadget from these bounds.
+phases, and two tighteners: back-substitution through linear ReLU
+relaxations (linear_bounds, one pass, no LP), and an exact MIP-backed bound
+tightener (lookback) that owns its probe settings (LOOKBACK_NODE_LIMIT
+nodes, MIP gap 0) and reads only a caller's time limit. The encoder sizes
+every gadget from these bounds.
 
 Bounds are sound: every exact forward trace of an input in the propagated box
 (the input domain, or a query's budget box inside it) lies inside them.
 Pre-activation bounds of a dense node sum the per-predecessor extremes
 min/max(w*lo, w*hi); the bias row contributes exactly its weight.
+Back-substituted bounds are rounded outward, so they hold against the same
+computation done exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from .mipmodel import ObjSense
 from .network import DENSE_KINDS, LayerKind, Network
+from .simplex import gamma
 from .solver import SolveConfig, SolveStatus, query_deadline, time_left, worker_pool
 
 # Slack when adopting MIP-tightened bounds, guarding against LP round-off
@@ -65,8 +70,8 @@ class IntervalBounds:
 
 
 def _affine_bounds(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.clip(w[1:], 0.0, None)
-    neg = np.clip(w[1:], None, 0.0)
+    pos = np.maximum(w[1:], 0.0)
+    neg = np.minimum(w[1:], 0.0)
     im_lo = w[0] + lo @ pos + hi @ neg
     im_hi = w[0] + hi @ pos + lo @ neg
     return im_lo, im_hi
@@ -145,6 +150,113 @@ def intersect_bounds(net: Network, a: IntervalBounds, b: IntervalBounds) -> Inte
             _refresh_outputs(spec, layer)
         else:
             layer = LayerBounds(*_meet(la.lo, la.hi, lb.lo, lb.hi))
+        out.layers.append(layer)
+    return out
+
+
+def _relaxation(w: np.ndarray, lb: LayerBounds) -> tuple[np.ndarray, ...]:
+    """A ReLU layer with weights w, relaxed over its refined bounds lb, as
+    maps (P, N, M) of affine forms, each a column whose row 0 is the
+    constant: a form lam in the layer's outputs y is at least the form
+    P @ max(lam, 0) + N @ min(lam, 0) in its inputs x, where z = w'[1; x]
+    lies in [l, u] and y = max(0, z). The lines y_j >= a_j z_j and
+    y_j <= s_j z_j + t_j hold there: a stable node is exact; an undecided
+    one (l < 0 < u) takes the upper line u (z - l) / (u - l) and a = 1 if
+    u > -l, else 0. M bounds |P| and |N| entrywise."""
+    l, u = lb.im_lo, lb.im_hi
+    up, ln = np.maximum(u, 0.0), np.minimum(l, 0.0)
+    d = up - ln
+    s = up / (d + (d == 0.0))  # 0 on the degenerate [0, 0], where z = 0
+    t = -ln * s
+    a = u + l > 0.0  # the sign of a float sum is exact
+    p, n, m = (np.zeros((w.shape[0], w.shape[1] + 1)) for _ in range(3))
+    p[0, 0] = n[0, 0] = m[0, 0] = 1.0  # the constant passes through
+    p[:, 1:] = w * a
+    n[:, 1:] = w * s
+    m[:, 1:] = np.abs(w)
+    n[0, 1:] += t
+    m[0, 1:] += t
+    return p, n, m
+
+
+def _back_substitute(net: Network, out: IntervalBounds, relax: dict, pos: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on layer pos's pre-activation z from its weights
+    back-substituted through the ReLU layers directly before it (`relax`
+    holds their `_relaxation`), down to the box in `out` where that chain
+    starts. The lower bounds of z and of -z are found together, as the
+    columns of one form.
+
+    `mag` bounds the magnitude of every path's term summed into the forms,
+    so the float result is off from the same computation done exactly by
+    at most gamma_K times the terms' magnitudes over the box. K counts the
+    roundings along a path (a sum of k terms, k), and is doubled per layer
+    of the chain: where a coefficient's float sign differs from its exact
+    sign, the two pick different lines, a change bounded by the same error."""
+    w = net.layers[pos - 1].weights
+    lam = np.concatenate((w, -w), axis=1)
+    mag = np.abs(lam)
+    terms, r = 0, pos - 1
+    while True:  # layer r is a ReLU layer: its outputs by lines in its inputs
+        p, n, m = relax[r]
+        terms += lam.shape[0] + 8
+        neg = np.minimum(lam, 0.0)
+        lam = p @ (lam - neg) + n @ neg
+        mag = m @ mag
+        r -= 1
+        if r == 0 or net.layers[r - 1].kind is not LayerKind.RELU_DENSE:
+            break
+    lo, hi = out.x_lo(r), out.x_hi(r)  # the forms' minima over this box
+    neg = np.minimum(lam[1:], 0.0)
+    low = lam[0] + lo @ (lam[1:] - neg) + hi @ neg
+    size = np.concatenate(([1.0], np.maximum(hi, -lo)))  # max |x| over the box
+    err = gamma(2 * (pos - r + 1) * (terms + lo.shape[0] + 4)) * (size @ mag)
+    low = np.nextafter(low - err, -np.inf)
+    low = np.where(low < np.inf, low, -np.inf)  # an overflow or NaN proves nothing
+    k = w.shape[1]
+    return low[:k], -low[k:]
+
+
+def linear_bounds(net: Network, bounds: IntervalBounds) -> IntervalBounds:
+    """Tighten `bounds` by back-substitution through linear ReLU relaxations
+    (DeepPoly: Singh et al., POPL 2019), in one pass over the layers and
+    with no LP.
+
+    Each dense layer's pre-activation bounds become the meet of three: the
+    given bounds; interval arithmetic over the previous layer's refined box;
+    and, after a ReLU layer, its weights back-substituted through the ReLU
+    layers directly before it (`_relaxation`) down to the box where that
+    chain starts: the input box, or the intervals of an arc-tangent,
+    max-pool or linear layer, which end a chain. Max-pool intervals are met
+    with those of their refined inputs. Phases and outputs are refreshed
+    from the result. Every back-substituted bound is widened by gamma_K
+    times its chain's magnitudes and moved one ulp outward, as in
+    `simplex.certified_bound`, so it encloses the same computation done
+    exactly. Where nothing tightens, the given bounds are kept bit for bit;
+    a net where no dense layer follows a ReLU layer gets `bounds` back.
+    """
+    kinds = [spec.kind for spec in net.layers]
+    if not any(prev is LayerKind.RELU_DENSE and kind in DENSE_KINDS
+               for prev, kind in zip(kinds, kinds[1:])):
+        return bounds
+    out = IntervalBounds(bounds.input_lo, bounds.input_hi)
+    relax: dict[int, tuple[np.ndarray, ...]] = {}
+    for pos, (spec, layer) in enumerate(zip(net.layers, bounds.layers), start=1):
+        # the first layer's box is the given input box, and softmax outputs
+        # lie in [0, 1] and are never encoded: both keep the given bounds
+        lo, hi = out.x_lo(pos - 1), out.x_hi(pos - 1)
+        if pos > 1 and spec.kind is LayerKind.MAX_POOL:
+            fresh = _layer_bounds(spec, lo, hi)
+            layer = LayerBounds(*_meet(layer.lo, layer.hi, fresh.lo, fresh.hi))
+        elif pos > 1 and spec.kind in DENSE_KINDS:
+            im_lo, im_hi = _meet(layer.im_lo, layer.im_hi,
+                                 *_affine_bounds(spec.weights, lo, hi))
+            if kinds[pos - 2] is LayerKind.RELU_DENSE:
+                im_lo, im_hi = _meet(im_lo, im_hi, *_back_substitute(net, out, relax, pos))
+            layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
+            _refresh_outputs(spec, layer)
+        if spec.kind is LayerKind.RELU_DENSE:
+            relax[pos] = _relaxation(spec.weights, layer)
         out.layers.append(layer)
     return out
 

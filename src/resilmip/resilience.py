@@ -36,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from . import encoder
-from .dataflow import IntervalBounds, intersect_bounds, propagate_intervals, tighten_lookback
+from .dataflow import (IntervalBounds, intersect_bounds, linear_bounds, propagate_intervals,
+                       tighten_lookback)
 from .encoder import QueryKind, QuerySpec
 from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
@@ -125,12 +126,17 @@ class MaxAlphaResult:
 
 def prepare_bounds(net: Network, bounds: IntervalBounds | None,
                    lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
-    """The given bounds or the plain intervals, tightened by lookback
-    windows of depth `lookback` if set, under `config`'s time limit."""
+    """The given bounds or the plain intervals, tightened once by
+    back-substitution through linear ReLU relaxations (linear_bounds), then
+    by lookback windows of depth `lookback` if set, under `config`'s time
+    limit. Every driver, export and the bounds command take their bounds
+    from here."""
     if bounds is None:
         bounds = propagate_intervals(net)
-    # depth 1 boxes each node's predecessors, which reproduces the plain
-    # bounds; tighten_lookback rejects depths below 1
+    bounds = linear_bounds(net, bounds)
+    # depth 1 boxes each node's predecessors, which adds nothing to the
+    # interval bounds over the boxes linear_bounds refined; tighten_lookback
+    # rejects depths below 1
     if lookback is not None and lookback != 1:
         workers = config.workers if config is not None else 1
         bounds = tighten_lookback(net, bounds, depth=lookback, config=config,
@@ -144,8 +150,9 @@ def query_bounds(net: Network, spec: QuerySpec, bounds: IntervalBounds | None,
     A LOCAL_ROBUSTNESS query admits only points of its budget box
     B = [max(lo, a - delta), min(hi, a + delta)] around the anchor clipped
     into the domain (as encode_query clips it), so it takes the intervals
-    propagated from B, met with any given `bounds`. Lookback then tightens
-    them, or any other query's bounds, in prepare_bounds."""
+    propagated from B, met with any given `bounds`. prepare_bounds then
+    tightens them, or any other query's bounds, by back-substitution down
+    to the bounds' input box (B, for a robustness query) and by lookback."""
     encoder.validate_query(net, spec)
     if spec.kind is QueryKind.LOCAL_ROBUSTNESS:
         lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
@@ -203,16 +210,17 @@ def compute_phi(net: Network, m: int, alpha: float = 1.0, k: int = 1, *,
     "b" copy; for a_ini, its exact trace) and stage 2's (the perturbation,
     the "q" copy and the class selectors), matched by variable name."""
     cfg = config or SolveConfig()
-    return _phi(net, m, alpha, k, a_ini=a_ini, cfg=cfg, bounds=bounds,
-                lookback=lookback, deadline=query_deadline(cfg))
+    deadline = query_deadline(cfg)
+    spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
+    bounds = query_bounds(net, spec, bounds, lookback, time_left(cfg, deadline))
+    return _phi(net, m, alpha, k, a_ini=a_ini, cfg=cfg, bounds=bounds, deadline=deadline)
 
 
 def _phi(net: Network, m: int, alpha: float, k: int, *, a_ini: np.ndarray | None,
-         cfg: SolveConfig, bounds: IntervalBounds | None, lookback: int | None,
-         deadline: float | None) -> PhiResult:
-    """compute_phi under a deadline fixed by its caller."""
+         cfg: SolveConfig, bounds: IntervalBounds, deadline: float | None) -> PhiResult:
+    """compute_phi of a validated query, over the bounds query_bounds gave
+    it, under a deadline fixed by its caller."""
     spec = QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha, k=k, a=a_ini)
-    bounds = query_bounds(net, spec, bounds, lookback, time_left(cfg, deadline))
 
     anchor: np.ndarray | None = None
     anchor_sol: dict[str, float] | None = None
@@ -291,7 +299,7 @@ def compute_xi(net: Network, alpha: float = 1.0, k: int = 1, *,
                           bounds, lookback, time_left(cfg, deadline))
     classes = range(1, net.num_classes + 1)
     phi_of = functools.partial(_phi, net, alpha=alpha, k=k, a_ini=None, cfg=cfg,
-                               bounds=bounds, lookback=None, deadline=deadline)
+                               bounds=bounds, deadline=deadline)
     with worker_pool(cfg.workers) as pmap:
         per_class = dict(zip(classes, pmap(phi_of, classes)))
     xi = math.inf

@@ -80,7 +80,7 @@ _REFACTOR_AFTER = 100  # rank-1 updates a warm start inverse may carry
 _CERT_REL = 1e-9     # relative shortfall of a certified bound below c'x accepted
 
 
-def _gamma(k: int) -> float:
+def gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), u = 2^-53: a float64 sum or dot product of k
     terms is off by at most gamma_k times the sum of their magnitudes, in any
     summation order (Higham, "Accuracy and Stability of Numerical
@@ -256,7 +256,7 @@ def certified_bound(form: LpForm, lo: np.ndarray, hi: np.ndarray,
         return -INF
     y = np.minimum(np.maximum(y, form.y_lo), form.y_hi)  # np.clip, bit for bit
     abs_y = np.abs(y)
-    g = _gamma(2 * (lo.shape[0] + y.shape[0]) + 4)
+    g = gamma(2 * (lo.shape[0] + y.shape[0]) + 4)
     d = cost - y @ form.full[:, :lo.shape[0]]
     err = g * (abs_y @ form.abs_a + np.abs(cost))
     d_lo = np.nextafter(d - err, -INF)

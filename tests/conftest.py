@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from resilmip import zoo
 from resilmip.network import LayerKind, LayerSpec, Network
 
 settings.register_profile(
@@ -19,6 +20,14 @@ def domain_samples(net: Network, n: int, rng: np.random.Generator) -> np.ndarray
     lo = net.input_bounds[:, 0]
     hi = net.input_bounds[:, 1]
     return lo + rng.random((n, net.input_dim)) * (hi - lo)
+
+
+def r8_net() -> Network:
+    """R8 of the benchmark: the second draw of zoo.random_relu_net from
+    np.random.default_rng(0), with 3 inputs, hidden layers (8, 8), 3 classes."""
+    rng = np.random.default_rng(0)
+    zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
+    return zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
 
 
 @pytest.fixture

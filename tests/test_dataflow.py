@@ -2,6 +2,7 @@
 
 import io
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,10 @@ from resilmip import solver, zoo
 from resilmip.dataflow import (
     ADOPT_SLACK,
     Phase,
+    _back_substitute,
+    _relaxation,
     intersect_bounds,
+    linear_bounds,
     propagate_intervals,
     relu_phases,
     tighten_lookback,
@@ -21,7 +25,7 @@ from resilmip.dataflow import (
 )
 from resilmip.encoder import encode_window
 from resilmip.mipmodel import ObjSense
-from resilmip.network import DENSE_KINDS, forward
+from resilmip.network import DENSE_KINDS, LayerKind, forward
 from resilmip.oracle import enumerate_mip
 from resilmip.solver import SolveConfig, SolveStatus
 
@@ -355,6 +359,115 @@ class TestBudgetBox:
         for lb, lx in zip(same.layers, box.layers):
             np.testing.assert_array_equal(lb.lo, lx.lo)
             np.testing.assert_array_equal(lb.hi, lx.hi)
+
+
+def _exact_back_substitution(net, bounds, pos):
+    """linear_bounds' back-substitution for the dense layer at pos, done in
+    exact rationals over the float bounds it refined: the lower and upper
+    bounds of each node's pre-activation, as Fractions."""
+    w = net.layers[pos - 1].weights
+    result = []
+    for j in range(w.shape[1]):
+        ends = []
+        for sign in (1, -1):  # the minimum of sign * z
+            const = Fraction(sign * w[0, j])
+            lam = [Fraction(sign * v) for v in w[1:, j]]
+            r = pos - 1
+            while True:  # y_r by its lines in z_r, then z_r by its weights
+                lb, wr = bounds.layers[r - 1], net.layers[r - 1].weights
+                coef = []
+                for c, lo, hi in zip(lam, lb.im_lo, lb.im_hi):
+                    l, u = Fraction(lo), Fraction(hi)
+                    if l >= 0:  # active: y = z
+                        coef.append(c)
+                    elif u <= 0:  # inactive: y = 0
+                        coef.append(Fraction(0))
+                    elif c >= 0:  # the lower line: y >= z if u > -l, else y >= 0
+                        coef.append(c if u > -l else Fraction(0))
+                    else:  # the upper line y <= u (z - l) / (u - l)
+                        coef.append(c * u / (u - l))
+                        const -= c * u * l / (u - l)
+                const += sum(c * Fraction(v) for c, v in zip(coef, wr[0]))
+                lam = [sum(c * Fraction(v) for c, v in zip(coef, row)) for row in wr[1:]]
+                r -= 1
+                if r == 0 or net.layers[r - 1].kind is not LayerKind.RELU_DENSE:
+                    break
+            box = zip(lam, bounds.x_lo(r), bounds.x_hi(r))
+            ends.append(const + sum(c * Fraction(lo if c >= 0 else hi) for c, lo, hi in box))
+        result.append((ends[0], -ends[1]))
+    return result
+
+
+def _relu_net_and_box(seed):
+    """A seeded random rectifier net with 1-3 hidden layers, and its domain
+    or a random box inside it."""
+    rng = np.random.default_rng(seed)
+    net = zoo.random_relu_net(rng, input_dim=int(rng.integers(1, 4)),
+                              hidden=tuple(int(rng.integers(1, 6))
+                                           for _ in range(int(rng.integers(1, 4)))),
+                              classes=int(rng.integers(2, 4)), scale=2.0)
+    lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+    if rng.random() < 0.5:
+        lo, hi = np.sort(rng.uniform(lo, hi, size=(2, net.input_dim)), axis=0)
+    return net, (lo, hi), rng
+
+
+class TestLinearBounds:
+    def test_lookback_chain_output_tightens_to_minus_one(self):
+        """z = x - max(0, x) on [-1, 1]: the undecided node's upper line
+        (x + 1) / 2 lifts the plain bound -2 to -1; its lower line y >= 0
+        keeps the upper bound 1."""
+        net = zoo.lookback_chain()
+        plain = propagate_intervals(net)
+        lin = linear_bounds(net, plain)
+        assert lin.layers[1].im_lo[0] == pytest.approx(-1.0, abs=1e-12)
+        assert lin.layers[1].im_lo[0] <= -1.0
+        assert lin.layers[1].im_hi[0] == plain.layers[1].im_hi[0] == 1.0
+        assert lin.layers[0] is plain.layers[0]
+
+    @pytest.mark.parametrize("name", ["two_class_linear", "atan_wide", "pool_duel"])
+    def test_nets_without_a_dense_layer_after_a_relu_keep_their_bounds(self, name):
+        net = zoo.FIXTURES[name]()
+        plain = propagate_intervals(net)
+        assert linear_bounds(net, plain) is plain
+
+    @pytest.mark.parametrize("name", ["relu_deep", "relu_mixed_phases"])
+    def test_bounds_it_cannot_tighten_are_kept_bit_for_bit(self, name):
+        net = zoo.FIXTURES[name]()
+        plain = propagate_intervals(net)
+        lin = linear_bounds(net, plain)
+        for a, b in zip(plain.layers, lin.layers):
+            np.testing.assert_array_equal(a.lo, b.lo)
+            np.testing.assert_array_equal(a.hi, b.hi)
+            if a.phase is not None:
+                np.testing.assert_array_equal(a.phase, b.phase)
+
+    @given(seed=st.integers(0, 100_000))
+    def test_sound_never_looser_and_enclosing_the_exact_computation(self, seed):
+        net, box, rng = _relu_net_and_box(seed)
+        plain = propagate_intervals(net, box)
+        lin = linear_bounds(net, plain)
+        lo, hi = box
+        for point in np.vstack([lo + rng.random((50, net.input_dim)) * (hi - lo), lo, hi]):
+            _assert_trace_in_bounds(net, lin, point)
+        for a, b in zip(plain.layers, lin.layers):
+            assert np.all(b.lo >= a.lo) and np.all(b.hi <= a.hi)
+            if a.im_lo is not None:
+                assert np.all(b.im_lo >= a.im_lo) and np.all(b.im_hi <= a.im_hi)
+        relax = {pos: _relaxation(spec.weights, lin.layers[pos - 1])
+                 for pos, spec in enumerate(net.layers, start=1)
+                 if spec.kind is LayerKind.RELU_DENSE}
+        for pos in range(2, len(net.layers) + 1):
+            if net.layers[pos - 1].kind not in DENSE_KINDS:
+                continue
+            b_lo, b_hi = _back_substitute(net, lin, relax, pos)
+            exact = _exact_back_substitution(net, lin, pos)
+            for j, (e_lo, e_hi) in enumerate(exact):
+                assert Fraction(b_lo[j]) <= e_lo and e_hi <= Fraction(b_hi[j])
+                # outward by rounding only, not by a gross margin
+                assert b_lo[j] >= float(e_lo) - 1e-9 and b_hi[j] <= float(e_hi) + 1e-9
+                assert lin.layers[pos - 1].im_lo[j] >= b_lo[j]
+                assert lin.layers[pos - 1].im_hi[j] <= b_hi[j]
 
 
 class TestDump:

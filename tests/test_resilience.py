@@ -30,6 +30,8 @@ from resilmip.resilience import (
 )
 from resilmip.solver import SolveConfig, SolveResult, SolveStatus
 
+from conftest import r8_net
+
 
 class TestComputePhi:
     def test_linear_two_class_exact_bound(self):
@@ -425,16 +427,27 @@ class TestBudgetBoxBounds:
         assert given.verdict is r.verdict
         assert given.solve.nodes_explored <= r.solve.nodes_explored
 
-    def test_other_queries_keep_the_domain_bounds(self):
-        net = zoo.relu_deep()
-        plain = propagate_intervals(net)
-        for q in (QuerySpec(QueryKind.MAX_PERTURBATION, m=1, a=np.array([0.5, 0.5])),
-                  QuerySpec(QueryKind.MAX_ALPHA, m=1)):
-            got = resilience.query_bounds(net, q, None, None, None)
-            for g, p in zip(got.layers, plain.layers):
-                assert np.array_equal(g.lo, p.lo) and np.array_equal(g.hi, p.hi)
+    def test_other_queries_tighten_the_domain_bounds(self):
+        """A query over the whole domain takes the plain intervals met with
+        their back-substituted bounds: never looser anywhere, and strictly
+        tighter on R8, and on lookback_chain's output, [-2, 1] -> [-1, 1]."""
+        for net, tighter in ((zoo.relu_deep(), False), (r8_net(), True)):
+            plain = propagate_intervals(net)
+            for q in (QuerySpec(QueryKind.MAX_PERTURBATION, m=1,
+                                a=np.full(net.input_dim, 0.5)),
+                      QuerySpec(QueryKind.MAX_ALPHA, m=1)):
+                got = resilience.query_bounds(net, q, None, None, None)
+                for g, p in zip(got.layers, plain.layers):
+                    assert np.all(g.lo >= p.lo) and np.all(g.hi <= p.hi)
+                assert tighter == any(np.any(g.lo > p.lo) or np.any(g.hi < p.hi)
+                                      for g, p in zip(got.layers, plain.layers))
+        chain = zoo.lookback_chain()  # one score, so no query: the bounds command's path
+        got = resilience.prepare_bounds(chain, None, None, None).layers[1]
+        assert propagate_intervals(chain).layers[1].im_lo[0] == -2.0
+        assert got.im_lo[0] == pytest.approx(-1.0, abs=1e-12) and got.im_hi[0] == 1.0
         with pytest.raises(EncodingError):  # checked before any bound is built
-            resilience.query_bounds(net, QuerySpec(QueryKind.MAX_ALPHA, m=9), None, 2, None)
+            resilience.query_bounds(zoo.relu_deep(), QuerySpec(QueryKind.MAX_ALPHA, m=9),
+                                    None, 2, None)
 
     def test_a_stable_relu_loses_its_binary(self):
         net = zoo.relu_deep()
@@ -447,6 +460,55 @@ class TestBudgetBoxBounds:
         # the perturbed inputs are declared over the budget box
         p = [v for v in model.variables if v.name in ("p0", "p1")]
         assert [(v.lo, v.hi) for v in p] == [(0.3, 0.7), (0.3, 0.7)]
+
+
+def _small_relu_net(seed: int) -> Network:
+    """A seeded random 2-2-2-2 rectifier net, small enough that its phi
+    models' binaries can be enumerated."""
+    return zoo.random_relu_net(np.random.default_rng(seed), input_dim=2, hidden=(2, 2),
+                               classes=2, scale=1.0)
+
+
+def _within_gap(value: float, ref: float) -> bool:
+    if math.isinf(ref):
+        return value == ref
+    return abs(value - ref) <= SolveConfig().mip_gap * max(1.0, abs(ref)) + 1e-9
+
+
+class TestLinearBoundAnswers:
+    """Every query is encoded over back-substituted bounds (resilience.
+    prepare_bounds); its answer must be the exhaustive optimum of the same
+    query encoded over the plain intervals. Verify verdicts are checked so
+    in TestBudgetBoxBounds.test_verdict_matches_enumeration_over_the_domain."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_max_alpha_matches_enumeration_over_the_domain(self, seed):
+        net, _, _ = _seeded_robustness_case(seed)
+        plain = propagate_intervals(net)
+        for m in range(1, net.num_classes + 1):
+            r = compute_max_alpha(net, m)
+            ref = enumerate_mip(encode_query(net, plain,
+                                             QuerySpec(QueryKind.MAX_ALPHA, m=m)).model)
+            assert r.status is SolveStatus.OPTIMAL
+            assert _within_gap(r.t_star, ref.objective)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_phi_matches_enumeration_over_the_domain(self, seed):
+        """For each class that can lead, at alpha halfway to its attainable
+        ratio."""
+        net = _small_relu_net(seed)
+        plain = propagate_intervals(net)
+        for m in range(1, net.num_classes + 1):
+            alpha_max = compute_max_alpha(net, m).alpha_max
+            if alpha_max <= 1.0:
+                continue
+            alpha = (1.0 + alpha_max) / 2
+            r = compute_phi(net, m, alpha=alpha)
+            ref = enumerate_mip(encode_query(
+                net, plain, QuerySpec(QueryKind.MAX_PERTURBATION, m=m, alpha=alpha)).model)
+            assert r.status is (SolveStatus.INFEASIBLE if ref.status == "infeasible"
+                                else SolveStatus.OPTIMAL)
+            assert _within_gap(r.phi, ref.objective)
 
 
 class TestMaxAlpha:
