@@ -7,6 +7,8 @@ every gadget from these bounds.
 
 Bounds are sound: every exact forward trace of an input in the propagated box
 (the input domain, or a query's budget box inside it) lies inside them.
+linear_bounds refines every layer from the input box of the bounds it is
+given, so a box met into that input box narrows every layer after it.
 Pre-activation bounds of a dense node sum the per-predecessor extremes
 min/max(w*lo, w*hi); the bias row contributes exactly its weight.
 Back-substituted bounds are rounded outward, so they hold against the same
@@ -131,27 +133,11 @@ def propagate_intervals(net: Network,
     return bounds
 
 
-def _meet(lo1, hi1, lo2, hi2):
+def meet(lo1, hi1, lo2, hi2):
     """The intersection of intervals [lo1, hi1] and [lo2, hi2], elementwise."""
     lo = np.maximum(lo1, lo2)
     hi = np.minimum(hi1, hi2)
     return np.minimum(lo, hi), hi  # guard numeric crossings
-
-
-def intersect_bounds(net: Network, a: IntervalBounds, b: IntervalBounds) -> IntervalBounds:
-    """Layer by layer, the intersection of two bounds of `net`; it encloses
-    every trace that both enclose. Phases are recomputed from the
-    intersected pre-activation bounds."""
-    out = IntervalBounds(*_meet(a.input_lo, a.input_hi, b.input_lo, b.input_hi))
-    for spec, la, lb in zip(net.layers, a.layers, b.layers):
-        if spec.kind in DENSE_KINDS:
-            im_lo, im_hi = _meet(la.im_lo, la.im_hi, lb.im_lo, lb.im_hi)
-            layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
-            _refresh_outputs(spec, layer)
-        else:
-            layer = LayerBounds(*_meet(la.lo, la.hi, lb.lo, lb.hi))
-        out.layers.append(layer)
-    return out
 
 
 def _relaxation(w: np.ndarray, lb: LayerBounds) -> tuple[np.ndarray, ...]:
@@ -222,37 +208,32 @@ def linear_bounds(net: Network, bounds: IntervalBounds) -> IntervalBounds:
     (DeepPoly: Singh et al., POPL 2019), in one pass over the layers and
     with no LP.
 
-    Each dense layer's pre-activation bounds become the meet of three: the
-    given bounds; interval arithmetic over the previous layer's refined box;
-    and, after a ReLU layer, its weights back-substituted through the ReLU
-    layers directly before it (`_relaxation`) down to the box where that
-    chain starts: the input box, or the intervals of an arc-tangent,
-    max-pool or linear layer, which end a chain. Max-pool intervals are met
-    with those of their refined inputs. Phases and outputs are refreshed
-    from the result. Every back-substituted bound is widened by gamma_K
-    times its chain's magnitudes and moved one ulp outward, as in
+    Each layer is refined by one rule. Its bounds become the meet of the
+    given bounds with interval arithmetic over the refined layer before it
+    (over the input box of `bounds`, for the first layer) and, for a dense
+    layer after a ReLU layer, with its weights back-substituted through the
+    ReLU layers directly before it (`_relaxation`) down to the box where
+    that chain starts: the input box, or the intervals of an arc-tangent,
+    max-pool or linear layer, which end a chain. Phases and outputs are
+    refreshed from the result. Every back-substituted bound is widened by
+    gamma_K times its chain's magnitudes and moved one ulp outward, as in
     `simplex.certified_bound`, so it encloses the same computation done
-    exactly. Where nothing tightens, the given bounds are kept bit for bit;
-    a net where no dense layer follows a ReLU layer gets `bounds` back.
+    exactly. Softmax outputs lie in [0, 1] and are never encoded: they keep
+    the given bounds. Where nothing tightens, the given bounds are kept bit
+    for bit.
     """
-    kinds = [spec.kind for spec in net.layers]
-    if not any(prev is LayerKind.RELU_DENSE and kind in DENSE_KINDS
-               for prev, kind in zip(kinds, kinds[1:])):
-        return bounds
     out = IntervalBounds(bounds.input_lo, bounds.input_hi)
     relax: dict[int, tuple[np.ndarray, ...]] = {}
     for pos, (spec, layer) in enumerate(zip(net.layers, bounds.layers), start=1):
-        # the first layer's box is the given input box, and softmax outputs
-        # lie in [0, 1] and are never encoded: both keep the given bounds
         lo, hi = out.x_lo(pos - 1), out.x_hi(pos - 1)
-        if pos > 1 and spec.kind is LayerKind.MAX_POOL:
+        if spec.kind is LayerKind.MAX_POOL:
             fresh = _layer_bounds(spec, lo, hi)
-            layer = LayerBounds(*_meet(layer.lo, layer.hi, fresh.lo, fresh.hi))
-        elif pos > 1 and spec.kind in DENSE_KINDS:
-            im_lo, im_hi = _meet(layer.im_lo, layer.im_hi,
-                                 *_affine_bounds(spec.weights, lo, hi))
-            if kinds[pos - 2] is LayerKind.RELU_DENSE:
-                im_lo, im_hi = _meet(im_lo, im_hi, *_back_substitute(net, out, relax, pos))
+            layer = LayerBounds(*meet(layer.lo, layer.hi, fresh.lo, fresh.hi))
+        elif spec.kind in DENSE_KINDS:
+            im_lo, im_hi = meet(layer.im_lo, layer.im_hi,
+                                *_affine_bounds(spec.weights, lo, hi))
+            if pos - 1 in relax:  # layer pos - 1 is a ReLU layer
+                im_lo, im_hi = meet(im_lo, im_hi, *_back_substitute(net, out, relax, pos))
             layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
             _refresh_outputs(spec, layer)
         if spec.kind is LayerKind.RELU_DENSE:
@@ -321,7 +302,7 @@ def tighten_lookback(
                 if spec.kind is LayerKind.MAX_POOL:
                     # no pre-activation to probe; refresh from tightened predecessors
                     fresh = _layer_bounds(spec, work.x_lo(pos - 1), work.x_hi(pos - 1))
-                    lb.lo, lb.hi = _meet(lb.lo, lb.hi, fresh.lo, fresh.hi)
+                    lb.lo, lb.hi = meet(lb.lo, lb.hi, fresh.lo, fresh.hi)
                 continue
             if pos == 1 or time_left(cfg, deadline).time_limit == 0.0:
                 continue  # at pos 1 the window is the input box: plain bounds

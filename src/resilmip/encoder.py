@@ -31,7 +31,7 @@ branch later (encode_network_copy); class selectors keep priority 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -613,9 +613,10 @@ def _dominance_rows(model: MipModel, enc_scores: list[int], m0: int, k: int,
     return sel
 
 
-def validate_query(net: Network, q: QuerySpec) -> int:
+def validate_query(net: Network, q: QuerySpec) -> QuerySpec:
     """Reject a query that cannot be encoded, before anything is built or
-    solved. Returns the last encoded layer position (the score layer's)."""
+    solved. Returns the query in normal form: an anchor of a query that
+    reads it becomes a float64 1-D array clipped into the input domain."""
     if not net.ends_in_softmax:
         raise EncodingError("queries expect a softmax-terminated network")
     n_cls = net.num_classes
@@ -624,11 +625,11 @@ def validate_query(net: Network, q: QuerySpec) -> int:
     if not 1 <= q.m <= n_cls:
         raise EncodingError(f"class index {q.m} out of range 1..{n_cls}")
     if q.kind is QueryKind.MAX_ALPHA:
-        return net.score_layer + 1
+        return q
     if not (math.isfinite(q.alpha) and q.alpha >= 1.0):
         raise EncodingError("alpha must be a finite number >= 1")
     if q.kind is QueryKind.STRONG_ANCHOR:
-        return net.score_layer + 1
+        return q
     if not 1 <= q.k <= n_cls - 1:
         raise EncodingError(f"k must sit in 1..{n_cls - 1}")
     if q.kind is QueryKind.LOCAL_ROBUSTNESS:
@@ -638,14 +639,15 @@ def validate_query(net: Network, q: QuerySpec) -> int:
             raise EncodingError("delta must be a finite number >= 0")
     if q.a is not None:
         a = np.asarray(q.a, dtype=np.float64).reshape(-1)
+        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
         if a.shape[0] != net.input_dim:
             raise EncodingError("anchor input has the wrong dimension")
         if not np.all(np.isfinite(a)):
             raise EncodingError("anchor input has a non-finite value")
-        if (np.any(a < net.input_bounds[:, 0] - 1e-9)
-                or np.any(a > net.input_bounds[:, 1] + 1e-9)):
+        if np.any(a < lo - 1e-9) or np.any(a > hi + 1e-9):
             raise EncodingError("anchor input lies outside the input domain")
-    return net.score_layer + 1
+        q = replace(q, a=np.clip(a, lo, hi))
+    return q
 
 
 def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQuery:
@@ -664,12 +666,12 @@ def encode_query(net: Network, bounds: IntervalBounds, q: QuerySpec) -> EncodedQ
     ranges over the bounds' input box, which resilience.query_bounds makes
     the budget box for LOCAL_ROBUSTNESS and the domain otherwise.
     """
-    last = validate_query(net, q)
+    q = validate_query(net, q)
+    last = net.score_layer + 1
     m0 = q.m - 1
     lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
     perturbs = q.kind in (QueryKind.MAX_PERTURBATION, QueryKind.LOCAL_ROBUSTNESS)
-    fixed = None if not perturbs or q.a is None else np.clip(
-        np.asarray(q.a, dtype=np.float64).reshape(-1), lo, hi)
+    fixed = q.a if perturbs else None
     fixed_min = fixed is not None and q.kind is QueryKind.MAX_PERTURBATION
     model = MipModel(f"{'fixed_min' if fixed_min else q.kind.value}_m{q.m}")
     a_ids = e_ids = f_ids = p_ids = base = pert = repair = None

@@ -258,29 +258,6 @@ def check_feasible(model: MipModel, assignment: Assignment, tol: float) -> bool:
     return not feasibility_violations(model, assignment, tol)
 
 
-# -- human-readable dump -------------------------------------------------------
-
-
-def format_lp(model: MipModel) -> str:
-    """Debug dump in an LP-ish notation (not a parseable interchange format)."""
-
-    def term(coef: float, name: str) -> str:
-        return f"{'+' if coef >= 0 else '-'} {abs(coef):.6g} {name}"
-
-    lines = [f"\\ model {model.name}"]
-    obj = " ".join(
-        term(c, model.variables[v].name) for v, c in sorted(model.objective.items())
-    )
-    lines.append(f"{model.obj_sense.value}: {obj if obj else '0'}")
-    for row in model.constraints:
-        body = " ".join(term(c, model.variables[v].name) for v, c in row.coefs)
-        lines.append(f"{row.name}: {body or '0'} {row.sense.value} {row.rhs:.6g}")
-    for var in model.variables:
-        tag = " binary" if var.vtype is VarType.BINARY else ""
-        lines.append(f"{var.name} in [{var.lo:.6g}, {var.hi:.6g}]{tag}")
-    return "\n".join(lines) + "\n"
-
-
 # -- MPS writer ----------------------------------------------------------------
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.]{0,7}$")

@@ -242,21 +242,3 @@ def encoding_consistency(net: Network, samples: np.ndarray | int = 64,
             report.failures.append((idx, bad))
     return report
 
-
-def lp_reference(model: MipModel) -> EnumResult:
-    """Single-LP reference (for relaxations/probes): scipy on the model with
-    binaries treated as continuous in [0, 1]."""
-    d, (a_ub, b_ub, a_eq, b_eq) = _scipy_form(model)
-    sign = -1.0 if d.maximize else 1.0
-    bounds = [(None if not math.isfinite(l) else l, None if not math.isfinite(h) else h)
-              for l, h in zip(d.lo, d.hi)]
-    res = linprog(sign * d.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs", options={"presolve": False})
-    if res.status == 2:
-        return EnumResult("infeasible", math.inf if not d.maximize else -math.inf, None, 1)
-    if res.status == 3:
-        return EnumResult("unbounded", -math.inf if not d.maximize else math.inf, None, 1)
-    if not res.success:
-        raise RuntimeError(f"reference LP failed: {res.message}")
-    return EnumResult("optimal", float(sign * res.fun),
-                      {i: float(v) for i, v in enumerate(res.x)}, 1)

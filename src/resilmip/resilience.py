@@ -36,8 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import encoder
-from .dataflow import (IntervalBounds, intersect_bounds, linear_bounds, propagate_intervals,
-                       tighten_lookback)
+from .dataflow import IntervalBounds, linear_bounds, meet, propagate_intervals, tighten_lookback
 from .encoder import QueryKind, QuerySpec
 from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
@@ -148,18 +147,20 @@ def query_bounds(net: Network, spec: QuerySpec, bounds: IntervalBounds | None,
                  lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
     """The bounds `spec` is encoded over, once validate_query accepts it.
     A LOCAL_ROBUSTNESS query admits only points of its budget box
-    B = [max(lo, a - delta), min(hi, a + delta)] around the anchor clipped
-    into the domain (as encode_query clips it), so it takes the intervals
-    propagated from B, met with any given `bounds`. prepare_bounds then
-    tightens them, or any other query's bounds, by back-substitution down
-    to the bounds' input box (B, for a robustness query) and by lookback."""
-    encoder.validate_query(net, spec)
+    B = [max(lo, a - delta), min(hi, a + delta)] around its anchor a (in
+    validate_query's normal form), so it takes the intervals propagated
+    from B, or, given `bounds`, those bounds with B met into their input
+    box. prepare_bounds then refines every layer of them, or of any other
+    query's bounds, from that input box (linear_bounds), and by lookback."""
+    spec = encoder.validate_query(net, spec)
     if spec.kind is QueryKind.LOCAL_ROBUSTNESS:
         lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
-        a = np.clip(np.asarray(spec.a, dtype=np.float64).reshape(-1), lo, hi)
-        box = propagate_intervals(
-            net, (np.maximum(lo, a - spec.delta), np.minimum(hi, a + spec.delta)))
-        bounds = box if bounds is None else intersect_bounds(net, box, bounds)
+        box = (np.maximum(lo, spec.a - spec.delta), np.minimum(hi, spec.a + spec.delta))
+        if bounds is None:
+            bounds = propagate_intervals(net, box)
+        else:
+            bounds = IntervalBounds(*meet(bounds.input_lo, bounds.input_hi, *box),
+                                    bounds.layers)
     return prepare_bounds(net, bounds, lookback, config)
 
 
@@ -331,12 +332,11 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
     """
     cfg = config or SolveConfig()
     deadline = query_deadline(cfg)
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1 if m is None else m, k=k, a=a,
-                  delta=float(delta))
-    encoder.validate_query(net, q)  # the anchor, before class_scores reads it
+    q = encoder.validate_query(net, QuerySpec(QueryKind.LOCAL_ROBUSTNESS,
+                                              m=1 if m is None else m, k=k, a=a,
+                                              delta=float(delta)))
     if m is None:  # the top class is in range, so q stays valid
-        m = int(np.argmax(class_scores(net, a))) + 1
+        m = int(np.argmax(class_scores(net, q.a))) + 1
         q = replace(q, m=m)
     bounds = query_bounds(net, q, bounds, lookback, time_left(cfg, deadline))
     enc = encoder.encode_query(net, bounds, q)
@@ -345,7 +345,7 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
         return RobustnessResult(Verdict.ROBUST, m, delta, k, solve=res)
     if res.assignment is not None:
         eps = _vals(res.assignment, enc.eps_ids)
-        p = np.clip(a + eps, net.input_bounds[:, 0], net.input_bounds[:, 1])
+        p = np.clip(q.a + eps, net.input_bounds[:, 0], net.input_bounds[:, 1])
         real = (competitor_count(net, p, m, tol=_WITNESS_TOL) >= k
                 and float(np.sum(np.abs(eps))) <= delta + _WITNESS_TOL)
         if real:
@@ -357,6 +357,14 @@ def check_local_robustness(net: Network, a: np.ndarray, delta: float, *,
                  "not confirm it (envelope slack)")
     return RobustnessResult(Verdict.UNKNOWN, m, delta, k, solve=res,
                             note=f"search stopped at status {res.status.value}")
+
+
+def _exp(t: float) -> float:
+    """e^t, or inf where it overflows float64 (t above about 709.78)."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def compute_max_alpha(net: Network, m: int, *,
@@ -377,9 +385,8 @@ def compute_max_alpha(net: Network, m: int, *,
     anchor = None
     if res.assignment is not None:
         anchor = _vals(res.assignment, enc.input_ids)
-    alpha_max = math.exp(t_star) if math.isfinite(t_star) else (
-        0.0 if t_star < 0 else math.inf)
-    upper = math.exp(res.dual_bound) if math.isfinite(res.dual_bound) else math.inf
+    alpha_max = _exp(t_star) if math.isfinite(t_star) else (0.0 if t_star < 0 else math.inf)
+    upper = _exp(res.dual_bound) if math.isfinite(res.dual_bound) else math.inf
     attainable = True if t_star >= 0.0 else (False if res.dual_bound < 0.0 else None)
     return MaxAlphaResult(alpha_max, t_star, attainable, res.status, upper,
                           anchor, res)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from resilmip import zoo
-from resilmip.network import LayerKind, LayerSpec, Network
+from resilmip.network import LayerKind, LayerSpec, Network, forward
 
 settings.register_profile(
     "default",
@@ -20,6 +20,31 @@ def domain_samples(net: Network, n: int, rng: np.random.Generator) -> np.ndarray
     lo = net.input_bounds[:, 0]
     hi = net.input_bounds[:, 1]
     return lo + rng.random((n, net.input_dim)) * (hi - lo)
+
+
+def assert_trace_in_bounds(net, bounds, point, slack=1e-9):
+    """The exact forward trace of point lies inside bounds, layer by layer."""
+    tr = forward(net, point)
+    for pos in range(1, len(net.layers) + 1):
+        lb = bounds.layers[pos - 1]
+        x = tr.x[pos - 1]
+        assert np.all(x >= lb.lo - slack), f"layer {pos} x below lo"
+        assert np.all(x <= lb.hi + slack), f"layer {pos} x above hi"
+        im = tr.im[pos - 1]
+        if im is not None and lb.im_lo is not None:
+            assert np.all(im >= lb.im_lo - slack)
+            assert np.all(im <= lb.im_hi + slack)
+
+
+def assert_same_bounds(got, want):
+    """Two lists of LayerBounds hold the same values, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for field in ("lo", "hi", "im_lo", "im_hi", "phase"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert (a is None) == (b is None), field
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def r8_net() -> Network:

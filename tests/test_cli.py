@@ -327,6 +327,22 @@ class TestXiAndMaxAlpha:
         assert "alpha    2.71828" in out
         assert "log      1" in out
 
+    def test_max_alpha_past_the_float_range(self, tmp_path, capsys):
+        # the best margin is 2000, and e^2000 overflows float64
+        net = tmp_path / "steep.json"
+        net.write_text(json.dumps(
+            {"input_dim": 1, "input_bounds": [[0, 1]],
+             "layers": [{"kind": "linear_output", "weights": [[0, 0], [1000, -1000]]},
+                        {"kind": "softmax"}]}))
+        j = tmp_path / "side.json"
+        code = main(["max-alpha", "--net", str(net), "--class", "1", "--json-out", str(j)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "alpha    inf" in out
+        assert "log      2000" in out
+        doc = json.loads(j.read_text())
+        assert doc["alpha_max"] == "inf" and doc["upper_bound"] == "inf"
+
     @pytest.mark.parametrize("argv", [
         ["max-alpha", "--net", "relu_deep", "--class", "2"],
         ["verify", "--net", "relu_mixed_phases", "--input", "1,1", "--delta", "0.4"],

@@ -16,20 +16,20 @@ from resilmip.dataflow import (
     Phase,
     _back_substitute,
     _relaxation,
-    intersect_bounds,
     linear_bounds,
     propagate_intervals,
     relu_phases,
     tighten_lookback,
     write_bounds_dump,
 )
-from resilmip.encoder import encode_window
+from resilmip.encoder import QueryKind, QuerySpec, encode_window
 from resilmip.mipmodel import ObjSense
-from resilmip.network import DENSE_KINDS, LayerKind, forward
+from resilmip.network import DENSE_KINDS, LayerKind
 from resilmip.oracle import enumerate_mip
+from resilmip.resilience import query_bounds
 from resilmip.solver import SolveConfig, SolveStatus
 
-from conftest import domain_samples
+from conftest import assert_same_bounds, assert_trace_in_bounds, domain_samples
 
 
 class TestPhases:
@@ -53,26 +53,13 @@ class TestPhases:
         assert phases[1] == Phase.ALWAYS_INACTIVE
 
 
-def _assert_trace_in_bounds(net, bounds, point, slack=1e-9):
-    tr = forward(net, point)
-    for pos in range(1, len(net.layers) + 1):
-        lb = bounds.layers[pos - 1]
-        x = tr.x[pos - 1]
-        assert np.all(x >= lb.lo - slack), f"layer {pos} x below lo"
-        assert np.all(x <= lb.hi + slack), f"layer {pos} x above hi"
-        im = tr.im[pos - 1]
-        if im is not None and lb.im_lo is not None:
-            assert np.all(im >= lb.im_lo - slack)
-            assert np.all(im <= lb.im_hi + slack)
-
-
 class TestSoundness:
     @pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
     def test_fixture_traces_inside_bounds(self, name, rng):
         net = zoo.FIXTURES[name]()
         bounds = propagate_intervals(net)
         for point in domain_samples(net, 200, rng):
-            _assert_trace_in_bounds(net, bounds, point)
+            assert_trace_in_bounds(net, bounds, point)
 
     def test_random_nets_sound(self, rng):
         for _ in range(10):
@@ -86,7 +73,7 @@ class TestSoundness:
             )
             bounds = propagate_intervals(net)
             for point in domain_samples(net, 100, rng):
-                _assert_trace_in_bounds(net, bounds, point)
+                assert_trace_in_bounds(net, bounds, point)
 
 
 def _count_layer_lps(monkeypatch) -> list:
@@ -126,7 +113,7 @@ class TestLookback:
             net = zoo.FIXTURES[name]()
             tight = tighten_lookback(net, propagate_intervals(net), depth=2)
             for point in domain_samples(net, 200, rng):
-                _assert_trace_in_bounds(net, tight, point, slack=1e-6)
+                assert_trace_in_bounds(net, tight, point, slack=1e-6)
 
     def test_never_looser_than_input(self):
         net = zoo.relu_mixed_phases()
@@ -203,7 +190,7 @@ class TestLookback:
                 assert np.array_equal(a.im_lo, b.im_lo)
                 assert np.array_equal(a.im_hi, b.im_hi)
         for point in domain_samples(net, 2000, rng):
-            _assert_trace_in_bounds(net, coarse, point)
+            assert_trace_in_bounds(net, coarse, point)
 
     def test_time_limit_bounds_the_whole_call(self, monkeypatch):
         """One deadline for every window: each solve gets the time left, and
@@ -326,7 +313,7 @@ class TestBudgetBox:
         np.testing.assert_array_equal(bounds.input_hi, hi)
         points = lo + rng.random((50, net.input_dim)) * (hi - lo)
         for point in np.vstack([points, lo, hi, a]):
-            _assert_trace_in_bounds(net, bounds, point)
+            assert_trace_in_bounds(net, bounds, point)
 
     @given(seed=st.integers(0, 100_000))
     def test_box_bounds_are_never_looser_than_the_domain_bounds(self, seed):
@@ -344,21 +331,27 @@ class TestBudgetBox:
             np.testing.assert_array_equal(lb.hi, pb.hi)
 
     def test_intersection_keeps_the_tighter_side_and_recomputes_phases(self):
+        """Verify over caller bounds: query_bounds meets the budget box into
+        their input box, and every layer lies inside both the caller's
+        bounds and the box's intervals, with phases from its im bounds."""
         net = zoo.relu_mixed_phases()
         plain = propagate_intervals(net)
         tight = tighten_lookback(net, plain, depth=2)
-        box = propagate_intervals(net, _budget_box(net, np.array([1.0, 1.0]), 0.4))
-        both = intersect_bounds(net, box, tight)
+        a = np.array([1.0, 1.0])
+        lo, hi = _budget_box(net, a, 0.4)
+        box = propagate_intervals(net, (lo, hi))
+        spec = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=a, delta=0.4)
+        both = query_bounds(net, spec, tight, None, None)
+        np.testing.assert_array_equal(both.input_lo, lo)
+        np.testing.assert_array_equal(both.input_hi, hi)
         for lb, lt, lx in zip(both.layers, tight.layers, box.layers):
-            np.testing.assert_array_equal(lb.lo, np.maximum(lt.lo, lx.lo))
-            np.testing.assert_array_equal(lb.hi, np.minimum(lt.hi, lx.hi))
+            assert np.all(lb.lo >= np.maximum(lt.lo, lx.lo))
+            assert np.all(lb.hi <= np.minimum(lt.hi, lx.hi))
             if lb.phase is not None:
                 np.testing.assert_array_equal(lb.phase, relu_phases(lb.im_lo, lb.im_hi))
         # a budget box inside the domain leaves the domain's bounds nothing to add
-        same = intersect_bounds(net, box, plain)
-        for lb, lx in zip(same.layers, box.layers):
-            np.testing.assert_array_equal(lb.lo, lx.lo)
-            np.testing.assert_array_equal(lb.hi, lx.hi)
+        same = query_bounds(net, spec, plain, None, None)
+        assert_same_bounds(same.layers, query_bounds(net, spec, None, None, None).layers)
 
 
 def _exact_back_substitution(net, bounds, pos):
@@ -423,13 +416,16 @@ class TestLinearBounds:
         assert lin.layers[1].im_lo[0] == pytest.approx(-1.0, abs=1e-12)
         assert lin.layers[1].im_lo[0] <= -1.0
         assert lin.layers[1].im_hi[0] == plain.layers[1].im_hi[0] == 1.0
-        assert lin.layers[0] is plain.layers[0]
+        assert_same_bounds(lin.layers[:1], plain.layers[:1])
 
     @pytest.mark.parametrize("name", ["two_class_linear", "atan_wide", "pool_duel"])
     def test_nets_without_a_dense_layer_after_a_relu_keep_their_bounds(self, name):
         net = zoo.FIXTURES[name]()
         plain = propagate_intervals(net)
-        assert linear_bounds(net, plain) is plain
+        lin = linear_bounds(net, plain)
+        np.testing.assert_array_equal(lin.input_lo, plain.input_lo)
+        np.testing.assert_array_equal(lin.input_hi, plain.input_hi)
+        assert_same_bounds(lin.layers, plain.layers)
 
     @pytest.mark.parametrize("name", ["relu_deep", "relu_mixed_phases"])
     def test_bounds_it_cannot_tighten_are_kept_bit_for_bit(self, name):
@@ -449,7 +445,7 @@ class TestLinearBounds:
         lin = linear_bounds(net, plain)
         lo, hi = box
         for point in np.vstack([lo + rng.random((50, net.input_dim)) * (hi - lo), lo, hi]):
-            _assert_trace_in_bounds(net, lin, point)
+            assert_trace_in_bounds(net, lin, point)
         for a, b in zip(plain.layers, lin.layers):
             assert np.all(b.lo >= a.lo) and np.all(b.hi <= a.hi)
             if a.im_lo is not None:

@@ -19,7 +19,6 @@ from resilmip.oracle import (
     enumerate_mip,
     grid_max_alpha,
     grid_phi,
-    lp_reference,
     trace_violations,
 )
 
@@ -63,16 +62,6 @@ class TestEnumerateMip:
             m.add_binary(f"b{i}")
         with pytest.raises(OracleGuardError):
             enumerate_mip(m)
-
-    def test_lp_reference_handles_relaxations(self):
-        m = MipModel("lp")
-        x = m.add_variable("x", 0.0, 3.0)
-        y = m.add_variable("y", 0.0, 3.0)
-        m.add_constraint("r", [(x, 1.0), (y, 1.0)], RowSense.LE, 4.0)
-        m.set_objective([(x, 2.0), (y, 1.0)], ObjSense.MAXIMIZE)
-        r = lp_reference(m)
-        assert r.status == "optimal"
-        assert r.objective == pytest.approx(7.0)
 
 
 class TestGridPhi:

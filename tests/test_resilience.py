@@ -7,12 +7,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resilmip import resilience, solver, zoo
-from resilmip.dataflow import LOOKBACK_NODE_LIMIT, propagate_intervals
+from resilmip.dataflow import (
+    LOOKBACK_NODE_LIMIT,
+    IntervalBounds,
+    LayerBounds,
+    _refresh_outputs,
+    linear_bounds,
+    meet,
+    propagate_intervals,
+    tighten_lookback,
+)
 from resilmip.encoder import EncodingError, QueryKind, QuerySpec, encode_query
-from resilmip.mipmodel import check_feasible, format_lp
+from resilmip.mipmodel import check_feasible, export_mps
 from resilmip.network import (
+    DENSE_KINDS,
     LayerKind,
     LayerSpec,
     Network,
@@ -30,7 +42,7 @@ from resilmip.resilience import (
 )
 from resilmip.solver import SolveConfig, SolveResult, SolveStatus
 
-from conftest import r8_net
+from conftest import assert_same_bounds, assert_trace_in_bounds, r8_net
 
 
 class TestComputePhi:
@@ -301,7 +313,7 @@ class TestFullStage:
         _, model = _full_stage(monkeypatch, net, 1, math.e)
         fresh = encode_query(net, propagate_intervals(net),
                              QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e))
-        assert format_lp(model) == format_lp(fresh.model)
+        assert export_mps(model) == export_mps(fresh.model)
 
     @pytest.mark.parametrize("name", ["atan_narrow", "atan_wide"])
     def test_arc_tangent_warm_starts_are_accepted(self, monkeypatch, name):
@@ -462,6 +474,78 @@ class TestBudgetBoxBounds:
         assert [(v.lo, v.hi) for v in p] == [(0.3, 0.7), (0.3, 0.7)]
 
 
+def _layerwise_meet(net: Network, a: IntervalBounds, b: IntervalBounds) -> IntervalBounds:
+    """Layer by layer, the intersection of two bounds of net, with phases
+    and outputs recomputed from the intersected pre-activation bounds."""
+    out = IntervalBounds(*meet(a.input_lo, a.input_hi, b.input_lo, b.input_hi))
+    for spec, la, lb in zip(net.layers, a.layers, b.layers):
+        if spec.kind in DENSE_KINDS:
+            im_lo, im_hi = meet(la.im_lo, la.im_hi, lb.im_lo, lb.im_hi)
+            layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)
+            _refresh_outputs(spec, layer)
+        else:
+            layer = LayerBounds(*meet(la.lo, la.hi, lb.lo, lb.hi))
+        out.layers.append(layer)
+    return out
+
+
+_SOFTMAX_FIXTURES = sorted(name for name, make in zoo.FIXTURES.items()
+                           if make().ends_in_softmax)
+
+
+class TestCallerBounds:
+    """Verify over bounds the caller gives: query_bounds meets the budget
+    box B into their input box, and linear_bounds refines every layer from
+    there."""
+
+    @given(seed=st.integers(0, 100_000),
+           fixture=st.sampled_from([None, *_SOFTMAX_FIXTURES]),
+           kind=st.sampled_from(["domain", "lookback", "sub-box"]))
+    def test_caller_bounds_are_met_with_the_budget_box(self, seed, fixture, kind):
+        """Where the caller's input box contains B, the bounds are bit for
+        bit those of linear_bounds over the layerwise meet of B's intervals
+        and the caller's bounds. Otherwise every trace from the met box lies
+        inside them, and none is looser than that meet."""
+        rng = np.random.default_rng(seed)
+        if fixture is None:
+            net = zoo.random_relu_net(rng, input_dim=int(rng.integers(1, 4)),
+                                      hidden=tuple(int(rng.integers(1, 5))
+                                                   for _ in range(int(rng.integers(1, 3)))),
+                                      classes=int(rng.integers(2, 4)), scale=2.0)
+        else:
+            net = zoo.FIXTURES[fixture]()
+        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+        a = rng.uniform(lo, hi)
+        delta = float(rng.uniform(0.0, 1.0) * np.max(hi - lo))
+        box = (np.maximum(lo, a - delta), np.minimum(hi, a + delta))
+        plain = propagate_intervals(net)
+        if kind == "domain":
+            caller = plain
+        elif kind == "lookback":
+            caller = tighten_lookback(net, plain, depth=2)
+        else:  # a sub-box around the anchor, so that it meets B
+            caller = propagate_intervals(net, (rng.uniform(lo, a), rng.uniform(a, hi)))
+        q = QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=a, delta=delta)
+        got = resilience.query_bounds(net, q, caller, None, None)
+        both = _layerwise_meet(net, propagate_intervals(net, box), caller)
+        if np.all(caller.input_lo <= box[0]) and np.all(box[1] <= caller.input_hi):
+            want = linear_bounds(net, both)
+            assert got.input_lo.tobytes() == want.input_lo.tobytes()
+            assert got.input_hi.tobytes() == want.input_hi.tobytes()
+            assert_same_bounds(got.layers, want.layers)
+            return
+        m_lo, m_hi = got.input_lo, got.input_hi
+        np.testing.assert_array_equal(m_lo, both.input_lo)
+        np.testing.assert_array_equal(m_hi, both.input_hi)
+        for point in np.vstack([m_lo + rng.random((50, net.input_dim)) * (m_hi - m_lo),
+                                m_lo, m_hi]):
+            assert_trace_in_bounds(net, got, point)
+        for g, b in zip(got.layers, both.layers):
+            assert np.all(g.lo >= b.lo) and np.all(g.hi <= b.hi)
+            if b.im_lo is not None:
+                assert np.all(g.im_lo >= b.im_lo) and np.all(g.im_hi <= b.im_hi)
+
+
 def _small_relu_net(seed: int) -> Network:
     """A seeded random 2-2-2-2 rectifier net, small enough that its phi
     models' binaries can be enumerated."""
@@ -542,6 +626,24 @@ class TestMaxAlpha:
         r = compute_max_alpha(net, 3)  # the constant score ties at the origin
         assert r.t_star == pytest.approx(0.0, abs=1e-9)
         assert r.alpha_max == pytest.approx(1.0, abs=1e-9)
+        assert r.attainable
+
+    def test_a_margin_past_the_float_range_reports_an_infinite_ratio(self):
+        """e^2000 overflows float64: alpha_max and its bound are inf, and
+        t* keeps the exact margin."""
+        net = Network(
+            input_dim=1,
+            input_bounds=np.array([[0.0, 1.0]]),
+            layers=(
+                LayerSpec(LayerKind.LINEAR_OUTPUT,
+                          weights=np.array([[0.0, 0.0], [1000.0, -1000.0]])),
+                LayerSpec(LayerKind.SOFTMAX),
+            ),
+        )
+        r = compute_max_alpha(net, 1)
+        assert r.status is SolveStatus.OPTIMAL
+        assert r.alpha_max == math.inf and r.upper_bound == math.inf
+        assert _within_gap(r.t_star, 2000.0)
         assert r.attainable
 
 
