@@ -8,8 +8,8 @@ those solves make, and lookback's window LPs, which no solve makes). For
 each solve it prints one line: the model name, the status, the model's
 rows and columns, the nodes, the repr of the objective and of the dual
 bound, the LPs and pivots the solve made, and a hash of the assignment. The
-last two lines give the totals, with the rows and columns summed over the
-solves and the LPs counted by how they ended (optimal, infeasible, stopped
+last two lines give the totals, with the nodes, rows and columns summed over
+the solves and the LPs counted by how they ended (optimal, infeasible, stopped
 at the cutoff, numerical failure), and one hash over every solve's line and
 every LP's status, objective, bound, pivots and refactorizations, so two
 runs whose output is byte-identical solved models of the same sizes, made
@@ -47,7 +47,7 @@ def _assignment_hash(assignment) -> str:
 class Fingerprint:
     def __init__(self) -> None:
         self.digest = hashlib.sha256()
-        self.solves = self.lps = self.pivots = self.rows = self.cols = 0
+        self.solves = self.nodes = self.lps = self.pivots = self.rows = self.cols = 0
         self.ended = collections.Counter()  # LPs by status
         self._lps = self._pivots = 0  # of the solve in progress
         self.lines: list[str] = []  # printed after each query, whose stdout may be redirected
@@ -76,6 +76,7 @@ class Fingerprint:
             self.lines.append(line)
             self.digest.update(line.encode() + b"\n")
             self.solves += 1
+            self.nodes += res.nodes_explored
             self.rows += model.num_constraints
             self.cols += model.num_variables
             return res
@@ -97,7 +98,7 @@ def main() -> int:
                 print("\n".join(fp.lines))
                 fp.lines.clear()
     ended = " ".join(f"{s.name.lower()}={fp.ended[s]}" for s in simplex.LpStatus)
-    print(f"solves={fp.solves} rows={fp.rows} cols={fp.cols} lps={fp.lps} "
+    print(f"solves={fp.solves} nodes={fp.nodes} rows={fp.rows} cols={fp.cols} lps={fp.lps} "
           f"pivots={fp.pivots} {ended}")
     print(f"hash={fp.digest.hexdigest()}")
     return 0

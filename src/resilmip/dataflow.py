@@ -220,18 +220,25 @@ def linear_bounds(net: Network, bounds: IntervalBounds) -> IntervalBounds:
     `simplex.certified_bound`, so it encloses the same computation done
     exactly. Softmax outputs lie in [0, 1] and are never encoded: they keep
     the given bounds. Where nothing tightens, the given bounds are kept bit
-    for bit.
+    for bit. Bounds with no layers give the input box alone: every layer is
+    then refined from it without a meet, which yields, bit for bit, what the
+    same call on propagate_intervals over that box yields.
     """
     out = IntervalBounds(bounds.input_lo, bounds.input_hi)
     relax: dict[int, tuple[np.ndarray, ...]] = {}
-    for pos, (spec, layer) in enumerate(zip(net.layers, bounds.layers), start=1):
+    for pos, spec in enumerate(net.layers, start=1):
+        layer = bounds.layers[pos - 1] if bounds.layers else None
         lo, hi = out.x_lo(pos - 1), out.x_hi(pos - 1)
-        if spec.kind is LayerKind.MAX_POOL:
+        if spec.kind not in DENSE_KINDS:
             fresh = _layer_bounds(spec, lo, hi)
-            layer = LayerBounds(*meet(layer.lo, layer.hi, fresh.lo, fresh.hi))
-        elif spec.kind in DENSE_KINDS:
-            im_lo, im_hi = meet(layer.im_lo, layer.im_hi,
-                                *_affine_bounds(spec.weights, lo, hi))
+            if layer is None:
+                layer = fresh
+            elif spec.kind is LayerKind.MAX_POOL:
+                layer = LayerBounds(*meet(layer.lo, layer.hi, fresh.lo, fresh.hi))
+        else:
+            im_lo, im_hi = _affine_bounds(spec.weights, lo, hi)
+            if layer is not None:
+                im_lo, im_hi = meet(layer.im_lo, layer.im_hi, im_lo, im_hi)
             if pos - 1 in relax:  # layer pos - 1 is a ReLU layer
                 im_lo, im_hi = meet(im_lo, im_hi, *_back_substitute(net, out, relax, pos))
             layer = LayerBounds(lo=im_lo, hi=im_hi, im_lo=im_lo, im_hi=im_hi)

@@ -24,8 +24,10 @@ adds no variable and no equality row. Arc-tangent and score nodes keep a
 variable m... and its row A...: substituting those changed no answer but
 moved the LP's vertex choices, and with them the trees.
 
-Each body binary gets its branch priority as it is created, so deeper layers
-branch later (encode_network_copy); class selectors keep priority 0.
+encode_relu records each ReLU indicator on the model with its output and its
+row x - im >= const (MipModel.set_relu), so that the solver can branch on the
+ReLU whose LP point lies farthest from its graph; other binaries record
+nothing and are branched on by fractionality.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .dataflow import IntervalBounds, Phase
-from .mipmodel import Assignment, MipModel, RowSense, ObjSense, VarType
+from .mipmodel import Assignment, MipModel, RowSense, ObjSense
 from .network import DENSE_KINDS, ForwardTrace, LayerKind, Network, forward
 
 ATAN_APPROX_ERR = 0.0038  # worst-case |atan(t) - q(t)| on [-1, 1]
@@ -228,7 +230,8 @@ def encode_relu(model: MipModel, x_id: int, expr: Affine, phase: int,
     rows and an indicator b = 1 iff im >= 0: x >= im, x <= im - l(1 - b),
     x <= u b. With x >= 0 they pin x = 0 >= im >= l at b = 0 and
     x = im <= u at b = 1; relaxed to b in [0, 1] they give the triangle
-    hull x <= u (im - l) / (u - l) (Tjeng, Xiao & Tedrake, ICLR 2019)."""
+    hull x <= u (im - l) / (u - l) (Tjeng, Xiao & Tedrake, ICLR 2019).
+    The model records b with x and the row x >= im (MipModel.set_relu)."""
     terms, const = expr
     x_minus_im = [(x_id, 1.0)] + [(v, -c) for v, c in terms]
     im_lo, im_hi = float(im_bounds[0]), float(im_bounds[1])
@@ -248,7 +251,7 @@ def encode_relu(model: MipModel, x_id: int, expr: Affine, phase: int,
     if model.variables[x_id].lo < 0.0:
         raise EncodingError(f"{tag}: output variable must be declared nonnegative")
     b = model.add_binary(f"{tag}.b")
-    model.add_constraint(f"{tag}.ge", x_minus_im, RowSense.GE, const)
+    model.set_relu(b, x_id, model.add_constraint(f"{tag}.ge", x_minus_im, RowSense.GE, const))
     model.add_constraint(f"{tag}.ub", x_minus_im + [(b, -lo)], RowSense.LE, const - lo)
     model.add_constraint(f"{tag}.cap", [(x_id, 1.0), (b, -hi)], RowSense.LE, 0.0)
     return ReluGadget(b_id=b)
@@ -465,13 +468,11 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
                         prefix: str) -> NetworkCopy:
     """Encode layers first_pos..last_pos (1-based positions, no softmax) fed by
     the given input variables (the outputs of position first_pos - 1); `prefix`
-    keeps its names apart from another copy's. Every binary created for
-    layer position l gets branch priority net.num_layers - l."""
+    keeps its names apart from another copy's."""
     copy = NetworkCopy(first_pos, last_pos)
     copy.x_ids[first_pos - 1] = list(input_ids)
     prev = list(input_ids)
     for pos in range(first_pos, last_pos + 1):
-        first_var = model.num_variables
         spec = net.layers[pos - 1]
         lb = bounds.layers[pos - 1]
         if spec.kind is LayerKind.SOFTMAX:
@@ -513,9 +514,6 @@ def encode_network_copy(model: MipModel, net: Network, bounds: IntervalBounds,
                 copy.pools[pos][g] = encode_maxpool(model, x_ids[g], operands,
                                                     f"P{prefix}{pos}_{g}")
             copy.x_ids[pos] = x_ids
-        for vid in range(first_var, model.num_variables):
-            if model.variables[vid].vtype is VarType.BINARY:
-                model.set_branch_priority(vid, net.num_layers - pos)
         prev = copy.x_ids[pos]
     return copy
 

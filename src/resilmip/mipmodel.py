@@ -1,7 +1,8 @@
 """Mixed-integer linear model container and serialization.
 
 A model owns variables (continuous or binary, with bounds), sparse constraint
-rows, one linear objective, optional branch priorities and a warm start.
+rows, one linear objective, a warm start and, for each ReLU indicator binary,
+the ReLU it decides (which the solver's branching rule reads).
 Variable and row ids are dense 0-based integers in creation order, which makes
 every downstream artifact (MPS text, solver traces) deterministic.
 """
@@ -48,7 +49,6 @@ class Variable:
     lo: float
     hi: float
     vtype: VarType
-    branch_priority: int = 0
 
 
 @dataclass
@@ -71,20 +71,36 @@ class DenseLp:
     hi: np.ndarray
     binary_ids: list[int]
     maximize: bool
+    relu: dict[int, tuple[int, int]]  # MipModel.relu
 
     @functools.cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The binary ids, and masks of the rows bounded above and below."""
+    def bins(self) -> np.ndarray:
+        """The binary ids as an array."""
+        return np.array(self.binary_ids, dtype=np.int64)
+
+    @functools.cached_property
+    def relu_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For the ReLU indicators among the binaries: their positions in
+        ``bins``, their ReLUs' output ids, and the coefficients and
+        right-hand sides of their rows x - im >= const."""
+        pos = np.flatnonzero([b in self.relu for b in self.binary_ids])
+        out, rows = np.array([self.relu[self.binary_ids[i]] for i in pos],
+                             dtype=np.int64).reshape(-1, 2).T
+        return pos, out, self.a[rows], self.rhs[rows]
+
+    @functools.cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the rows bounded above and below."""
         le = np.array([s is not RowSense.GE for s in self.senses], dtype=bool)
         ge = np.array([s is not RowSense.LE for s in self.senses], dtype=bool)
-        return np.array(self.binary_ids, dtype=np.int64), le, ge
+        return le, ge
 
     def feasible(self, x: np.ndarray, tol: float) -> bool:
         """True when the point x (one value per variable) satisfies the
         bounds, integrality and rows within the absolute tolerance tol, as
         check_feasible does; a NaN anywhere fails."""
-        bins, le, ge = self._index
-        b = x[bins]
+        le, ge = self._index
+        b = x[self.bins]
         resid = self.a @ x - self.rhs
         return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all()
                     and (np.abs(b - np.round(b)) <= tol).all()
@@ -99,6 +115,9 @@ class MipModel:
         self.objective: dict[int, float] = {}
         self.obj_sense: ObjSense = ObjSense.MINIMIZE
         self.warm_start: Assignment | None = None
+        # ReLU indicator id -> (its ReLU's output id, the id of the row
+        # x - pre-activation >= constant), set by set_relu
+        self.relu: dict[int, tuple[int, int]] = {}
         self.frozen = False
         self._var_names: set[str] = set()
         self._row_names: set[str] = set()
@@ -166,9 +185,11 @@ class MipModel:
         self.objective = obj
         self.obj_sense = sense
 
-    def set_branch_priority(self, vid: int, priority: int) -> None:
+    def set_relu(self, b_id: int, x_id: int, ge_row: int) -> None:
+        """Record the binary b_id as the indicator of the ReLU whose output
+        is x_id and whose row x_id - pre-activation >= constant is ge_row."""
         self._check_mutable()
-        self.variables[vid].branch_priority = int(priority)
+        self.relu[b_id] = (x_id, ge_row)
 
     def set_warm_start(self, assignment: Assignment) -> None:
         # a warm start is advisory, not structural, so frozen models accept it
@@ -218,6 +239,7 @@ class MipModel:
             c=c, a=a, senses=senses, rhs=rhs, lo=lo, hi=hi,
             binary_ids=self.binary_ids,
             maximize=self.obj_sense is ObjSense.MAXIMIZE,
+            relu=self.relu,
         )
 
 

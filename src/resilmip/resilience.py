@@ -36,7 +36,11 @@ from enum import Enum
 import numpy as np
 
 from . import encoder
-from .dataflow import IntervalBounds, linear_bounds, meet, propagate_intervals, tighten_lookback
+# propagate_intervals stays a name of this module, where perfbench/tracing.py
+# wraps it, though no query here calls it since linear_bounds starts from the
+# input box alone
+from .dataflow import (IntervalBounds, linear_bounds, meet, propagate_intervals,  # noqa: F401
+                       tighten_lookback)
 from .encoder import QueryKind, QuerySpec
 from .mipmodel import Assignment, MipModel
 from .network import Network, class_scores, competitor_count, forward, strongly_classifies
@@ -125,13 +129,13 @@ class MaxAlphaResult:
 
 def prepare_bounds(net: Network, bounds: IntervalBounds | None,
                    lookback: int | None, config: SolveConfig | None) -> IntervalBounds:
-    """The given bounds or the plain intervals, tightened once by
-    back-substitution through linear ReLU relaxations (linear_bounds), then
-    by lookback windows of depth `lookback` if set, under `config`'s time
-    limit. Every driver, export and the bounds command take their bounds
-    from here."""
+    """The given bounds, or the input domain alone, tightened once by
+    interval arithmetic and back-substitution through linear ReLU
+    relaxations (linear_bounds), then by lookback windows of depth
+    `lookback` if set, under `config`'s time limit. Every driver, export
+    and the bounds command take their bounds from here."""
     if bounds is None:
-        bounds = propagate_intervals(net)
+        bounds = IntervalBounds(net.input_bounds[:, 0].copy(), net.input_bounds[:, 1].copy())
     bounds = linear_bounds(net, bounds)
     # depth 1 boxes each node's predecessors, which adds nothing to the
     # interval bounds over the boxes linear_bounds refined; tighten_lookback
@@ -148,16 +152,16 @@ def query_bounds(net: Network, spec: QuerySpec, bounds: IntervalBounds | None,
     """The bounds `spec` is encoded over, once validate_query accepts it.
     A LOCAL_ROBUSTNESS query admits only points of its budget box
     B = [max(lo, a - delta), min(hi, a + delta)] around its anchor a (in
-    validate_query's normal form), so it takes the intervals propagated
-    from B, or, given `bounds`, those bounds with B met into their input
-    box. prepare_bounds then refines every layer of them, or of any other
+    validate_query's normal form), so it takes B as its input box, or,
+    given `bounds`, those bounds with B met into their input box.
+    prepare_bounds then refines every layer of them, or of any other
     query's bounds, from that input box (linear_bounds), and by lookback."""
     spec = encoder.validate_query(net, spec)
     if spec.kind is QueryKind.LOCAL_ROBUSTNESS:
         lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
         box = (np.maximum(lo, spec.a - spec.delta), np.minimum(hi, spec.a + spec.delta))
         if bounds is None:
-            bounds = propagate_intervals(net, box)
+            bounds = IntervalBounds(*box)
         else:
             bounds = IntervalBounds(*meet(bounds.input_lo, bounds.input_hi, *box),
                                     bounds.layers)

@@ -3,9 +3,14 @@
 Search: a serial best-bound loop with depth-first plunging. The open nodes
 wait in a heap ordered by (inherited bound, creation order); after branching
 the search keeps the child on the rounded side of the branching value and
-pushes the sibling. Branching picks the fractional binary with the highest
-branch priority, breaking ties by most-fractional value and then lowest
-variable id. An incumbent is replaced only by a strictly better one. The
+pushes the sibling. Branching looks at the binaries more than INT_TOL from an
+integer. If any is a ReLU indicator (``MipModel.relu``), it takes the one
+whose LP point lies farthest from its ReLU's graph, by x - max(0, im) for
+the ReLU's output x and pre-activation im (``pick_branch_var``), in the spirit
+of the ReLU splits of Bunel et al. (JMLR 2020); otherwise the most fractional
+binary. Ties go to the lowest id. Atan, max-pool and class-selector binaries
+are left to the fallback: on ``atan_wide`` a generic rounding score grew
+phi's trees. An incumbent is replaced only by a strictly better one. The
 search is deterministic: the same model and limits give the same nodes.
 
 Node LPs: the LP's fixed data is put in the simplex's layout once per solve
@@ -407,22 +412,28 @@ class _Node:
     basis: Basis | None = None  # the parent's optimal basis
 
 
-def pick_branch_var(x: np.ndarray, bin_ids: np.ndarray,
-                    priority: np.ndarray) -> int | None:
-    """The binary to branch on at LP point x: among binaries more than
-    INT_TOL from an integer, the highest priority (priority[i] belongs to
-    bin_ids[i]), then the farthest from an integer, then the lowest id;
-    None when every binary is integral."""
-    v = x[bin_ids]
+def pick_branch_var(x: np.ndarray, d: DenseLp) -> int | None:
+    """The binary to branch on at the LP point x of the model with arrays d,
+    among the binaries more than INT_TOL from an integer; None when every
+    binary is integral. If any of them is a ReLU indicator (``d.relu``), the
+    one whose point lies farthest from its ReLU's graph: x - max(0, im) =
+    min(x, x - im), x the ReLU's output and x - im the left side of its row
+    x - im >= const less const. Otherwise the binary farthest from an
+    integer. Ties go to the lowest id."""
+    bins = d.bins
+    v = x[bins]
     # the difference to the nearer integer is exact in float64, so this is
     # |v - round(v)| bit for bit
     dist = np.minimum(v - np.floor(v), np.ceil(v) - v)
-    best = dist > INT_TOL
-    if not best.any():
+    frac = dist > INT_TOL
+    if not frac.any():
         return None
-    best &= priority == priority[best].max()
-    best &= dist == dist[best].max()
-    return int(bin_ids[best].min())
+    pos, out, a, rhs = d.relu_rows  # built at the first branching of a solve
+    on = frac[pos]
+    if on.any():
+        gap = np.minimum(x[out], a @ x - rhs)
+        return int(bins[pos[on & (gap == gap[on].max())]].min())
+    return int(bins[frac & (dist == dist[frac].max())].min())
 
 
 def _keeps_inverse(node: _Node) -> bool:
@@ -442,9 +453,7 @@ def solve(model: MipModel, config: SolveConfig | None = None,
     t0 = time.monotonic()
     d, form, sign = _min_form(model)
     c_int = sign * d.c
-    bin_ids = np.array(d.binary_ids, dtype=np.int64)
-    priority = np.array([model.variables[v].branch_priority for v in d.binary_ids],
-                        dtype=np.int64)
+    bin_ids = d.bins
     ext = lambda v: sign * v  # internal minimize value -> model orientation
 
     heap: list[tuple[float, int, _Node]] = []
@@ -550,7 +559,7 @@ def solve(model: MipModel, config: SolveConfig | None = None,
             node = None
             continue
         bound, x = res.bound, res.x
-        branch_vid = pick_branch_var(x, bin_ids, priority)
+        branch_vid = pick_branch_var(x, d)
         if (nodes == 1 and repair is not None and branch_vid is not None
                 and bound < cutoff()):
             adopt(repair(x))  # the root's one repair

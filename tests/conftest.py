@@ -47,12 +47,18 @@ def assert_same_bounds(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
-def r8_net() -> Network:
-    """R8 of the benchmark: the second draw of zoo.random_relu_net from
-    np.random.default_rng(0), with 3 inputs, hidden layers (8, 8), 3 classes."""
+def relu_bench_nets() -> dict[str, Network]:
+    """R6, R8 and R12 of the benchmark: the first three draws of
+    zoo.random_relu_net from np.random.default_rng(0), with 3 inputs, hidden
+    layers (6,), (8, 8) and (12, 12), 3 classes."""
     rng = np.random.default_rng(0)
-    zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
-    return zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
+    return {name: zoo.random_relu_net(rng, input_dim=3, hidden=hidden, classes=3)
+            for name, hidden in (("R6", (6,)), ("R8", (8, 8)), ("R12", (12, 12)))}
+
+
+def r8_net() -> Network:
+    """R8 of relu_bench_nets()."""
+    return relu_bench_nets()["R8"]
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from resilmip import solver, zoo
 from resilmip.dataflow import (
     ADOPT_SLACK,
+    IntervalBounds,
     Phase,
     _back_substitute,
     _relaxation,
@@ -29,7 +30,8 @@ from resilmip.oracle import enumerate_mip
 from resilmip.resilience import query_bounds
 from resilmip.solver import SolveConfig, SolveStatus
 
-from conftest import assert_same_bounds, assert_trace_in_bounds, domain_samples
+from conftest import (assert_same_bounds, assert_trace_in_bounds, domain_samples,
+                      relu_bench_nets)
 
 
 class TestPhases:
@@ -437,6 +439,25 @@ class TestLinearBounds:
             np.testing.assert_array_equal(a.hi, b.hi)
             if a.phase is not None:
                 np.testing.assert_array_equal(a.phase, b.phase)
+
+    @pytest.mark.parametrize("name", sorted(zoo.FIXTURES) + ["R6", "R8", "R12"])
+    def test_the_input_box_alone_gives_what_the_plain_intervals_give(self, name):
+        """Bounds with no layers (how prepare_bounds and query_bounds start
+        without caller bounds) refine every layer from the input box alone,
+        bit for bit as over the plain intervals of that box: the domain and
+        budget boxes inside it."""
+        net = zoo.FIXTURES[name]() if name in zoo.FIXTURES else relu_bench_nets()[name]
+        lo, hi = net.input_bounds[:, 0], net.input_bounds[:, 1]
+        rng = np.random.default_rng(5)
+        boxes = [(lo, hi)]
+        for a, delta in zip(rng.uniform(lo, hi, (10, lo.shape[0])), rng.random(10)):
+            boxes.append((np.maximum(lo, a - delta), np.minimum(hi, a + delta)))
+        for box in boxes:
+            alone = linear_bounds(net, IntervalBounds(*box))
+            plain = linear_bounds(net, propagate_intervals(net, box))
+            for got, want in ((alone.input_lo, plain.input_lo), (alone.input_hi, plain.input_hi)):
+                assert got.tobytes() == want.tobytes()
+            assert_same_bounds(alone.layers, plain.layers)
 
     @given(seed=st.integers(0, 100_000))
     def test_sound_never_looser_and_enclosing_the_exact_computation(self, seed):

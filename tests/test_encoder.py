@@ -1,5 +1,5 @@
 """MIP gadgets and query models: indicator semantics, envelope containment,
-gating, warm starts, branch priorities."""
+gating, warm starts, the ReLU indicators recorded for branching."""
 
 import math
 import pickle
@@ -36,6 +36,8 @@ from resilmip.network import (DENSE_KINDS, LayerKind, LayerSpec, Network, class_
 from resilmip.oracle import encoding_consistency
 from resilmip.simplex import LpStatus
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp
+
+from conftest import r8_net
 
 _SECANT_CURVE = 2 * 0.273 / 8.0  # |q''| h^2 / 8 with the h factored out
 
@@ -510,39 +512,66 @@ def _gadget_binaries(copy) -> dict[int, int]:
     return out
 
 
-class TestBranchPriorities:
-    def test_earlier_layers_branch_first(self):
-        net = zoo.relu_mixed_phases()
+class TestReluIndicators:
+    """Every undecided ReLU's indicator is recorded on the model with its
+    output and its row x - im >= const, which the solver's branching rule
+    reads; no other binary is."""
+
+    @staticmethod
+    def _models():
+        r8 = r8_net()
+        b8 = propagate_intervals(r8)
+        mixed = zoo.relu_mixed_phases()
+        deep = zoo.relu_deep()
+        queries = [
+            (mixed, QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e)),
+            (mixed, QuerySpec(QueryKind.MAX_PERTURBATION, m=2, alpha=math.e,
+                              a=np.array([1.0, 1.0]))),
+            (deep, QuerySpec(QueryKind.LOCAL_ROBUSTNESS, m=1, a=np.array([0.5, 0.5]),
+                             delta=0.3)),
+            (deep, QuerySpec(QueryKind.STRONG_ANCHOR, m=2, alpha=math.e)),
+            (r8, QuerySpec(QueryKind.MAX_ALPHA, m=1)),
+        ]
+        for net, q in queries:
+            enc = encode_query(net, propagate_intervals(net), q)
+            yield net, enc.model, [c for c in (enc.base, enc.pert) if c is not None]
+        for layer_pos, depth in ((2, 2), (3, 2), (3, 3)):
+            model, _, repair = encode_window(r8, b8, layer_pos, depth)
+            yield r8, model, [repair.copy]
+
+    def test_each_undecided_relu_records_its_output_and_row(self):
+        rng = np.random.default_rng(7)
+        for net, model, copies in self._models():
+            d = model.dense_arrays()
+            want = {}
+            for copy in copies:
+                for pos, gadgets in copy.relu.items():
+                    w = net.layers[pos - 1].weights
+                    for i, g in gadgets.items():
+                        if g.b_id is not None:
+                            want[g.b_id] = (copy.x_ids[pos][i], copy.x_ids[pos - 1], w[:, i])
+            assert want and set(model.relu) == set(want), model.name
+            for b, (x_id, preds, w_col) in want.items():
+                out, row = model.relu[b]
+                assert out == x_id and model.constraints[row].name.endswith(".ge")
+                # at points of the variables' box: min(x, row slack) is
+                # x - max(0, im), im read off the network's weights
+                for _ in range(20):
+                    x = rng.uniform(d.lo, d.hi)
+                    im = w_col[0] + w_col[1:] @ x[preds]
+                    slack = d.a[row] @ x - d.rhs[row]
+                    assert math.isclose(min(x[out], slack), x[out] - max(0.0, im),
+                                        rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("name", ["atan_wide", "pool_duel", "pool_pairs"])
+    def test_atan_pool_and_selector_binaries_record_none(self, name):
+        net = getattr(zoo, name)()
         enc = encode_query(net, propagate_intervals(net),
                            QuerySpec(QueryKind.MAX_PERTURBATION, m=1, alpha=math.e))
-        total = net.num_layers
-        every = set(enc.class_sel.values())
-        for copy in (enc.base, enc.pert):
-            binaries = _gadget_binaries(copy)
-            assert binaries  # the fixture has undecided nodes
-            every |= set(binaries)
-            for vid, pos in binaries.items():
-                assert enc.model.variables[vid].branch_priority == total - pos
-        for cid in enc.class_sel.values():
-            assert enc.model.variables[cid].branch_priority == 0
-        assert every == set(enc.model.binary_ids)
-
-    def test_atan_binaries_carry_their_layer_position(self):
-        net = zoo.atan_wide()
-        model, copy = encode_network_eval(net, propagate_intervals(net))
-        binaries = _gadget_binaries(copy)
-        assert binaries
-        for vid, pos in binaries.items():
-            assert pos == 1
-            assert model.variables[vid].branch_priority == net.num_layers - 1
-
-    def test_pool_binaries_carry_their_layer_position(self):
-        net = zoo.pool_pairs()
-        model, copy = encode_network_eval(net, propagate_intervals(net))
-        binaries = _gadget_binaries(copy)
-        assert binaries and set(binaries) == set(model.binary_ids)
-        for vid, pos in binaries.items():
-            assert model.variables[vid].branch_priority == net.num_layers - pos
+        gadgets = {b for copy in (enc.base, enc.pert) for b in _gadget_binaries(copy)}
+        assert gadgets and enc.class_sel
+        assert set(enc.model.binary_ids) == gadgets | set(enc.class_sel.values())
+        assert not enc.model.relu
 
 
 class TestWarmStart:

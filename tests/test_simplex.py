@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from resilmip import simplex, zoo
+from resilmip import simplex
 from resilmip.mipmodel import RowSense
 from resilmip.resilience import compute_max_alpha
 from resilmip.simplex import Basis, LpStatus, lp_form, solve_bounded_lp
 from resilmip.solver import SolveConfig, SolveStatus
+
+from conftest import relu_bench_nets
 
 LE, GE, EQ = RowSense.LE, RowSense.GE, RowSense.EQ
 
@@ -551,14 +553,12 @@ def test_kept_masks_equal_movable_after_every_pivot(seed, var, drift):
 
 
 def test_kept_masks_equal_movable_on_a_max_alpha_solve():
-    """Every pivot of the R8 max-alpha query for class 1 (R8: the second draw
-    of random_relu_net from seed 0, hidden (8, 8))."""
-    rng = np.random.default_rng(0)
-    zoo.random_relu_net(rng, input_dim=3, hidden=(6,), classes=3)
-    r8 = zoo.random_relu_net(rng, input_dim=3, hidden=(8, 8), classes=3)
+    """Every pivot of the R12 max-alpha query for class 2 (R12: the third
+    draw of random_relu_net from seed 0, hidden (12, 12)), a tree of about
+    100 nodes."""
     with pytest.MonkeyPatch.context() as mp:
         checked = _check_masks_at_every_pivot(mp)
-        res = compute_max_alpha(r8, 1, config=SolveConfig(workers=1))
+        res = compute_max_alpha(relu_bench_nets()["R12"], 2, config=SolveConfig(workers=1))
     assert res.status is SolveStatus.OPTIMAL and len(checked) > 100
 
 

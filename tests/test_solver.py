@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from resilmip import encoder, simplex, solver, zoo
 from resilmip.dataflow import propagate_intervals, tighten_lookback
 from resilmip.encoder import QueryKind, QuerySpec
-from resilmip.mipmodel import MipModel, ModelError, ObjSense, RowSense, check_feasible
+from resilmip.mipmodel import (MipModel, ModelError, ObjSense, RowSense, VarType,
+                               check_feasible)
 from resilmip.oracle import enumerate_mip
 from resilmip.resilience import compute_max_alpha, compute_xi
 from resilmip.solver import SolveConfig, SolveStatus, solve, solve_lp, worker_pool
@@ -257,44 +258,90 @@ class TestUnconfirmedIntegralPoint:
         assert r.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
 
 
-def _pick_by_loop(x, bin_ids, priority):
-    """The branching rule as a per-binary loop over (priority, distance to
-    integrality, id) keys."""
+def _pick_by_loop(model: MipModel, x: np.ndarray):
+    """The branching rule as a per-binary loop over the model's rows: among
+    the binaries more than INT_TOL from an integer, a ReLU indicator keyed
+    by its gap min(x_out, x_out - im) read off its row, before any other
+    binary keyed by its distance to an integer, then by lowest id."""
     best_key = best_vid = None
-    for vid, prio in zip(bin_ids, priority):
+    for vid in model.binary_ids:
         v = x[vid]
         if abs(v - round(v)) <= solver.INT_TOL:
             continue
-        key = (-prio, -min(v - math.floor(v), math.ceil(v) - v), vid)
+        if vid in model.relu:
+            out, r = model.relu[vid]
+            row = model.constraints[r]
+            gap = min(x[out], sum(c * x[j] for j, c in row.coefs) - row.rhs)
+            key = (0, -gap, vid)
+        else:
+            key = (1, -min(v - math.floor(v), math.ceil(v) - v), vid)
         if best_key is None or key < best_key:
-            best_key, best_vid = key, int(vid)
+            best_key, best_vid = key, vid
     return best_vid
+
+
+def _relu_model(kinds, coefs, consts) -> MipModel:
+    """Binaries interleaved with continuous columns: three inputs y, then
+    per binary a ReLU (its output x, its indicator and its row
+    x - c . y >= const) or a plain binary, per ``kinds``."""
+    m = MipModel("pick")
+    ys = [m.add_variable(f"y{i}", -2.0, 2.0) for i in range(3)]
+    for k, (relu, c, const) in enumerate(zip(kinds, coefs, consts)):
+        if not relu:
+            m.add_binary(f"p{k}")
+            continue
+        x = m.add_variable(f"x{k}", 0.0, 8.0)
+        b = m.add_binary(f"b{k}")
+        row = m.add_constraint(f"g{k}", [(x, 1.0)] + [(y, -w) for y, w in zip(ys, c)],
+                               RowSense.GE, const)
+        m.set_relu(b, x, row)
+    return m.freeze()
 
 
 class TestPickBranchVar:
     # values with exact ties in distance (0.25/0.75, 0.5), near misses
     # (0.3 against 0.7) and integral ones within and just past INT_TOL
     VALUES = [0.0, 1.0, 0.25, 0.75, 0.5, 0.3, 0.7, 5e-7, 1 - 5e-7, 2e-6, 1 - 2e-6, 0.1]
+    # quarters, small integer weights and half-integer constants: every gap
+    # is exact in float64, so ties are exact too
+    QUARTERS = [i / 4 for i in range(-8, 9)]
 
-    @given(picks=st.lists(st.tuples(st.sampled_from(VALUES), st.integers(0, 2)),
-                          min_size=1, max_size=12),
-           order=st.randoms(use_true_random=False))
+    @given(data=st.data(), n=st.integers(1, 8))
     @settings(max_examples=300)
-    def test_matches_the_per_binary_rule_on_ties(self, picks, order):
-        x = np.array([v for v, _ in picks] + [3.7])  # a continuous column last
-        bin_ids = list(range(len(picks)))
-        order.shuffle(bin_ids)
-        priority = np.array([picks[i][1] for i in bin_ids], dtype=np.int64)
-        bin_ids = np.array(bin_ids, dtype=np.int64)
-        assert (solver.pick_branch_var(x, bin_ids, priority)
-                == _pick_by_loop(x, bin_ids, priority))
+    def test_matches_the_per_binary_rule_on_ties(self, data, n):
+        kinds = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        coefs = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                                   min_size=n, max_size=n))
+        consts = data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5]),
+                                    min_size=n, max_size=n))
+        model = _relu_model(kinds, coefs, consts)
+        d = model.dense_arrays()
+        x = np.clip([data.draw(st.sampled_from(
+            self.VALUES if v.vtype is VarType.BINARY else self.QUARTERS))
+            for v in model.variables], d.lo, d.hi)
+        assert solver.pick_branch_var(x, d) == _pick_by_loop(model, x)
 
-    def test_priority_then_distance_then_id(self):
-        x = np.array([0.5, 0.25, 0.75, 0.5, 1.0])
-        ids = np.arange(5)
-        assert solver.pick_branch_var(x, ids, np.zeros(5, dtype=np.int64)) == 0
-        assert solver.pick_branch_var(x, ids, np.array([0, 1, 1, 0, 2])) == 1
-        assert solver.pick_branch_var(x, ids[[4]], np.array([0])) is None
+    def test_relu_gap_then_distance_then_id(self):
+        # y = 0.5; ReLU 0: x = 1, im = y = 0.5, gap 0.5; ReLU 1: x = 1,
+        # im = -y = -0.5, gap 1; ReLU 2: x = 1, im = 2y = 1, gap 0
+        model = _relu_model([True, True, True, False, False],
+                            [[1, 0, 0], [-1, 0, 0], [2, 0, 0], None, None],
+                            [0.0, 0.0, 0.0, None, None])
+        ids = {v.name: i for i, v in enumerate(model.variables)}
+        d = model.dense_arrays()
+        x = np.zeros(model.num_variables)
+        x[ids["y0"]] = 0.5
+        x[[ids["x0"], ids["x1"], ids["x2"]]] = 1.0
+        x[[ids["b0"], ids["b1"], ids["b2"], ids["p3"], ids["p4"]]] = 0.9, 0.1, 0.5, 0.5, 0.5
+        assert solver.pick_branch_var(x, d) == ids["b1"]  # the largest gap
+        x[ids["b1"]] = 1.0
+        assert solver.pick_branch_var(x, d) == ids["b0"]  # gap, not fractionality
+        x[ids["b0"]] = 0.0
+        assert solver.pick_branch_var(x, d) == ids["b2"]  # a ReLU at gap 0 first
+        x[ids["b2"]] = 1.0
+        assert solver.pick_branch_var(x, d) == ids["p3"]  # then most fractional, lowest id
+        x[[ids["p3"], ids["p4"]]] = 1.0
+        assert solver.pick_branch_var(x, d) is None
 
 
 def _rows(model: MipModel) -> int:
